@@ -1,17 +1,18 @@
-"""Evaluation of cylindric terms in full set algebras over units.
+"""Evaluation of cylindric terms in finite full set algebras.
 
-The same homomorphic evaluator serves two carrier shapes: power sets of a
-unit's sequences, and the mapped algebra whose carrier is the full square
-over a finite window plus one extra point relabelled onto the identity
-sequence.  Axiom and equation checkers take any such handle, so they act as
-refuters over sampled instances, never as provers.
+One class, `FiniteAlgebra`, serves both carrier shapes: the power set of a
+unit's sequences (`UnitAlgebra`), and the mapped algebra whose carrier is the
+full square over a finite window plus one extra point relabelled onto the
+identity sequence (`MappedUnitAlgebra`).  Subsets are Python-int bitmasks
+over a fixed carrier order; frozensets appear only at the API edge.  The
+postulate and equation checkers share one law table and run it over sampled
+instances, so they act as refuters, never as provers.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Mapping
 
@@ -22,37 +23,89 @@ from .units import ClassTag, Sequence, Unit, enumerate_units
 Evaluation = dict[int, frozenset]
 
 
-@lru_cache(maxsize=None)
-def _cyl_partition(v: Unit, i: int) -> dict[tuple[int, ...], frozenset[Sequence]]:
-    classes: dict[tuple[int, ...], set[Sequence]] = {}
-    for f in v:
-        classes.setdefault(f.dropped(i), set()).add(f)
-    return {k: frozenset(s) for k, s in classes.items()}
+class FiniteAlgebra:
+    """Power-set algebra over a finite carrier, subsets as int bitmasks.
 
+    Bit k stands for `labels[k]`.  `coords[k]` is the value tuple over the
+    window `indices` from which bit k's cylinders and diagonals are computed;
+    the bits in `pinned` belong to no d_ij with i != j.  Cylinder blocks and
+    diagonal masks are built on first use.
+    """
 
-class UnitAlgebra:
-    """Operation handle for the power-set algebra over a unit."""
+    def __init__(self, labels: Iterable, indices: Iterable[int], coords: Iterable[tuple], pinned: int = 0):
+        self.labels = tuple(labels)
+        self.indices = tuple(indices)
+        self.top = (1 << len(self.labels)) - 1
+        self._coords = tuple(coords)
+        self._pinned = pinned
+        self._bit = {e: k for k, e in enumerate(self.labels)}
+        self._blocks: dict[int, list[int]] = {}
+        self._diags: dict[tuple[int, int], int] = {}
 
-    def __init__(self, v: Unit):
-        self.unit = v
-        self.universe = v.as_set()
-        self.indices = v.window
+    def _position(self, i: int) -> int:
+        try:
+            return self.indices.index(i)
+        except ValueError:
+            raise ValueError(f"index {i} outside window {self.indices}") from None
 
-    def diag(self, i: int, j: int) -> frozenset[Sequence]:
+    def _cyl_blocks(self, i: int) -> list[int]:
+        """Per bit, the mask of the bits that agree with it off coordinate i."""
+        blocks = self._blocks.get(i)
+        if blocks is None:
+            p = self._position(i)
+            keys = [c[:p] + c[p + 1:] for c in self._coords]
+            classes: dict[tuple, int] = {}
+            for k, key in enumerate(keys):
+                classes[key] = classes.get(key, 0) | 1 << k
+            blocks = self._blocks[i] = [classes[key] for key in keys]
+        return blocks
+
+    def cyl_mask(self, i: int, x: int) -> int:
+        blocks = self._cyl_blocks(i)
+        out = 0
+        while x:
+            block = blocks[(x & -x).bit_length() - 1]
+            out |= block
+            x &= ~block
+        return out
+
+    def diag_mask(self, i: int, j: int) -> int:
         if i == j:
-            return self.universe
-        if i not in self.unit.window or j not in self.unit.window:
-            raise ValueError(f"distinct diagonal indices {i},{j} must lie in the window")
-        return frozenset(f for f in self.unit if f[i] == f[j])
+            return self.top
+        d = self._diags.get((i, j))
+        if d is None:
+            p, q = self._position(i), self._position(j)
+            d = sum(1 << k for k, c in enumerate(self._coords) if c[p] == c[q]) & ~self._pinned
+            self._diags[(i, j)] = d
+        return d
 
-    def cyl(self, i: int, x: frozenset[Sequence]) -> frozenset[Sequence]:
-        if i not in self.unit.window:
-            raise ValueError(f"cylindrification index {i} outside window {self.unit.window}")
-        part = _cyl_partition(self.unit, i)
-        out: set[Sequence] = set()
-        for key in {f.dropped(i) for f in x}:
-            out |= part[key]
-        return frozenset(out)
+    def mask(self, x: Iterable) -> int:
+        m = 0
+        try:
+            for e in x:
+                m |= 1 << self._bit[e]
+        except KeyError:
+            raise ValueError(f"{e} is not in the carrier; a set must be a subset of it") from None
+        return m
+
+    def subset(self, m: int) -> frozenset:
+        labels = self.labels
+        return frozenset(labels[k] for k in range(m.bit_length()) if m >> k & 1)
+
+    @property
+    def universe(self) -> frozenset:
+        return frozenset(self.labels)
+
+    def cyl(self, i: int, x: Iterable) -> frozenset:
+        return self.subset(self.cyl_mask(i, self.mask(x)))
+
+    def diag(self, i: int, j: int) -> frozenset:
+        return self.subset(self.diag_mask(i, j))
+
+
+def UnitAlgebra(v: Unit) -> FiniteAlgebra:
+    """The power-set algebra over a unit; bit k is `v.sequences[k]`."""
+    return FiniteAlgebra(v.sequences, v.window, (f.values for f in v))
 
 
 def diagonal(v: Unit, i: int, j: int) -> frozenset[Sequence]:
@@ -62,9 +115,6 @@ def diagonal(v: Unit, i: int, j: int) -> frozenset[Sequence]:
 
 def cylindrify(v: Unit, i: int, x: Iterable[Sequence]) -> frozenset[Sequence]:
     """All sequences differing from some member of x at most at coordinate i."""
-    x = frozenset(x)
-    if not x <= v.as_set():
-        raise ValueError("cylindrified set must be a subset of the unit")
     return UnitAlgebra(v).cyl(i, x)
 
 
@@ -78,142 +128,90 @@ class _ExtraPoint:
 P_PRIME = _ExtraPoint()
 
 
-class MappedUnitAlgebra:
+def MappedUnitAlgebra(n: int) -> FiniteAlgebra:
     """Full square over window {0..n-1} plus an extra point sharing the
-    identity sequence's cylinders.
+    identity sequence's cylinders, for 2 <= n <= 4.
 
-    The extra point p' is relabelled onto the identity sequence p when
-    cylinders are computed, yet it belongs to no diagonal d_ij with i != j.
-    The result satisfies the cylindric postulates while containing a nonzero
-    element disjoint from every diagonal over indices >= 2.
+    The carrier is the n^n grid of value tuples in lexicographic order with
+    p' last; `grid` and `identity` are set on the returned algebra.  The
+    extra point p' is relabelled onto the identity sequence when cylinders
+    are computed, yet it belongs to no diagonal d_ij with i != j.  The result
+    satisfies the cylindric postulates while containing a nonzero element
+    disjoint from every diagonal over indices >= 2.
     """
-
-    def __init__(self, n: int):
-        if n < 2:
-            raise ValueError("mapped algebra needs a window of at least two indices")
-        self.n = n
-        self.identity = tuple(range(n))
-        self.grid = tuple(sorted(product(range(n), repeat=n)))
-        self.universe = frozenset(self.grid) | {P_PRIME}
-        self.indices = tuple(range(n))
-        self._partitions: dict[int, dict] = {}
-        self._diags: dict[tuple[int, int], frozenset] = {}
-
-    def h(self, q):
-        return self.identity if q is P_PRIME else q
-
-    def _check_index(self, i: int) -> None:
-        if not 0 <= i < self.n:
-            raise ValueError(f"index {i} outside window 0..{self.n - 1}")
-
-    def diag(self, i: int, j: int) -> frozenset:
-        self._check_index(i)
-        self._check_index(j)
-        if i == j:
-            return self.universe
-        if (i, j) not in self._diags:
-            self._diags[(i, j)] = frozenset(q for q in self.grid if q[i] == q[j])
-        return self._diags[(i, j)]
-
-    def _partition(self, i: int) -> dict:
-        if i not in self._partitions:
-            classes: dict[tuple, set] = {}
-            for q in self.universe:
-                hq = self.h(q)
-                classes.setdefault(hq[:i] + hq[i + 1:], set()).add(q)
-            self._partitions[i] = {k: frozenset(s) for k, s in classes.items()}
-        return self._partitions[i]
-
-    def cyl(self, i: int, x: frozenset) -> frozenset:
-        self._check_index(i)
-        part = self._partition(i)
-        out: set = set()
-        for q in x:
-            hq = self.h(q)
-            out |= part[hq[:i] + hq[i + 1:]]
-        return frozenset(out)
+    if not 2 <= n <= 4:
+        raise ValueError(f"mapped algebra supports 2 <= n <= 4, got {n}")
+    grid = tuple(product(range(n), repeat=n))
+    identity = tuple(range(n))
+    alg = FiniteAlgebra(grid + (P_PRIME,), identity, grid + (identity,), pinned=1 << len(grid))
+    alg.grid, alg.identity = grid, identity
+    return alg
 
 
-def _eval(alg, t: Term, iota: Mapping[int, frozenset]) -> frozenset:
+def _eval(alg: FiniteAlgebra, t: Term, iota: Mapping[int, int]) -> int:
     if isinstance(t, Var):
         return iota[t.k]
     if isinstance(t, Zero):
-        return frozenset()
+        return 0
     if isinstance(t, One):
-        return alg.universe
+        return alg.top
     if isinstance(t, Diag):
-        return alg.diag(t.i, t.j)
+        return alg.diag_mask(t.i, t.j)
     if isinstance(t, Not):
-        return alg.universe - _eval(alg, t.t, iota)
+        return alg.top ^ _eval(alg, t.t, iota)
     if isinstance(t, And):
         return _eval(alg, t.t1, iota) & _eval(alg, t.t2, iota)
     if isinstance(t, Or):
         return _eval(alg, t.t1, iota) | _eval(alg, t.t2, iota)
     if isinstance(t, Cyl):
-        return alg.cyl(t.i, _eval(alg, t.t, iota))
+        return alg.cyl_mask(t.i, _eval(alg, t.t, iota))
     raise TypeError(f"not a term: {t!r}")
 
 
-def evaluate(t: Term, v: Unit, iota: Mapping[int, frozenset]) -> frozenset[Sequence]:
-    """Interpretation of `t` in the power-set algebra over `v` under `iota`."""
-    missing = index_set(t) - set(v.window)
+def _value(alg: FiniteAlgebra, t: Term, iota: Mapping[int, frozenset]) -> int:
+    """Mask of t's interpretation, after checking indices and evaluation."""
+    missing = index_set(t) - set(alg.indices)
     if missing:
         raise ValueError(f"term mentions off-window indices {sorted(missing)}")
     unassigned = variables(t) - set(iota)
     if unassigned:
         raise ValueError(f"unassigned variables {sorted(unassigned)}")
-    members = v.as_set()
-    for k, val in iota.items():
-        if not frozenset(val) <= members:
-            raise ValueError(f"evaluation of x{k} is not a subset of the unit")
-    return _eval(UnitAlgebra(v), t, iota)
+    return _eval(alg, t, {k: alg.mask(val) for k, val in iota.items()})
+
+
+def evaluate(t: Term, v: Unit, iota: Mapping[int, frozenset]) -> frozenset[Sequence]:
+    """Interpretation of `t` in the power-set algebra over `v` under `iota`."""
+    alg = UnitAlgebra(v)
+    return alg.subset(_value(alg, t, iota))
 
 
 def satisfies(v: Unit, f: Sequence, iota: Mapping[int, frozenset], t: Term) -> bool:
     """True iff f belongs to the interpretation of t in P(v) under iota."""
     if f not in v:
         raise ValueError("focus sequence does not belong to the unit")
-    return f in evaluate(t, v, iota)
+    alg = UnitAlgebra(v)
+    return bool(_value(alg, t, iota) & alg.mask((f,)))
 
 
-def mapped_eval(t: Term, alg: MappedUnitAlgebra, iota: Mapping[int, frozenset]) -> frozenset:
+def mapped_eval(t: Term, alg: FiniteAlgebra, iota: Mapping[int, frozenset]) -> frozenset:
     """Interpretation of `t` in the mapped algebra under `iota`."""
-    for i in index_set(t):
-        alg._check_index(i)
-    unassigned = variables(t) - set(iota)
-    if unassigned:
-        raise ValueError(f"unassigned variables {sorted(unassigned)}")
-    return _eval(alg, t, iota)
+    return alg.subset(_value(alg, t, iota))
 
 
 # --- evaluation helpers --------------------------------------------------
 
-def _sort_key(q):
-    if isinstance(q, Sequence):
-        return (0, q.window, q.values)
-    if q is P_PRIME:
-        return (2,)
-    return (1, q)
+def all_subsets(alg: FiniteAlgebra) -> list[frozenset]:
+    return [alg.subset(m) for m in range(1 << len(alg.labels))]
 
 
-def sorted_universe(alg) -> list:
-    return sorted(alg.universe, key=_sort_key)
-
-
-def subset_from_mask(elems: list, mask: int) -> frozenset:
-    return frozenset(e for k, e in enumerate(elems) if mask >> k & 1)
-
-
-def all_subsets(alg) -> list[frozenset]:
-    elems = sorted_universe(alg)
-    return [subset_from_mask(elems, mask) for mask in range(1 << len(elems))]
-
-
-def sample_subsets(alg, count: int, seed: int = 0) -> list[frozenset]:
-    """Deterministic pseudo-random subsets of the carrier."""
-    elems = sorted_universe(alg)
+def _sample_masks(alg: FiniteAlgebra, count: int, seed: int) -> list[int]:
     rng = random.Random(f"subsets:{seed}")
-    return [subset_from_mask(elems, rng.getrandbits(len(elems))) for _ in range(count)]
+    return [rng.getrandbits(len(alg.labels)) for _ in range(count)]
+
+
+def sample_subsets(alg: FiniteAlgebra, count: int, seed: int = 0) -> list[frozenset]:
+    """Deterministic pseudo-random subsets of the carrier."""
+    return [alg.subset(m) for m in _sample_masks(alg, count, seed)]
 
 
 def evaluation_from_dict(v: Unit, data: Mapping[str, list[int]]) -> Evaluation:
@@ -276,121 +274,89 @@ class CheckReport:
         return self
 
 
-def _describe(x) -> object:
-    if isinstance(x, frozenset):
-        return sorted(str(e) for e in x)
-    return str(x)
+# --- postulate and equation laws -----------------------------------------
+
+# One row per law: (postulate name, equation name, quantifier shape,
+# predicate over masks).  A law that is both a cylindric postulate and one of
+# the seven unit equations is coded once and carries both names.
+_LAWS = (
+    ("CA0", None, "xy", lambda a, x, y: (
+        x | y == y | x and x & (a.top ^ x) == 0 and a.top ^ (x & y) == (a.top ^ x) | (a.top ^ y)
+    )),
+    ("CA1", "Eq1", "i", lambda a, i: a.cyl_mask(i, 0) == 0),
+    ("CA2", "Eq2", "xi", lambda a, i, x: x & a.cyl_mask(i, x) == x),
+    ("CA3", "Eq3", "xyi", lambda a, i, x, y: (
+        a.cyl_mask(i, x & a.cyl_mask(i, y)) == a.cyl_mask(i, x) & a.cyl_mask(i, y)
+    )),
+    ("CA4", None, "x,i<j", lambda a, i, j, x: (
+        a.cyl_mask(i, a.cyl_mask(j, x)) == a.cyl_mask(j, a.cyl_mask(i, x))
+    )),
+    ("CA5", "Eq6", "i", lambda a, i: a.diag_mask(i, i) == a.top),
+    ("CA6", None, "ijk", lambda a, i, j, k: (
+        a.diag_mask(i, j) == a.cyl_mask(k, a.diag_mask(i, k) & a.diag_mask(k, j))
+    )),
+    ("CA7", None, "x,i!=j", lambda a, i, j, x: (
+        a.cyl_mask(i, a.diag_mask(i, j) & x) & a.cyl_mask(i, a.diag_mask(i, j) & (a.top ^ x)) == 0
+    )),
+    (None, "Eq4", "xyi", lambda a, i, x, y: a.cyl_mask(i, x | y) == a.cyl_mask(i, x) | a.cyl_mask(i, y)),
+    (None, "Eq5", "xi", lambda a, i, x: a.cyl_mask(i, (out := a.top ^ a.cyl_mask(i, x))) == out),
+    (None, "Eq7", "x,i!=j", lambda a, i, j, x: (
+        a.cyl_mask(i, (xd := x & a.diag_mask(i, j))) & a.diag_mask(i, j) == xd
+    )),
+)
+_CA_LAWS = [(ca, shape, law) for ca, _, shape, law in _LAWS if ca]
+_EQ_LAWS = sorted(((eq, shape, law) for _, eq, shape, law in _LAWS if eq), key=lambda row: row[0])
 
 
-# --- postulate and equation checkers -------------------------------------
-
-def _element_pairs(elems: list[frozenset]) -> list[tuple[frozenset, frozenset]]:
+def _element_pairs(elems: list) -> list[tuple]:
     if len(elems) <= 32:
         return [(x, y) for x in elems for y in elems]
     rotated = elems[1:] + elems[:1]
     return list(zip(elems, rotated))
 
 
-def check_ca_axioms(alg, elems: Iterable[frozenset], indices: Iterable[int] | None = None) -> CheckReport:
-    """Check the cylindric postulates over the sampled elements and indices."""
-    report = CheckReport()
-    idx = tuple(indices) if indices is not None else tuple(alg.indices)
-    elems = [frozenset(x) for x in elems]
-    top = alg.universe
-    empty = frozenset()
-    pairs = [(i, j) for i in idx for j in idx if i != j]
-    triples = [(i, j, k) for i in idx for j in idx for k in idx if k != i and k != j]
-    epairs = _element_pairs(elems)
+def _instances(shape: str, elems: list[int], idx: tuple[int, ...]) -> Iterator[dict]:
+    """Bindings of a shape's variables, indices before elements."""
+    if shape == "i":
+        return ({"i": i} for i in idx)
+    if shape == "ijk":
+        return ({"i": i, "j": j, "k": k} for i in idx for j in idx for k in idx if k != i and k != j)
+    if shape == "xi":
+        return ({"i": i, "x": x} for x in elems for i in idx)
+    if shape == "x,i<j":
+        return ({"i": i, "j": j, "x": x} for x in elems for i in idx for j in idx if i < j)
+    if shape == "x,i!=j":
+        return ({"i": i, "j": j, "x": x} for x in elems for i in idx for j in idx if i != j)
+    pairs = _element_pairs(elems)
+    if shape == "xy":
+        return ({"x": x, "y": y} for x, y in pairs)
+    return ({"i": i, "x": x, "y": y} for x, y in pairs for i in idx)  # "xyi"
 
-    for x, y in epairs:
-        report.count()
-        if (x | y != y | x) or (x & (top - x) != empty) or (top - (x & y) != (top - x) | (top - y)):
-            report.fail("CA0", x=_describe(x), y=_describe(y))
-    for i in idx:
-        report.count()
-        if alg.cyl(i, empty) != empty:
-            report.fail("CA1", i=i)
-    for x in elems:
-        for i in idx:
+
+def _check_laws(alg: FiniteAlgebra, laws: list, elems: list[int], idx: tuple[int, ...], report: CheckReport) -> CheckReport:
+    for name, shape, law in laws:
+        for binding in _instances(shape, elems, idx):
             report.count()
-            cx = alg.cyl(i, x)
-            if x | cx != cx:
-                report.fail("CA2", i=i, x=_describe(x))
-    for x, y in epairs:
-        for i in idx:
-            report.count()
-            if alg.cyl(i, x & alg.cyl(i, y)) != alg.cyl(i, x) & alg.cyl(i, y):
-                report.fail("CA3", i=i, x=_describe(x), y=_describe(y))
-    for x in elems:
-        for i, j in pairs:
-            if i > j:
-                continue
-            report.count()
-            if alg.cyl(i, alg.cyl(j, x)) != alg.cyl(j, alg.cyl(i, x)):
-                report.fail("CA4", i=i, j=j, x=_describe(x))
-    for i in idx:
-        report.count()
-        if alg.diag(i, i) != top:
-            report.fail("CA5", i=i)
-    for i, j, k in triples:
-        report.count()
-        if alg.diag(i, j) != alg.cyl(k, alg.diag(i, k) & alg.diag(k, j)):
-            report.fail("CA6", i=i, j=j, k=k)
-    for x in elems:
-        for i, j in pairs:
-            report.count()
-            dij = alg.diag(i, j)
-            if alg.cyl(i, dij & x) & alg.cyl(i, dij & (top - x)) != empty:
-                report.fail("CA7", i=i, j=j, x=_describe(x))
+            if not law(alg, **binding):
+                report.fail(name, **{
+                    var: sorted(str(e) for e in alg.subset(val)) if var in ("x", "y") else val
+                    for var, val in binding.items()
+                })
     return report
+
+
+def check_ca_axioms(alg: FiniteAlgebra, elems: Iterable[frozenset], indices: Iterable[int] | None = None) -> CheckReport:
+    """Check the cylindric postulates over the sampled elements and indices."""
+    idx = tuple(indices) if indices is not None else alg.indices
+    return _check_laws(alg, _CA_LAWS, [alg.mask(x) for x in elems], idx, CheckReport())
 
 
 def check_eq_laws(v: Unit, max_exhaustive_subsets: int = 64, samples: int = 64, seed: int = 0) -> CheckReport:
     """Check the seven unit-algebra equations over subsets of the unit."""
     alg = UnitAlgebra(v)
-    if (1 << len(v)) <= max_exhaustive_subsets:
-        elems = all_subsets(alg)
-        exhaustive = True
-    else:
-        elems = sample_subsets(alg, samples, seed)
-        exhaustive = False
-    report = CheckReport(exhaustive=exhaustive)
-    top = alg.universe
-    empty = frozenset()
-    idx = v.window
-    pairs = [(i, j) for i in idx for j in idx if i != j]
-    epairs = _element_pairs(elems)
-
-    for i in idx:
-        report.count()
-        if alg.cyl(i, empty) != empty:
-            report.fail("Eq1", i=i)
-        report.count()
-        if alg.diag(i, i) != top:
-            report.fail("Eq6", i=i)
-    for x in elems:
-        for i in idx:
-            report.count()
-            cx = alg.cyl(i, x)
-            if x & cx != x:
-                report.fail("Eq2", i=i, x=_describe(x))
-            report.count()
-            if alg.cyl(i, top - cx) != top - cx:
-                report.fail("Eq5", i=i, x=_describe(x))
-        for i, j in pairs:
-            report.count()
-            dij = alg.diag(i, j)
-            if alg.cyl(i, x & dij) & dij != x & dij:
-                report.fail("Eq7", i=i, j=j, x=_describe(x))
-    for x, y in epairs:
-        for i in idx:
-            report.count()
-            if alg.cyl(i, x & alg.cyl(i, y)) != alg.cyl(i, x) & alg.cyl(i, y):
-                report.fail("Eq3", i=i, x=_describe(x), y=_describe(y))
-            report.count()
-            if alg.cyl(i, x | y) != alg.cyl(i, x) | alg.cyl(i, y):
-                report.fail("Eq4", i=i, x=_describe(x), y=_describe(y))
-    return report
+    exhaustive = (1 << len(v)) <= max_exhaustive_subsets
+    elems = list(range(1 << len(v))) if exhaustive else _sample_masks(alg, samples, seed)
+    return _check_laws(alg, _EQ_LAWS, elems, v.window, CheckReport(exhaustive=exhaustive))
 
 
 # --- bounded validity search ---------------------------------------------
@@ -422,21 +388,13 @@ class ValidityResult:
         return self.counterexample is not None
 
 
-def _iter_evaluations(v: Unit, m: int, max_eval_subsets: int, seed_tag: str) -> tuple[Iterator[Evaluation], bool]:
+def _iter_evaluations(v: Unit, m: int, max_eval_subsets: int, seed_tag: str) -> tuple[Iterator[tuple[int, ...]], bool]:
+    """Mask tuples (one mask per variable): all of them, or seeded samples."""
     total = 1 << len(v)
-    seqs = v.sequences
-
-    def from_masks(masks: tuple[int, ...]) -> Evaluation:
-        return {
-            k: frozenset(s for b, s in enumerate(seqs) if masks[k] >> b & 1)
-            for k in range(m)
-        }
-
     if total <= max_eval_subsets:
-        return (from_masks(masks) for masks in product(range(total), repeat=m)), True
+        return product(range(total), repeat=m), True
     rng = random.Random(seed_tag)
-    samples = (tuple(rng.randrange(total) for _ in range(m)) for _ in range(max_eval_subsets))
-    return (from_masks(masks) for masks in samples), False
+    return (tuple(rng.randrange(total) for _ in range(m)) for _ in range(max_eval_subsets)), False
 
 
 def _scan_chunk(args) -> tuple[tuple | None, int, int, bool]:
@@ -446,15 +404,16 @@ def _scan_chunk(args) -> tuple[tuple | None, int, int, bool]:
     exhaustive = True
     for idx, v in chunk:
         units_checked += 1
+        alg = UnitAlgebra(v)
         evals, full = _iter_evaluations(v, m, max_eval_subsets, f"validity:{seed}:{idx}")
         exhaustive = exhaustive and full
-        for iota in evals:
+        for masks in evals:
             evals_checked += 1
-            left = evaluate(lhs, v, iota)
-            right = evaluate(rhs, v, iota)
-            diff = left ^ right
+            diff = _eval(alg, lhs, masks) ^ _eval(alg, rhs, masks)
             if diff:
-                return (idx, v, min(diff), iota), units_checked, evals_checked, exhaustive
+                focus = v.sequences[(diff & -diff).bit_length() - 1]
+                iota = {k: alg.subset(mask) for k, mask in enumerate(masks)}
+                return (idx, v, focus, iota), units_checked, evals_checked, exhaustive
     return None, units_checked, evals_checked, exhaustive
 
 
@@ -483,8 +442,12 @@ def bounded_validity(
     outside = (index_set(lhs) | index_set(rhs)) - set(window)
     if outside:
         raise ValueError(f"terms mention indices {sorted(outside)} beyond the window bound")
+    used = variables(lhs) | variables(rhs)
     if m is None:
-        m = 1 + max(variables(lhs) | variables(rhs), default=-1)
+        m = 1 + max(used, default=-1)
+    unassigned = used - set(range(m))
+    if unassigned:
+        raise ValueError(f"unassigned variables {sorted(unassigned)}")
 
     units = list(enumerate_units(window, bounds.base_size, bounds.max_seqs, tag))
     indexed = list(enumerate(units))

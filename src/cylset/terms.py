@@ -143,6 +143,14 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
+# Deepest nesting the parser accepts.  Every '(', '-', 'c<i>' and every
+# '.' or '+' that nests the rest of a chain counts one level.  Below it the
+# recursive parser, printer, index analysis and evaluator stay well inside
+# Python's recursion limit; the library's deepest term, guarded_twin_term(),
+# nests 13 levels.
+MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple[str, object, int]], text_len: int, m: int | None):
         self.tokens = tokens
@@ -160,31 +168,36 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse_or(self) -> Term:
-        left = self.parse_and()
+    def deeper(self, depth: int, pos: int) -> int:
+        if depth >= MAX_DEPTH:
+            raise TermSyntaxError(f"term nests deeper than {MAX_DEPTH} levels", pos)
+        return depth + 1
+
+    def parse_or(self, depth: int = 0) -> Term:
+        left = self.parse_and(depth)
         if self.peek() == "plus":
-            self.next()
-            return Or(left, self.parse_or())
+            _, _, pos = self.next()
+            return Or(left, self.parse_or(self.deeper(depth, pos)))
         return left
 
-    def parse_and(self) -> Term:
-        left = self.parse_unary()
+    def parse_and(self, depth: int) -> Term:
+        left = self.parse_unary(depth)
         if self.peek() == "dot":
-            self.next()
-            return And(left, self.parse_and())
+            _, _, pos = self.next()
+            return And(left, self.parse_and(self.deeper(depth, pos)))
         return left
 
-    def parse_unary(self) -> Term:
+    def parse_unary(self, depth: int) -> Term:
         kind = self.peek()
         if kind == "minus":
-            self.next()
-            return Not(self.parse_unary())
+            _, _, pos = self.next()
+            return Not(self.parse_unary(self.deeper(depth, pos)))
         if kind == "cyl":
-            _, i, _ = self.next()
-            return Cyl(i, self.parse_unary())
-        return self.parse_atom()
+            _, i, pos = self.next()
+            return Cyl(i, self.parse_unary(self.deeper(depth, pos)))
+        return self.parse_atom(depth)
 
-    def parse_atom(self) -> Term:
+    def parse_atom(self, depth: int) -> Term:
         kind, value, pos = self.next()
         if kind == "var":
             if self.m is not None and value >= self.m:
@@ -199,7 +212,7 @@ class _Parser:
         if kind == "diag":
             return Diag(*value)
         if kind == "lpar":
-            inner = self.parse_or()
+            inner = self.parse_or(self.deeper(depth, pos))
             close, _, cpos = self.next() if self.pos < len(self.tokens) else ("eof", None, self.text_len)
             if close != "rpar":
                 raise TermSyntaxError("expected ')'", cpos)

@@ -1,0 +1,19 @@
+"""`cylset replicate --suite all --json` output is pinned byte for byte.
+
+The data file holds the output of the set-based evaluator this package
+used before subsets became bitmasks; the worker count must not change it.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from cylset.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "replicate_all.jsonl"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_replicate_all_json_matches_golden(workers, capsys):
+    assert main(["replicate", "--suite", "all", "--json", "--workers", workers]) == 0
+    assert capsys.readouterr().out == GOLDEN.read_text()

@@ -1,0 +1,93 @@
+"""Inputs outside the supported range fail with a clear error, not a crash."""
+
+import pytest
+
+from cylset.cli import main
+from cylset.constructions import (
+    certificate_from_dict,
+    certificate_to_dict,
+    split_atom_diag,
+)
+from cylset.semantics import MappedUnitAlgebra, SearchBounds, bounded_validity, evaluate
+from cylset.terms import MAX_DEPTH, TermSyntaxError, Var, parse_term
+from cylset.units import ClassTag, full_square, save_unit, seq
+
+SQ22 = full_square((0, 1), (0, 1))
+
+DEEP_TERMS = {
+    "minus": "-" * 3000 + "x0",
+    "parens": "(" * 1200 + "x0" + ")" * 1200,
+    "cyl": "c0 " * 3000,
+}
+
+
+@pytest.fixture
+def sq22_file(tmp_path):
+    path = tmp_path / "sq22.json"
+    save_unit(SQ22, str(path))
+    return str(path)
+
+
+class TestDeepTerms:
+    @pytest.mark.parametrize("name", sorted(DEEP_TERMS))
+    def test_parse_exits_2(self, name, capsys):
+        assert main(["parse", f"--term={DEEP_TERMS[name]}"]) == 2
+        assert "nests deeper" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(DEEP_TERMS))
+    def test_eval_exits_2(self, name, sq22_file, capsys):
+        code = main(["eval", "--unit", sq22_file, f"--term={DEEP_TERMS[name]}", "--assign", "x0=[0]"])
+        assert code == 2
+        assert "nests deeper" in capsys.readouterr().err
+
+    def test_error_points_at_first_level_too_deep(self):
+        with pytest.raises(TermSyntaxError) as err:
+            parse_term("(" * (MAX_DEPTH + 1) + "x0" + ")" * (MAX_DEPTH + 1))
+        assert err.value.position == MAX_DEPTH
+
+    def test_long_join_is_capped_too(self):
+        with pytest.raises(TermSyntaxError, match="nests deeper"):
+            parse_term(" + ".join(["x0"] * 3000))
+
+    @pytest.mark.parametrize("text", ["-" * MAX_DEPTH + "x0", "(" * MAX_DEPTH + "x0" + ")" * MAX_DEPTH])
+    def test_deepest_accepted_term_evaluates(self, text):
+        t = parse_term(text)
+        x = frozenset({seq((0, 1), (0, 0))})
+        assert evaluate(t, SQ22, {0: x}) in (x, SQ22.as_set() - x)
+
+    def test_cli_accepts_deepest_term(self, capsys):
+        assert main(["parse", "--term=" + "-" * MAX_DEPTH + "x0"]) == 0
+
+
+class TestMappedWindowRange:
+    @pytest.mark.parametrize("n", ["1", "5"])
+    def test_check_axioms_exits_2(self, n, capsys):
+        assert main(["check-axioms", "--mapped", n]) == 2
+        assert "2 <= n <= 4" in capsys.readouterr().err
+
+    def test_constructor_rejects(self):
+        with pytest.raises(ValueError):
+            MappedUnitAlgebra(5)
+
+
+class TestCertificateFields:
+    def test_missing_top_level_field(self):
+        with pytest.raises(ValueError, match="splitter"):
+            certificate_from_dict({"original": "x0"})
+
+    def test_missing_half_field(self):
+        v = SQ22
+        f = seq((0, 1), (0, 1))
+        data = certificate_to_dict(split_atom_diag(v, f, {0: v.as_set()}, Var(0)))
+        del data["positive"]["focus"]
+        with pytest.raises(ValueError, match="positive.focus"):
+            certificate_from_dict(data)
+
+    def test_not_a_dict(self):
+        with pytest.raises(ValueError, match="original"):
+            certificate_from_dict([])
+
+
+def test_bounded_validity_rejects_too_few_variables():
+    with pytest.raises(ValueError, match="unassigned"):
+        bounded_validity(parse_term("x1"), parse_term("x0"), ClassTag.CRS, SearchBounds(2, 2, 2, 16), m=1)
