@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import enum
 import json
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Iterator
@@ -113,8 +115,11 @@ class Unit:
     def __len__(self) -> int:
         return len(self.sequences)
 
-    def __contains__(self, f: Sequence) -> bool:
-        return f in set(self.sequences)
+    def __contains__(self, f: object) -> bool:
+        if not isinstance(f, Sequence):
+            return False
+        k = bisect_left(self.sequences, f)
+        return k < len(self.sequences) and self.sequences[k] == f
 
     def as_set(self) -> frozenset[Sequence]:
         return frozenset(self.sequences)
@@ -182,25 +187,22 @@ def classify(v: Unit) -> frozenset[ClassTag]:
     """Class membership flags for the unit.
 
     Every unit is Crs.  D requires closure under f(i/f(j)) for window
-    indices.  G holds when the unit is the union of the full squares over
-    the blocks of its shared-range partition, and Gs additionally asks for
-    pairwise disjoint square bases.
+    indices.  G requires the full square over each member's range, so the
+    unit is a union of possibly overlapping Cartesian squares.  Gs requires
+    the unit to be the union of the full squares over its range blocks,
+    which are pairwise disjoint.
     """
     tags = {ClassTag.CRS}
     if _diag_closed(v):
         tags.add(ClassTag.D)
-    blocks = _range_blocks(v)
     members = v.as_set()
-    squares_full = all(
-        len(block) ** len(v.window) <= len(v)
-        and all(s in members for s in full_square(v.window, block))
-        for block in blocks
-    )
-    if squares_full:
+    if all(g in members for f in v for g in full_square(v.window, f.range_values())):
         tags.add(ClassTag.G)
-        total = sum(len(b) for b in blocks)
-        distinct = len(frozenset().union(*blocks)) if blocks else 0
-        if total == distinct:
+        if all(
+            len(block) ** len(v.window) <= len(v)
+            and all(s in members for s in full_square(v.window, block))
+            for block in _range_blocks(v)
+        ):
             tags.add(ClassTag.GS)
     return frozenset(tags)
 
@@ -261,20 +263,90 @@ def fresh_indices(v: Unit, gamma: Iterable[int], n: int) -> list[int]:
     return _fresh_naturals(set(v.window) | set(gamma), n)
 
 
+# Enumeration refuses to build more units than this: the subsets of a
+# 16-sequence square, the largest space any suite or test searches.
+MAX_UNITS = 1 << 16
+
+
+def _closed_masks(closures: list[int], max_bits: int) -> set[int]:
+    """Every union of closure masks with at most max_bits bits.
+
+    A union over more than max_bits bits is pruned: each union on the way
+    to a closed set is a subset of it, so no target is lost.
+    """
+    if max_bits < 0:
+        return set()
+    gens = sorted(set(closures))
+    seen = {0}
+    work = [0]
+    while work:
+        s = work.pop()
+        for c in gens:
+            t = s | c
+            if t not in seen and t.bit_count() <= max_bits:
+                seen.add(t)
+                if len(seen) > MAX_UNITS:
+                    raise ValueError(f"more than {MAX_UNITS} units: over the enumeration cap")
+                work.append(t)
+    return seen
+
+
+def _bit_positions(mask: int) -> tuple[int, ...]:
+    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+
+
 def enumerate_units(
     window: Iterable[int], base_size: int, max_seqs: int, tag: ClassTag = ClassTag.CRS
 ) -> Iterator[Unit]:
     """All units over base {0..base_size-1} with at most max_seqs sequences
-    carrying the tag, by size then lexicographically."""
+    carrying the tag, by size then in `combinations` order of the square.
+
+    Units are generated per class, not filtered.  Crs units are the
+    combinations themselves.  D and G are closures generated point by point
+    (`diagonalization_closure`, and the full square over a sequence's
+    range), so their units are exactly the unions of one closure mask per
+    sequence of `full_square(window, range(base_size))`.  Gs units are the
+    G units that `classify` tags Gs.  Raises ValueError when the square or
+    the units would number more than MAX_UNITS; for Crs the count is known
+    before anything is built.
+    """
     if base_size < 1:
         raise ValueError("base_size must be at least 1")
-    square = full_square(window, range(base_size))
-    w = square.window
-    for size in range(min(max_seqs, len(square)) + 1):
-        for combo in combinations(square.sequences, size):
-            u = Unit(w, combo)
-            if tag in classify(u):
-                yield u
+    w = tuple(sorted(window))
+    n = base_size ** len(w)
+    if n > MAX_UNITS:
+        raise ValueError(f"the square has {n} sequences, over the enumeration cap of {MAX_UNITS}")
+    limit = min(max_seqs, n)
+    if tag is ClassTag.CRS:
+        count = 0
+        for k in range(limit + 1):
+            count += math.comb(n, k)
+            if count > MAX_UNITS:
+                raise ValueError(
+                    f"{count} units with at most {k} of the {n} sequences "
+                    f"already exceed the enumeration cap of {MAX_UNITS}"
+                )
+        square = full_square(w, range(base_size))
+        for size in range(limit + 1):
+            for combo in combinations(square.sequences, size):
+                yield Unit(w, combo)
+        return
+
+    seqs = full_square(w, range(base_size)).sequences
+    bit = {f: k for k, f in enumerate(seqs)}
+
+    def mask(v: Unit) -> int:
+        return sum(1 << bit[g] for g in v)
+
+    if tag is ClassTag.D:
+        closures = [mask(diagonalization_closure(Unit(w, (f,)))) for f in seqs]
+    else:
+        closures = [mask(full_square(w, f.range_values())) for f in seqs]
+    closed = sorted(_closed_masks(closures, limit), key=lambda m: (m.bit_count(), _bit_positions(m)))
+    for m in closed:
+        u = Unit(w, tuple(seqs[k] for k in _bit_positions(m)))
+        if tag is not ClassTag.GS or ClassTag.GS in classify(u):
+            yield u
 
 
 def set_partitions(items: list[int]) -> Iterator[list[list[int]]]:

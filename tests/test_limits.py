@@ -10,7 +10,7 @@ from cylset.constructions import (
 )
 from cylset.semantics import MappedUnitAlgebra, SearchBounds, bounded_validity, evaluate
 from cylset.terms import MAX_DEPTH, TermSyntaxError, Var, parse_term
-from cylset.units import ClassTag, full_square, save_unit, seq
+from cylset.units import MAX_UNITS, ClassTag, enumerate_units, full_square, save_unit, seq
 
 SQ22 = full_square((0, 1), (0, 1))
 
@@ -91,3 +91,26 @@ class TestCertificateFields:
 def test_bounded_validity_rejects_too_few_variables():
     with pytest.raises(ValueError, match="unassigned"):
         bounded_validity(parse_term("x1"), parse_term("x0"), ClassTag.CRS, SearchBounds(2, 2, 2, 16), m=1)
+
+
+class TestEnumerationCap:
+    @pytest.mark.parametrize("command", ["check-axioms", "check-eqs"])
+    def test_class_flag_exits_2_before_enumerating(self, command, capsys):
+        # About 1.2e8 combinations of the 27-sequence square.
+        code = main([command, "--class", "crs", "--window", "3", "--max-base", "3", "--max-seqs", "16"])
+        assert code == 2
+        assert f"enumeration cap of {MAX_UNITS}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tag", [ClassTag.D, ClassTag.G, ClassTag.GS])
+    def test_closure_generators_stop_at_the_cap(self, tag):
+        # Over a one-index window every one of the 2^17 subsets is closed.
+        with pytest.raises(ValueError, match="enumeration cap"):
+            next(enumerate_units((0,), 17, 17, tag))
+
+    @pytest.mark.parametrize("tag", list(ClassTag))
+    def test_square_over_the_cap_is_refused(self, tag):
+        with pytest.raises(ValueError, match="131072 sequences"):
+            next(enumerate_units(range(17), 2, 0, tag))
+
+    def test_cap_admits_the_full_subset_space_of_16_sequences(self):
+        assert sum(1 for _ in enumerate_units((0, 1, 2, 3), 2, 16)) == MAX_UNITS

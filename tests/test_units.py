@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -92,6 +93,11 @@ class TestBaseAndClassify:
             ClassTag.GS,
         }
 
+    def test_overlapping_squares_are_g_not_gs(self):
+        v = unit((0, 1), [(a, b) for block in ((0, 1), (1, 2)) for a in block for b in block])
+        assert len(v) == 7
+        assert classify(v) == {ClassTag.CRS, ClassTag.D, ClassTag.G}
+
     def test_constant_singletons_are_everything(self):
         for c in (0, 1):
             v = unit((0, 1, 2), [(c, c, c)])
@@ -109,6 +115,30 @@ class TestBaseAndClassify:
                 if ClassTag.G in tags:
                     assert ClassTag.D in tags
                 assert ClassTag.CRS in tags
+
+
+SQUARE_BITS = st.integers(min_value=0, max_value=(1 << 9) - 1)
+SQ33 = full_square((0, 1), range(3))
+
+
+def _subunit(square: Unit, mask: int) -> Unit:
+    return Unit(square.window, tuple(f for k, f in enumerate(square) if mask >> k & 1))
+
+
+@given(SQUARE_BITS)
+def test_d_tag_iff_closed(mask):
+    u = _subunit(SQ33, mask)
+    assert (ClassTag.D in classify(u)) == (diagonalization_closure(u) == u)
+
+
+@given(SQUARE_BITS)
+def test_membership_matches_set(mask):
+    u = _subunit(SQ33, mask)
+    members = u.as_set()
+    for f in SQ33:
+        assert (f in u) == (f in members)
+    assert seq((0, 1, 2), (0, 0, 0)) not in u
+    assert (0, 0) not in u
 
 
 class TestClosure:
@@ -199,6 +229,34 @@ class TestEnumeration:
                 f = v.sequences[0]
                 assert f[0] == f[1]
                 assert classify(v) >= {ClassTag.D, ClassTag.G, ClassTag.GS}
+
+
+def _filtered_units(window, base_size, max_seqs, tag):
+    """Every combination of the square that `classify` tags: the reference
+    the per-class generators must reproduce, order included."""
+    square = full_square(window, range(base_size))
+    return [
+        Unit(square.window, combo)
+        for size in range(min(max_seqs, len(square)) + 1)
+        for combo in combinations(square.sequences, size)
+        if tag in classify(Unit(square.window, combo))
+    ]
+
+
+ORACLE_CASES = [
+    (window, base_size, max_seqs)
+    for window in [(0,), (0, 1), (0, 1, 2)]
+    for base_size in (1, 2, 3)
+    if base_size ** len(window) <= 16
+    for max_seqs in sorted({0, 1, 2, base_size ** len(window)})
+]
+
+
+@pytest.mark.parametrize("window,base_size,max_seqs", ORACLE_CASES)
+def test_generators_match_classify_filter(window, base_size, max_seqs):
+    for tag in ClassTag:
+        want = _filtered_units(window, base_size, max_seqs, tag)
+        assert list(enumerate_units(window, base_size, max_seqs, tag)) == want, tag
 
 
 class TestPartitions:
