@@ -266,10 +266,12 @@ class CheckReport:
         self.failures.append(CheckFailure(law, witness))
 
     def merge(self, other: "CheckReport") -> "CheckReport":
+        """Add other's counts and failures; its notes are appended unless
+        that exact note already stands between separators in ours."""
         self.checked += other.checked
         self.failures.extend(other.failures)
         self.exhaustive = self.exhaustive and other.exhaustive
-        if other.notes:
+        if other.notes and f"; {other.notes}; " not in f"; {self.notes}; ":
             self.notes = f"{self.notes}; {other.notes}" if self.notes else other.notes
         return self
 

@@ -1,7 +1,9 @@
 """`cylset replicate --suite all --json` output is pinned byte for byte.
 
 The data file holds the output of the set-based evaluator this package
-used before subsets became bitmasks; the worker count must not change it.
+used before subsets became bitmasks, except that the zero-dim notes state
+their sentence once now that merged reports drop repeated notes; the worker
+count must not change it.
 """
 
 from pathlib import Path

@@ -341,3 +341,13 @@ class TestCheckReport:
         assert not a.exhaustive
         assert not a.ok
         assert a.notes == "sampled"
+
+    def test_merge_keeps_each_note_once(self):
+        a = CheckReport(notes="base 2; not a proof")
+        for notes in ("base 2; not a proof", "sampled", "base 2; not a proof", "base 2", "sampled"):
+            a.merge(CheckReport(notes=notes))
+        assert a.notes == "base 2; not a proof; sampled"
+        b = CheckReport()
+        b.merge(CheckReport(notes="not"))
+        b.merge(CheckReport(notes="not a proof"))
+        assert b.notes == "not; not a proof"
