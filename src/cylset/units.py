@@ -274,11 +274,9 @@ def _closed_masks(closures: list[int], max_bits: int) -> set[int]:
     A union over more than max_bits bits is pruned: each union on the way
     to a closed set is a subset of it, so no target is lost.
     """
-    if max_bits < 0:
-        return set()
     gens = sorted(set(closures))
-    seen = {0}
-    work = [0]
+    seen = {0} if max_bits >= 0 else set()
+    work = list(seen)
     while work:
         s = work.pop()
         for c in gens:
