@@ -340,9 +340,9 @@ def enumerate_units(
         closures = [mask(diagonalization_closure(Unit(w, (f,)))) for f in seqs]
     else:
         closures = [mask(full_square(w, f.range_values())) for f in seqs]
-    closed = sorted(_closed_masks(closures, limit), key=lambda m: (m.bit_count(), _bit_positions(m)))
-    for m in closed:
-        u = Unit(w, tuple(seqs[k] for k in _bit_positions(m)))
+    closed = sorted((m.bit_count(), _bit_positions(m)) for m in _closed_masks(closures, limit))
+    for _, positions in closed:
+        u = Unit(w, tuple(seqs[k] for k in positions))
         if tag is not ClassTag.GS or ClassTag.GS in classify(u):
             yield u
 
