@@ -124,13 +124,9 @@ def _enumerated_units(args) -> list[units.Unit]:
 
 
 def _check_one_algebra(alg, samples: int, seed: int) -> CheckReport:
-    if len(alg.universe) <= 10:
-        elems = semantics.all_subsets(alg)
-        exhaustive = True
-    else:
-        elems = semantics.sample_subsets(alg, samples, seed)
-        exhaustive = False
-    report = semantics.check_ca_axioms(alg, elems)
+    exhaustive = len(alg.labels) <= 10
+    masks = range(alg.top + 1) if exhaustive else semantics.sample_masks(alg, samples, seed)
+    report = semantics.check_ca_masks(alg, masks)
     report.exhaustive = exhaustive
     return report
 
@@ -175,6 +171,9 @@ def _cmd_split(args) -> int:
     except (terms.TermSyntaxError, ValueError) as err:
         print(f"cylset: {err}", file=sys.stderr)
         return 2
+    if args.focus is not None and not 0 <= args.focus < len(v):
+        print(f"cylset: --focus {args.focus} is outside the unit's positions 0..{len(v) - 1}", file=sys.stderr)
+        return 2
     build = constructions.split_atom_diag if args.mode == "diag" else constructions.split_any_crs
     probe = (
         terms.And(tau, terms.escape_term(0, 1)) if args.mode == "diag" else tau
@@ -192,7 +191,7 @@ def _cmd_split(args) -> int:
             cert = constructions.split_atom_diag(v, focus, iota, tau, pivot=args.pivot)
         else:
             cert = build(v, focus, iota, tau)
-    except (ValueError, RuntimeError, IndexError) as err:
+    except (ValueError, RuntimeError) as err:
         print(f"cylset: {err}", file=sys.stderr)
         return 1
     verified = constructions.verify_certificate(cert)

@@ -57,15 +57,14 @@ from .semantics import (
     P_PRIME,
     SearchBounds,
     UnitAlgebra,
-    all_subsets,
     bounded_validity,
-    check_ca_axioms,
+    check_ca_masks,
     check_eq_laws,
     evaluate,
     evaluation_from_dict,
     evaluation_to_dict,
     mapped_eval,
-    sample_subsets,
+    sample_masks,
     satisfies,
 )
 from .units import seq, unit, unit_from_dict
@@ -608,7 +607,7 @@ def mapped_witness(n: int, ca_samples: int = 200, seed: int = 0) -> tuple[Finite
     report.count()
     if mapped_eval(guarded_twin_term(), alg, iota) != twin_val & chi_val:
         report.fail("guarded-twin-mismatch")
-    ca = check_ca_axioms(alg, sample_subsets(alg, ca_samples, seed))
+    ca = check_ca_masks(alg, sample_masks(alg, ca_samples, seed))
     ca.exhaustive = False
     ca.notes = f"postulates spot-checked on {ca_samples} seeded subsets"
     report.merge(ca)
@@ -684,9 +683,22 @@ def _twin_chunk(args) -> tuple[int, list[tuple[int, int]]]:
     return (hi - lo) * total, holding
 
 
+# The largest square, base 4 over window {0,1}, has 16 sequences and
+# 2^16 = units.MAX_UNITS subsets; at base 5 the scan would tabulate the
+# cylinders of all 2^25 subsets of the 25-sequence square.
+TWIN_MAX_BASE = 4
+
+
+def _check_twin_base(max_base: int) -> None:
+    if not 1 <= max_base <= TWIN_MAX_BASE:
+        raise ValueError(f"twin refutation supports max_base in 1..{TWIN_MAX_BASE}, got {max_base}")
+
+
 def refute_twins_in_gs2(max_base: int, workers: int = 1) -> CheckReport:
     """Exhaustively confirm the twin system fails for every subset pair of
-    every disjoint-square unit over window {0,1} with base <= max_base."""
+    every disjoint-square unit over window {0,1} with base <= max_base.
+    Raises ValueError for max_base outside 1..TWIN_MAX_BASE."""
+    _check_twin_base(max_base)
     report = CheckReport(notes=f"disjoint-square units with base <= {max_base}")
     tasks: list[tuple[Unit, int, int]] = []
     for v in _gs2_units(max_base):
@@ -784,7 +796,7 @@ def suite_equations() -> CheckReport:
         report.merge(check_eq_laws(v))
     # The commutation postulate must fail on the documented three-sequence unit.
     alg = UnitAlgebra(unit((0, 1), [(0, 0), (1, 0), (1, 1)]))
-    ca = check_ca_axioms(alg, all_subsets(alg))
+    ca = check_ca_masks(alg, range(alg.top + 1))
     report.count(ca.checked)
     if not any(f.law == "CA4" for f in ca.failures):
         report.fail("expected-ca4-counterexample-missing")
@@ -812,4 +824,6 @@ def replicate(suite: str = "all", **kw) -> list[tuple[str, CheckReport]]:
         names = [suite]
     else:
         raise ValueError(f"unknown suite {suite!r}; pick from {sorted(REPLICATION_SUITES)} or 'all'")
+    if "twin-system" in names:
+        _check_twin_base(kw.get("max_base", 2))
     return [(name, REPLICATION_SUITES[name](**kw)) for name in names]

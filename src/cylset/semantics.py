@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Mapping
 
@@ -30,6 +31,12 @@ class FiniteAlgebra:
     window `indices` from which bit k's cylinders and diagonals are computed;
     the bits in `pinned` belong to no d_ij with i != j.  Cylinder blocks and
     diagonal masks are built on first use.
+
+    When the unpinned bits are the grid {0..b-1}^window in lexicographic
+    order and the pinned bits follow them, each relabelled onto a grid cell
+    (every `full_square(window, range(b))` unit and `MappedUnitAlgebra(n)`),
+    `cyl_mask` computes cylinders with O(b) shifts of the whole mask instead
+    of one step per cylinder block.  Any other carrier takes the block loop.
     """
 
     def __init__(self, labels: Iterable, indices: Iterable[int], coords: Iterable[tuple], pinned: int = 0):
@@ -40,6 +47,7 @@ class FiniteAlgebra:
         self._pinned = pinned
         self._bit = {e: k for k, e in enumerate(self.labels)}
         self._blocks: dict[int, list[int]] = {}
+        self._shifts: dict[int, tuple] = {}
         self._diags: dict[tuple[int, int], int] = {}
 
     def _position(self, i: int) -> int:
@@ -60,7 +68,53 @@ class FiniteAlgebra:
             blocks = self._blocks[i] = [classes[key] for key in keys]
         return blocks
 
+    @cached_property
+    def _grid(self) -> tuple[int, int, tuple[tuple[int, int], ...]] | None:
+        """(b, cell mask, (pinned bit, its cell) pairs) for a grid carrier,
+        else None.  A carrier that is not a grid almost always fails one of
+        the first constant-time tests, before the cells are compared."""
+        d = len(self.indices)
+        cells = len(self._coords) - self._pinned.bit_count()
+        if not d or not cells or self._pinned != self.top ^ ((1 << cells) - 1):
+            return None
+        b = self._coords[cells - 1][-1] + 1
+        if b ** d != cells or self._coords[:cells] != tuple(product(range(b), repeat=d)):
+            return None
+        pins = []
+        for k in range(cells, len(self._coords)):
+            c = self._coords[k]
+            if len(c) != d or not all(0 <= v < b for v in c):
+                return None
+            pins.append((k, sum(v * b ** (d - 1 - p) for p, v in enumerate(c))))
+        return b, (1 << cells) - 1, tuple(pins)
+
+    def _shift_plan(self, i: int, b: int, cells: int) -> tuple[tuple[int, ...], int, int]:
+        """For index i: the fold shifts, the mask of cells whose i-coordinate
+        is 0, and the multiplier that spreads those cells along i."""
+        s = b ** (len(self.indices) - 1 - self._position(i))
+        # The i-coordinate is 0 on the first s cells of every run of s*b.
+        zero = cells // ((1 << s * b) - 1) * ((1 << s) - 1)
+        line = sum(1 << t * s for t in range(b))
+        plan = self._shifts[i] = (tuple(t * s for t in range(1, b)), zero, line)
+        return plan
+
     def cyl_mask(self, i: int, x: int) -> int:
+        grid = self._grid
+        if grid is not None:
+            b, cells, pins = grid
+            shifts, zero, line = self._shifts.get(i) or self._shift_plan(i, b, cells)
+            g = x & cells
+            for k, c in pins:
+                if x >> k & 1:
+                    g |= 1 << c
+            folded = g
+            for t in shifts:
+                folded |= g >> t
+            out = (folded & zero) * line
+            for k, c in pins:
+                if out >> c & 1:
+                    out |= 1 << k
+            return out
         blocks = self._cyl_blocks(i)
         out = 0
         while x:
@@ -204,14 +258,15 @@ def all_subsets(alg: FiniteAlgebra) -> list[frozenset]:
     return [alg.subset(m) for m in range(1 << len(alg.labels))]
 
 
-def _sample_masks(alg: FiniteAlgebra, count: int, seed: int) -> list[int]:
+def sample_masks(alg: FiniteAlgebra, count: int, seed: int = 0) -> list[int]:
+    """Deterministic pseudo-random subsets of the carrier, as masks."""
     rng = random.Random(f"subsets:{seed}")
     return [rng.getrandbits(len(alg.labels)) for _ in range(count)]
 
 
 def sample_subsets(alg: FiniteAlgebra, count: int, seed: int = 0) -> list[frozenset]:
     """Deterministic pseudo-random subsets of the carrier."""
-    return [alg.subset(m) for m in _sample_masks(alg, count, seed)]
+    return [alg.subset(m) for m in sample_masks(alg, count, seed)]
 
 
 def evaluation_from_dict(v: Unit, data: Mapping[str, list[int]]) -> Evaluation:
@@ -347,17 +402,22 @@ def _check_laws(alg: FiniteAlgebra, laws: list, elems: list[int], idx: tuple[int
     return report
 
 
+def check_ca_masks(alg: FiniteAlgebra, masks: Iterable[int], indices: Iterable[int] | None = None) -> CheckReport:
+    """Check the cylindric postulates over elements given as carrier masks."""
+    idx = tuple(indices) if indices is not None else alg.indices
+    return _check_laws(alg, _CA_LAWS, list(masks), idx, CheckReport())
+
+
 def check_ca_axioms(alg: FiniteAlgebra, elems: Iterable[frozenset], indices: Iterable[int] | None = None) -> CheckReport:
     """Check the cylindric postulates over the sampled elements and indices."""
-    idx = tuple(indices) if indices is not None else alg.indices
-    return _check_laws(alg, _CA_LAWS, [alg.mask(x) for x in elems], idx, CheckReport())
+    return check_ca_masks(alg, [alg.mask(x) for x in elems], indices)
 
 
 def check_eq_laws(v: Unit, max_exhaustive_subsets: int = 64, samples: int = 64, seed: int = 0) -> CheckReport:
     """Check the seven unit-algebra equations over subsets of the unit."""
     alg = UnitAlgebra(v)
     exhaustive = (1 << len(v)) <= max_exhaustive_subsets
-    elems = list(range(1 << len(v))) if exhaustive else _sample_masks(alg, samples, seed)
+    elems = list(range(1 << len(v))) if exhaustive else sample_masks(alg, samples, seed)
     return _check_laws(alg, _EQ_LAWS, elems, v.window, CheckReport(exhaustive=exhaustive))
 
 

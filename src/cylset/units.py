@@ -39,17 +39,33 @@ class Sequence:
         except ValueError:
             raise KeyError(f"index {i} outside window {self.window}") from None
 
+    @classmethod
+    def _trusted(cls, window: tuple[int, ...], values: tuple[int, ...]) -> "Sequence":
+        """Build without `__post_init__`; the caller has checked every new part."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "window", window)
+        object.__setattr__(f, "values", values)
+        return f
+
     def update(self, i: int, u: int) -> "Sequence":
         """The sequence agreeing with this one except that index i maps to u."""
         pos = self.window.index(i) if i in self.window else -1
         if pos < 0:
             raise ValueError(f"cannot update off-window index {i}")
-        vals = self.values[:pos] + (u,) + self.values[pos + 1:]
-        return Sequence(self.window, vals)
+        if u < 0:
+            raise ValueError("indices and base elements are natural numbers")
+        return Sequence._trusted(self.window, self.values[:pos] + (u,) + self.values[pos + 1:])
 
     def extended(self, new: Iterable[tuple[int, int]]) -> "Sequence":
-        pairs = sorted(list(zip(self.window, self.values)) + list(new))
-        return Sequence(tuple(i for i, _ in pairs), tuple(v for _, v in pairs))
+        """This sequence with each (index, value) pair of `new` added."""
+        new = list(new)
+        fresh = [i for i, _ in new]
+        if len(set(fresh)) != len(fresh) or any(i in self.window for i in fresh):
+            raise ValueError(f"new indices {fresh} collide with window {self.window}")
+        if any(i < 0 or v < 0 for i, v in new):
+            raise ValueError("indices and base elements are natural numbers")
+        pairs = sorted(list(zip(self.window, self.values)) + new)
+        return Sequence._trusted(tuple(i for i, _ in pairs), tuple(v for _, v in pairs))
 
     def dropped(self, i: int) -> tuple[int, ...]:
         """Values with coordinate i removed; the key for the eqv_i classes."""

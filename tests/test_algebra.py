@@ -1,9 +1,12 @@
 """The bitmask carrier order and the mask operations behind the set API."""
 
+from itertools import product
+
+import pytest
 from hypothesis import given, strategies as st
 
-from cylset.semantics import P_PRIME, MappedUnitAlgebra, UnitAlgebra, all_subsets
-from cylset.units import full_square, unit, unit_from_dict, unit_to_dict
+from cylset.semantics import P_PRIME, FiniteAlgebra, MappedUnitAlgebra, UnitAlgebra, all_subsets
+from cylset.units import Unit, full_square, unit, unit_from_dict, unit_to_dict
 
 CA4_UNIT = unit((0, 1), [(0, 0), (1, 0), (1, 1)])
 
@@ -41,3 +44,70 @@ def test_mask_ops_match_set_ops():
                 )
         assert alg.diag(0, 1) == frozenset(f for f in v if f[0] == f[1])
         assert alg.diag_mask(1, 1) == alg.top == (1 << len(v)) - 1
+
+
+# The shift path of `cyl_mask` against the per-block loop over `_cyl_blocks`.
+GRID_ALGEBRAS = {f"mapped-{n}": MappedUnitAlgebra(n) for n in (2, 3, 4)}
+GRID_ALGEBRAS.update(
+    (f"square-w{w}-b{b}", UnitAlgebra(full_square(range(w), range(b))))
+    for w in (1, 2, 3, 4)
+    for b in (1, 2, 3)
+)
+
+
+def block_cyl(alg, i, x):
+    blocks = alg._cyl_blocks(i)
+    out = 0
+    for k in range(x.bit_length()):
+        if x >> k & 1:
+            out |= blocks[k]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GRID_ALGEBRAS))
+@given(data=st.data())
+def test_grid_path_matches_block_loop(name, data):
+    alg = GRID_ALGEBRAS[name]
+    assert alg._grid is not None
+    x = data.draw(st.integers(min_value=0, max_value=alg.top))
+    pinned = alg._pinned
+    for m in {x, x | pinned, x & ~pinned}:
+        for i in alg.indices:
+            assert alg.cyl_mask(i, m) == block_cyl(alg, i, m)
+
+
+def test_mapped_extra_point_joins_the_identity_line():
+    alg = MappedUnitAlgebra(3)
+    p_prime = alg.mask({P_PRIME})
+    for i in alg.indices:
+        line = alg.cyl_mask(i, alg.mask({alg.identity}))
+        assert line & p_prime and alg.cyl_mask(i, p_prime) == line
+
+
+SQ33 = full_square((0, 1), range(3))
+NON_GRID_UNITS = {
+    "square-minus-one": Unit(SQ33.window, SQ33.sequences[:4] + SQ33.sequences[5:]),
+    # Four sequences ending in (1, 1): the cell count of a 2x2 grid.
+    "grid-sized": unit((0, 1), [(0, 0), (0, 1), (0, 2), (1, 1)]),
+    "square-over-1-2": full_square((0, 1), (1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_GRID_UNITS))
+def test_non_grid_unit_takes_block_path(name):
+    v = NON_GRID_UNITS[name]
+    alg = UnitAlgebra(v)
+    assert alg._grid is None
+    for x in all_subsets(alg)[::7]:
+        for i in v.window:
+            assert alg.cyl(i, x) == frozenset(g for g in v for f in x if f.dropped(i) == g.dropped(i))
+
+
+def test_pinned_bit_not_last_takes_block_path():
+    grid = tuple(product(range(2), repeat=2))
+    labels = ("p",) + grid
+    alg = FiniteAlgebra(labels, (0, 1), ((0, 1),) + grid, pinned=1)
+    assert alg._grid is None
+    # p shares the cylinders of (0, 1): c0{p} = {p, (0, 1), (1, 1)}.
+    assert alg.cyl(0, {"p"}) == {"p", (0, 1), (1, 1)}
+    assert alg.cyl(1, {(0, 0)}) == {"p", (0, 0), (0, 1)}

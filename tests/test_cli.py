@@ -138,6 +138,15 @@ class TestSplitCommand:
         assert code == 0
         assert "verified: True" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("focus", ["-1", "99"])
+    def test_focus_out_of_range(self, focus, sq22_file, capsys):
+        code = main([
+            "split", "--unit", sq22_file, "--term", "x0",
+            "--assign", "x0=[0,1,2,3]", "--focus", focus,
+        ])
+        assert code == 2
+        assert "0..3" in capsys.readouterr().err
+
     def test_unsatisfiable_target(self, sq22_file, capsys):
         code = main(["split", "--unit", sq22_file, "--term", "0", "--mode", "crs"])
         assert code == 1

@@ -6,6 +6,8 @@ from cylset.cli import main
 from cylset.constructions import (
     certificate_from_dict,
     certificate_to_dict,
+    refute_twins_in_gs2,
+    replicate,
     split_atom_diag,
 )
 from cylset.semantics import MappedUnitAlgebra, SearchBounds, bounded_validity, evaluate
@@ -68,6 +70,27 @@ class TestMappedWindowRange:
     def test_constructor_rejects(self):
         with pytest.raises(ValueError):
             MappedUnitAlgebra(5)
+
+
+class TestTwinBaseRange:
+    """Only the refusal is checked; base 5 must never be run."""
+
+    @pytest.mark.parametrize("max_base", [0, 5])
+    def test_function_rejects(self, max_base):
+        with pytest.raises(ValueError, match=r"1\.\.4"):
+            refute_twins_in_gs2(max_base)
+
+    @pytest.mark.parametrize("max_base", [0, 5])
+    def test_replicate_rejects_before_running(self, max_base):
+        with pytest.raises(ValueError, match=r"1\.\.4"):
+            replicate("all", max_base=max_base)
+
+    @pytest.mark.parametrize("command", ["refute-twins", "replicate"])
+    @pytest.mark.parametrize("max_base", ["0", "5"])
+    def test_cli_exits_2(self, command, max_base, capsys):
+        assert main([command, "--max-base", max_base]) == 2
+        captured = capsys.readouterr()
+        assert "1..4" in captured.err and captured.out == ""
 
 
 class TestCertificateFields:

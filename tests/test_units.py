@@ -60,6 +60,25 @@ class TestSequence:
         assert not eqv_gamma(f, seq((0, 1), (1, 0)), {0})
         assert eqv_gamma(f, seq((0, 1), (1, 0)), {0, 1})
 
+    def test_update_rejects_negative_value(self):
+        with pytest.raises(ValueError, match="natural numbers"):
+            seq((0, 1), (0, 1)).update(0, -1)
+
+    def test_extended(self):
+        f = seq((1, 3), (4, 5)).extended([(2, 7), (0, 6)])
+        assert f == seq((0, 1, 2, 3), (6, 4, 7, 5))
+        assert f.window == (0, 1, 2, 3) and f.values == (6, 4, 7, 5)
+
+    @pytest.mark.parametrize("new", [[(1, 0)], [(2, 0), (2, 1)]])
+    def test_extended_rejects_colliding_indices(self, new):
+        with pytest.raises(ValueError, match="collide"):
+            seq((0, 1), (0, 1)).extended(new)
+
+    @pytest.mark.parametrize("new", [[(-1, 0)], [(2, -1)]])
+    def test_extended_rejects_negatives(self, new):
+        with pytest.raises(ValueError, match="natural numbers"):
+            seq((0, 1), (0, 1)).extended(new)
+
     @given(st.permutations([0, 1, 2]))
     def test_window_must_be_sorted(self, perm):
         if perm == [0, 1, 2]:
