@@ -58,14 +58,15 @@ class Sequence:
 
     def extended(self, new: Iterable[tuple[int, int]]) -> "Sequence":
         """This sequence with each (index, value) pair of `new` added."""
-        new = list(new)
-        fresh = [i for i, _ in new]
-        if len(set(fresh)) != len(fresh) or any(i in self.window for i in fresh):
-            raise ValueError(f"new indices {fresh} collide with window {self.window}")
-        if any(i < 0 or v < 0 for i, v in new):
-            raise ValueError("indices and base elements are natural numbers")
-        pairs = sorted(list(zip(self.window, self.values)) + new)
-        return Sequence._trusted(tuple(i for i, _ in pairs), tuple(v for _, v in pairs))
+        pairs = dict(zip(self.window, self.values))
+        for i, v in new:
+            if i in pairs:
+                raise ValueError(f"new index {i} collides with window {self.window} or repeats")
+            if i < 0 or v < 0:
+                raise ValueError("indices and base elements are natural numbers")
+            pairs[i] = v
+        window = tuple(sorted(pairs))
+        return Sequence._trusted(window, tuple(pairs[i] for i in window))
 
     def dropped(self, i: int) -> tuple[int, ...]:
         """Values with coordinate i removed; the key for the eqv_i classes."""
