@@ -2,6 +2,7 @@
 
 import pytest
 
+from cylset import constructions
 from cylset.cli import main
 from cylset.constructions import (
     certificate_from_dict,
@@ -81,9 +82,13 @@ class TestTwinBaseRange:
             refute_twins_in_gs2(max_base)
 
     @pytest.mark.parametrize("max_base", [0, 5])
-    def test_replicate_rejects_before_running(self, max_base):
+    def test_replicate_rejects_before_running(self, max_base, monkeypatch):
+        ran = []
+        fakes = {name: (lambda name=name, **kw: ran.append(name)) for name in constructions.REPLICATION_SUITES}
+        monkeypatch.setattr(constructions, "REPLICATION_SUITES", fakes)
         with pytest.raises(ValueError, match=r"1\.\.4"):
             replicate("all", max_base=max_base)
+        assert ran == []
 
     @pytest.mark.parametrize("command", ["refute-twins", "replicate"])
     @pytest.mark.parametrize("max_base", ["0", "5"])
