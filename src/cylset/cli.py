@@ -212,7 +212,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_refute_twins(args) -> int:
-    report = constructions.refute_twins_in_gs2(args.max_base, args.workers)
+    report = constructions.refute_twins_in_gs2(args.max_base)
     return _print_report(report, args.json)
 
 
@@ -297,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refute-twins", help="exhaustively refute the twin system over small disjoint-square units")
     common(p)
     p.add_argument("--max-base", type=int, default=2)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_refute_twins)
 
     p = sub.add_parser("replicate", help="run the replication suites")

@@ -178,13 +178,6 @@ class TestRefuteTwinsCommand:
         assert main(["refute-twins", "--max-base", "1"]) == 0
         assert "checked=4" in capsys.readouterr().out
 
-    def test_worker_output_identical(self, capsys):
-        main(["refute-twins", "--max-base", "2", "--json"])
-        first = capsys.readouterr().out
-        main(["refute-twins", "--max-base", "2", "--workers", "2", "--json"])
-        second = capsys.readouterr().out
-        assert first == second
-
 
 class TestReplicateCommand:
     def test_single_suite(self, capsys):

@@ -3,6 +3,9 @@ import json
 import pytest
 
 from cylset.constructions import (
+    _gs2_units,
+    _twin_pairs,
+    _twin_report,
     certificate_from_dict,
     certificate_to_dict,
     check_split_invariance,
@@ -36,7 +39,7 @@ from cylset.terms import (
     parse_term,
     render_term,
 )
-from cylset.units import ClassTag, diagonalization_closure, full_square, seq, unit
+from cylset.units import ClassTag, diagonalization_closure, full_square, seq, unit, unit_to_dict
 
 BOUNDS = SearchBounds(window_size=4, base_size=2, max_seqs=4, max_eval_subsets=16)
 SQ22 = full_square((0, 1), (0, 1))
@@ -300,6 +303,37 @@ class TestTwinSystem:
         assert not report.holds
 
 
+# Every unit the refutation covers up to base 3, plus two algebras where
+# twins exist: the 3x3 square without its diagonal and the small mapped algebra.
+def _gs2_name(v):
+    return "gs2-" + "-".join("".join(map(str, h.values)) for h in v)
+
+
+TWIN_ALGEBRAS = {
+    **{_gs2_name(v): UnitAlgebra(v) for v in _gs2_units(3)},
+    "square3-minus-diagonal": UnitAlgebra(unit((0, 1), [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)])),
+    "mapped-2": MappedUnitAlgebra(2),
+}
+
+
+@pytest.fixture(scope="module")
+def brute_twins():
+    """Reference: (pairs covered, holding pairs) from the twin system tested
+    on every subset pair, computed once per algebra."""
+    seen: dict[int, tuple[int, list[tuple[int, int]]]] = {}
+
+    def run(alg):
+        if id(alg) not in seen:
+            masks = range(alg.top + 1)
+            seen[id(alg)] = (
+                len(masks) ** 2,
+                [(x, y) for x in masks for y in masks if _twin_report(alg, x, y).holds],
+            )
+        return seen[id(alg)]
+
+    return run
+
+
 class TestRefuteTwins:
     def test_base_one(self):
         report = refute_twins_in_gs2(1)
@@ -311,10 +345,31 @@ class TestRefuteTwins:
         assert report.ok
         assert report.checked == 4 + 256 + 16
 
-    def test_worker_independence(self):
-        a = refute_twins_in_gs2(2, workers=1)
-        b = refute_twins_in_gs2(2, workers=2)
-        assert (a.checked, a.ok) == (b.checked, b.ok)
+    @pytest.mark.parametrize("name", sorted(TWIN_ALGEBRAS))
+    def test_pairs_match_brute_force(self, name, brute_twins):
+        alg = TWIN_ALGEBRAS[name]
+        assert _twin_pairs(alg) == brute_twins(alg)[1]
+
+    @pytest.mark.parametrize(
+        "name,pairs", [("square3-minus-diagonal", [(25, 38), (38, 25)]), ("mapped-2", [(2, 16), (16, 2)])]
+    )
+    def test_holding_pairs_where_twins_exist(self, name, pairs, brute_twins):
+        assert brute_twins(TWIN_ALGEBRAS[name])[1] == pairs
+
+    @pytest.mark.parametrize("max_base", [1, 2, 3])
+    def test_report_matches_brute_force(self, max_base, brute_twins):
+        checked, failures = 0, []
+        for v in _gs2_units(max_base):
+            alg = TWIN_ALGEBRAS[_gs2_name(v)]
+            total, pairs = brute_twins(alg)
+            checked += total
+            failures += [
+                (unit_to_dict(v), sorted(map(str, alg.subset(x))), sorted(map(str, alg.subset(y))))
+                for x, y in pairs
+            ]
+        report = refute_twins_in_gs2(max_base)
+        assert report.checked == checked
+        assert [(f.witness["unit"], f.witness["x"], f.witness["y"]) for f in report.failures] == failures
 
 
 class TestReplicate:
