@@ -275,13 +275,9 @@ def evaluation_from_dict(v: Unit, data: Mapping[str, list[int]]) -> Evaluation:
     for name, positions in data.items():
         if not name.startswith("x") or not name[1:].isdigit():
             raise ValueError(f"bad variable name {name!r}; expected x0, x1, ...")
-        k = int(name[1:])
-        try:
-            iota[k] = frozenset(v.sequences[p] for p in positions)
-        except IndexError:
-            raise ValueError(
-                f"{name} lists a position outside 0..{len(v) - 1}"
-            ) from None
+        if not all(type(p) is int and 0 <= p < len(v) for p in positions):
+            raise ValueError(f"{name} lists a position outside 0..{len(v) - 1}")
+        iota[int(name[1:])] = frozenset(v.sequences[p] for p in positions)
     return iota
 
 

@@ -11,7 +11,7 @@ from cylset.constructions import (
     replicate,
     split_atom_diag,
 )
-from cylset.semantics import MappedUnitAlgebra, SearchBounds, bounded_validity, evaluate
+from cylset.semantics import MappedUnitAlgebra, SearchBounds, bounded_validity, evaluate, evaluation_from_dict
 from cylset.terms import MAX_DEPTH, TermSyntaxError, Var, parse_term
 from cylset.units import MAX_UNITS, ClassTag, enumerate_units, full_square, save_unit, seq
 
@@ -114,6 +114,12 @@ class TestCertificateFields:
     def test_not_a_dict(self):
         with pytest.raises(ValueError, match="original"):
             certificate_from_dict([])
+
+
+@pytest.mark.parametrize("position", [-1, -4, 4, True, "0"])
+def test_evaluation_rejects_positions_outside_the_unit(position):
+    with pytest.raises(ValueError, match=r"x0 lists a position outside 0\.\.3"):
+        evaluation_from_dict(SQ22, {"x0": [0, position]})
 
 
 def test_bounded_validity_rejects_too_few_variables():
