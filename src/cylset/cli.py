@@ -206,6 +206,22 @@ def _cmd_split(args) -> int:
     return 0 if verified else 1
 
 
+def _cmd_verify(args) -> int:
+    try:
+        with open(args.cert) as fh:
+            cert = constructions.certificate_from_dict(json.load(fh))
+    except (OSError, ValueError, TypeError) as err:
+        print(f"cylset: cannot read certificate {args.cert}: {err}", file=sys.stderr)
+        return 2
+    verified = constructions.verify_certificate(cert)
+    if args.json:
+        print(json.dumps({"original": terms.render_term(cert.original), "verified": verified}, sort_keys=True))
+    else:
+        print(f"original: {terms.render_term(cert.original)}")
+        print(f"verified: {verified}")
+    return 0 if verified else 1
+
+
 def _cmd_witness(args) -> int:
     _, report = constructions.mapped_witness(args.n, args.samples, args.seed)
     return _print_report(report, args.json)
@@ -288,6 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--focus", type=int, default=None, help="focus sequence position (default: least satisfying)")
     p.add_argument("--pivot", type=int, choices=(0, 1), default=None, help="force the outer cylindrification pivot (diag mode)")
     p.set_defaults(func=_cmd_split)
+
+    p = sub.add_parser("verify", help="re-check a certificate from the JSON that split --json prints")
+    common(p)
+    p.add_argument("--cert", required=True, help="certificate JSON file; its 'verified' key is ignored")
+    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("witness", help="build the mapped witness algebra and verify its facts")
     common(p, sampled=True)

@@ -162,6 +162,59 @@ class TestSplitCommand:
         assert "c1(" in capsys.readouterr().out
 
 
+@pytest.fixture
+def split_json(sq22_file, capsys):
+    """A certificate as `split --json` prints it."""
+    assert main([
+        "split", "--unit", sq22_file, "--term", "x0",
+        "--assign", "x0=[0,1,2,3]", "--mode", "diag", "--json",
+    ]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _write_cert(tmp_path, data) -> str:
+    path = tmp_path / "cert.json"
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    return str(path)
+
+
+class TestVerifyCommand:
+    def test_split_output_verifies(self, split_json, tmp_path, capsys):
+        split_json["verified"] = False  # ignored: the command re-checks
+        assert main(["verify", "--cert", _write_cert(tmp_path, split_json), "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"original": split_json["original"], "verified": True}
+
+    def test_swapped_evaluation_is_rejected(self, split_json, tmp_path, capsys):
+        split_json["positive"]["evaluation"] = split_json["negative"]["evaluation"]
+        assert main(["verify", "--cert", _write_cert(tmp_path, split_json)]) == 1
+        assert "verified: False" in capsys.readouterr().out
+
+    def test_unreadable_json(self, tmp_path, capsys):
+        assert main(["verify", "--cert", _write_cert(tmp_path, "{not json")]) == 2
+        assert "cannot read certificate" in capsys.readouterr().err
+
+    def test_missing_file(self, tmp_path, capsys):
+        assert main(["verify", "--cert", str(tmp_path / "absent.json")]) == 2
+        assert "cannot read certificate" in capsys.readouterr().err
+
+    def test_missing_field_is_named(self, split_json, tmp_path, capsys):
+        del split_json["negative"]["unit"]
+        assert main(["verify", "--cert", _write_cert(tmp_path, split_json)]) == 2
+        assert "negative.unit" in capsys.readouterr().err
+
+    def test_term_syntax_error(self, split_json, tmp_path, capsys):
+        split_json["splitter"] = "c0 (x0"
+        assert main(["verify", "--cert", _write_cert(tmp_path, split_json)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err and captured.out == ""
+
+    def test_negative_position(self, split_json, tmp_path, capsys):
+        split_json["positive"]["evaluation"]["x0"] = [-1]
+        assert main(["verify", "--cert", _write_cert(tmp_path, split_json)]) == 2
+        assert "lists a position outside" in capsys.readouterr().err
+
+
 class TestWitnessCommand:
     def test_small_witness(self, capsys):
         assert main(["witness", "--n", "2", "--samples", "50"]) == 0
