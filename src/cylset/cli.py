@@ -317,13 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("refute-twins", help="exhaustively refute the twin system over small disjoint-square units")
     common(p)
-    p.add_argument("--max-base", type=int, default=2)
+    p.add_argument("--max-base", type=int, default=constructions.TWIN_MAX_BASE)
     p.set_defaults(func=_cmd_refute_twins)
 
     p = sub.add_parser("replicate", help="run the replication suites")
     common(p)
     p.add_argument("--suite", default="all", help="suite name or 'all'")
-    p.add_argument("--max-base", type=int, default=2)
+    p.add_argument("--max-base", type=int, default=constructions.TWIN_MAX_BASE)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_replicate)

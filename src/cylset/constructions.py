@@ -664,8 +664,9 @@ def _gs2_units(max_base: int) -> list[Unit]:
     return units
 
 
-def _twin_pairs(alg: FiniteAlgebra) -> list[tuple[int, int]]:
-    """Every mask pair (x, y) satisfying the twin system, in ascending order.
+def _twin_pairs(alg: FiniteAlgebra) -> tuple[int, list[tuple[int, int]]]:
+    """The number of nonzero x passing both diagonal bounds, and every mask
+    pair (x, y) satisfying the twin system, in ascending order.
 
     The diagonal bounds read only c0 x and c1 x, and every y in the system
     lies below y* = -x . c0 x . c1 x.  Cylindrification is monotone, so x has
@@ -673,11 +674,13 @@ def _twin_pairs(alg: FiniteAlgebra) -> list[tuple[int, int]]:
     only then are the submasks of y* walked for the twins themselves.
     """
     d01 = alg.diag_mask(0, 1)
+    bounded = 0
     pairs: list[tuple[int, int]] = []
     for x in range(1, alg.top + 1):
         c0x, c1x = alg.cyl_mask(0, x), alg.cyl_mask(1, x)
         if alg.cyl_mask(0, d01 & c1x) & c1x & ~d01 or alg.cyl_mask(1, d01 & c0x) & c0x & ~d01:
             continue
+        bounded += 1
         top = c0x & c1x & ~x
         if alg.cyl_mask(0, top) != c0x or alg.cyl_mask(1, top) != c1x:
             continue
@@ -687,7 +690,7 @@ def _twin_pairs(alg: FiniteAlgebra) -> list[tuple[int, int]]:
                 twins.append(y)
             y = (y - 1) & top
         pairs.extend((x, y) for y in reversed(twins))
-    return pairs
+    return bounded, pairs
 
 
 # The search visits every subset of a unit as x.  The largest square, base 4
@@ -705,21 +708,29 @@ def refute_twins_in_gs2(max_base: int, workers: int = 1) -> CheckReport:
     """Exhaustively confirm the twin system fails for every subset pair of
     every disjoint-square unit over window {0,1} with base <= max_base.
 
-    `checked` counts the pairs covered, 4^|v| per unit.  The search runs in
+    `checked` counts the pairs covered, 4^|v| per unit, and the notes how
+    many nonzero x pass both diagonal bounds.  The search runs in
     one process; `workers` is accepted for existing callers and unused.
     Raises ValueError for max_base outside 1..TWIN_MAX_BASE."""
     _check_twin_base(max_base)
-    report = CheckReport(notes=f"disjoint-square units with base <= {max_base}")
+    report = CheckReport()
+    bounded = 0
     for v in _gs2_units(max_base):
         alg = UnitAlgebra(v)
         report.count(1 << 2 * len(v))
-        for xm, ym in _twin_pairs(alg):
+        unit_bounded, pairs = _twin_pairs(alg)
+        bounded += unit_bounded
+        for xm, ym in pairs:
             report.fail(
                 "twin-system-held-in-gs2",
                 unit=unit_to_dict(v),
                 x=sorted(map(str, alg.subset(xm))),
                 y=sorted(map(str, alg.subset(ym))),
             )
+    report.notes = (
+        f"disjoint-square units with base <= {max_base}; "
+        f"{bounded} nonzero x pass both diagonal bounds"
+    )
     return report
 
 
@@ -770,7 +781,7 @@ def suite_mapped_witness(ca_samples: int = 1000, seed: int = 0) -> CheckReport:
     return report
 
 
-def suite_twin_system(max_base: int = 2) -> CheckReport:
+def suite_twin_system(max_base: int = TWIN_MAX_BASE) -> CheckReport:
     alg = MappedUnitAlgebra(4)
     iota = {0: frozenset((alg.identity,))}
     tau_val = mapped_eval(guarded_term(), alg, iota)
@@ -802,7 +813,7 @@ REPLICATION_SUITES: dict[str, Callable[..., CheckReport]] = {
     "split-diag": lambda **kw: suite_split_diag(workers=kw.get("workers", 1)),
     "split-crs": lambda **kw: suite_split_crs(workers=kw.get("workers", 1)),
     "mapped-witness": lambda **kw: suite_mapped_witness(seed=kw.get("seed", 0)),
-    "twin-system": lambda **kw: suite_twin_system(max_base=kw.get("max_base", 2)),
+    "twin-system": lambda **kw: suite_twin_system(max_base=kw.get("max_base", TWIN_MAX_BASE)),
     "equations": lambda **kw: suite_equations(),
 }
 
@@ -816,5 +827,5 @@ def replicate(suite: str = "all", **kw) -> list[tuple[str, CheckReport]]:
     else:
         raise ValueError(f"unknown suite {suite!r}; pick from {sorted(REPLICATION_SUITES)} or 'all'")
     if "twin-system" in names:
-        _check_twin_base(kw.get("max_base", 2))
+        _check_twin_base(kw.get("max_base", TWIN_MAX_BASE))
     return [(name, REPLICATION_SUITES[name](**kw)) for name in names]

@@ -318,15 +318,17 @@ TWIN_ALGEBRAS = {
 
 @pytest.fixture(scope="module")
 def brute_twins():
-    """Reference: (pairs covered, holding pairs) from the twin system tested
-    on every subset pair, computed once per algebra."""
-    seen: dict[int, tuple[int, list[tuple[int, int]]]] = {}
+    """Reference: (pairs covered, nonzero x passing both diagonal bounds,
+    holding pairs) from the twin system tested on every subset pair,
+    computed once per algebra."""
+    seen: dict[int, tuple[int, int, list[tuple[int, int]]]] = {}
 
     def run(alg):
         if id(alg) not in seen:
             masks = range(alg.top + 1)
             seen[id(alg)] = (
                 len(masks) ** 2,
+                sum(all(_twin_report(alg, x, 0).diagonal_bounds) for x in masks[1:]),
                 [(x, y) for x in masks for y in masks if _twin_report(alg, x, y).holds],
             )
         return seen[id(alg)]
@@ -344,31 +346,40 @@ class TestRefuteTwins:
         report = refute_twins_in_gs2(2)
         assert report.ok
         assert report.checked == 4 + 256 + 16
+        assert "; 8 nonzero x pass" in report.notes
+
+    def test_base_four_default(self):
+        report = replicate("twin-system")[0][1]
+        assert report.ok
+        assert report.checked == 1 + sum(4 ** len(v) for v in _gs2_units(4)) == 4_299_648_597
+        assert report.notes.endswith("base <= 4; 344 nonzero x pass both diagonal bounds")
 
     @pytest.mark.parametrize("name", sorted(TWIN_ALGEBRAS))
     def test_pairs_match_brute_force(self, name, brute_twins):
         alg = TWIN_ALGEBRAS[name]
-        assert _twin_pairs(alg) == brute_twins(alg)[1]
+        assert _twin_pairs(alg) == brute_twins(alg)[1:]
 
     @pytest.mark.parametrize(
         "name,pairs", [("square3-minus-diagonal", [(25, 38), (38, 25)]), ("mapped-2", [(2, 16), (16, 2)])]
     )
     def test_holding_pairs_where_twins_exist(self, name, pairs, brute_twins):
-        assert brute_twins(TWIN_ALGEBRAS[name])[1] == pairs
+        assert brute_twins(TWIN_ALGEBRAS[name])[2] == pairs
 
     @pytest.mark.parametrize("max_base", [1, 2, 3])
     def test_report_matches_brute_force(self, max_base, brute_twins):
-        checked, failures = 0, []
+        checked, bounded, failures = 0, 0, []
         for v in _gs2_units(max_base):
             alg = TWIN_ALGEBRAS[_gs2_name(v)]
-            total, pairs = brute_twins(alg)
+            total, unit_bounded, pairs = brute_twins(alg)
             checked += total
+            bounded += unit_bounded
             failures += [
                 (unit_to_dict(v), sorted(map(str, alg.subset(x))), sorted(map(str, alg.subset(y))))
                 for x, y in pairs
             ]
         report = refute_twins_in_gs2(max_base)
         assert report.checked == checked
+        assert report.notes.endswith(f"; {bounded} nonzero x pass both diagonal bounds")
         assert [(f.witness["unit"], f.witness["x"], f.witness["y"]) for f in report.failures] == failures
 
 

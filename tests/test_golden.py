@@ -1,9 +1,11 @@
 """`cylset replicate --suite all --json` output is pinned byte for byte.
 
 The data file holds the output of the set-based evaluator this package
-used before subsets became bitmasks, except that the zero-dim notes state
-their sentence once now that merged reports drop repeated notes; the worker
-count must not change it.
+used before subsets became bitmasks, with two later changes: the zero-dim
+notes state their sentence once now that merged reports drop repeated
+notes, and the twin-system line comes from the default base 4 (it was
+base 2), whose notes count the nonzero x that pass both diagonal bounds.
+The worker count must not change it.
 """
 
 from pathlib import Path
