@@ -348,12 +348,6 @@ class TestRefuteTwins:
         assert report.checked == 4 + 256 + 16
         assert "; 8 nonzero x pass" in report.notes
 
-    def test_base_four_default(self):
-        report = replicate("twin-system")[0][1]
-        assert report.ok
-        assert report.checked == 1 + sum(4 ** len(v) for v in _gs2_units(4)) == 4_299_648_597
-        assert report.notes.endswith("base <= 4; 344 nonzero x pass both diagonal bounds")
-
     @pytest.mark.parametrize("name", sorted(TWIN_ALGEBRAS))
     def test_pairs_match_brute_force(self, name, brute_twins):
         alg = TWIN_ALGEBRAS[name]
