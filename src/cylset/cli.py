@@ -233,9 +233,7 @@ def _cmd_refute_twins(args) -> int:
 
 
 def _cmd_replicate(args) -> int:
-    results = constructions.replicate(
-        args.suite, max_base=args.max_base, workers=args.workers, seed=args.seed
-    )
+    results = constructions.replicate(args.suite, max_base=args.max_base, seed=args.seed)
     worst = 0
     for name, report in results:
         worst = max(worst, _print_report(report, args.json, label=name))
@@ -324,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--suite", default="all", help="suite name or 'all'")
     p.add_argument("--max-base", type=int, default=constructions.TWIN_MAX_BASE)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_replicate)
 

@@ -213,13 +213,14 @@ def zero_dim_check(
     workers: int = 1,
 ) -> CheckReport:
     """Bounded search for a unit separating the (0,1)- and (i,j)-guarded
-    signed generator products."""
+    signed generator products; `workers` is accepted for existing callers
+    and unused."""
     if i == j:
         raise ValueError("guard indices must differ")
     q = tuple(q)
     lhs = atom_term(m, q)
     rhs = conj([signed_var(k, q[k]) for k in range(m)] + [Not(escape_term(i, j))])
-    result = bounded_validity(lhs, rhs, tag, bounds, m=m, seed=seed, workers=workers)
+    result = bounded_validity(lhs, rhs, tag, bounds, m=m, seed=seed)
     report = CheckReport(
         checked=result.evaluations_checked,
         exhaustive=result.exhaustive,
@@ -519,8 +520,11 @@ def crs_split_corpus(min_size: int = 50) -> list[SplitInstance]:
     return instances
 
 
-def _run_instances(args) -> tuple[list[SplitCertificate], CheckReport]:
-    instances, splitter = args
+def run_split_corpus(
+    instances: list[SplitInstance],
+    splitter: Callable[[Unit, Sequence, Evaluation, Term], SplitCertificate],
+) -> tuple[list[SplitCertificate], CheckReport]:
+    """Apply a split construction across a corpus, verifying every certificate."""
     certs: list[SplitCertificate] = []
     report = CheckReport()
     for inst in instances:
@@ -533,32 +537,6 @@ def _run_instances(args) -> tuple[list[SplitCertificate], CheckReport]:
         if not verify_certificate(cert):
             report.fail("certificate-rejected", term=render_term(inst.term))
         certs.append(cert)
-    return certs, report
-
-
-def run_split_corpus(
-    instances: list[SplitInstance],
-    splitter: Callable[[Unit, Sequence, Evaluation, Term], SplitCertificate],
-    workers: int = 1,
-) -> tuple[list[SplitCertificate], CheckReport]:
-    """Apply a split construction across a corpus, verifying every certificate.
-
-    Instances are independent; with workers > 1 they are chunked across
-    processes and the results merged in corpus order.
-    """
-    if workers <= 1 or len(instances) < 2 * workers:
-        return _run_instances((instances, splitter))
-    import multiprocessing
-
-    step = max(1, len(instances) // (workers * 4))
-    tasks = [(instances[k:k + step], splitter) for k in range(0, len(instances), step)]
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        results = pool.map(_run_instances, tasks)
-    certs: list[SplitCertificate] = []
-    report = CheckReport()
-    for chunk_certs, chunk_report in results:
-        certs.extend(chunk_certs)
-        report.merge(chunk_report)
     return certs, report
 
 
@@ -743,23 +721,23 @@ def suite_atom_census() -> CheckReport:
     return report
 
 
-def suite_zero_dim(seed: int = 0, workers: int = 1) -> CheckReport:
+def suite_zero_dim(seed: int = 0) -> CheckReport:
     bounds = SearchBounds(window_size=4, base_size=2, max_seqs=4, max_eval_subsets=16)
     report = CheckReport()
     for m in (1, 2):
         for q in all_choice_functions(m):
-            report.merge(zero_dim_check(m, q, 2, 3, bounds, ClassTag.D, seed, workers))
+            report.merge(zero_dim_check(m, q, 2, 3, bounds, ClassTag.D, seed))
     # The same search over arbitrary units must separate the two guards.
-    crs = zero_dim_check(1, (1,), 2, 3, bounds, ClassTag.CRS, seed, workers)
+    crs = zero_dim_check(1, (1,), 2, 3, bounds, ClassTag.CRS, seed)
     report.count(crs.checked)
     if crs.ok:
         report.fail("expected-crs-counterexample-missing")
     return report
 
 
-def suite_split_diag(workers: int = 1) -> CheckReport:
+def suite_split_diag() -> CheckReport:
     instances = diag_split_corpus()
-    certs, report = run_split_corpus(instances, split_atom_diag, workers)
+    certs, report = run_split_corpus(instances, split_atom_diag)
     branches = {c.branch for c in certs}
     if not {"pair-equal", "pair-distinct"} <= branches:
         report.fail("branch-coverage", seen=sorted(branches))
@@ -768,9 +746,9 @@ def suite_split_diag(workers: int = 1) -> CheckReport:
     return report
 
 
-def suite_split_crs(workers: int = 1) -> CheckReport:
+def suite_split_crs() -> CheckReport:
     instances = crs_split_corpus()
-    certs, report = run_split_corpus(instances, split_any_crs, workers)
+    certs, report = run_split_corpus(instances, split_any_crs)
     for cert in certs:
         report.merge(check_split_invariance(cert))
     return report
@@ -809,9 +787,9 @@ def suite_equations() -> CheckReport:
 
 REPLICATION_SUITES: dict[str, Callable[..., CheckReport]] = {
     "atom-census": lambda **kw: suite_atom_census(),
-    "zero-dim": lambda **kw: suite_zero_dim(seed=kw.get("seed", 0), workers=kw.get("workers", 1)),
-    "split-diag": lambda **kw: suite_split_diag(workers=kw.get("workers", 1)),
-    "split-crs": lambda **kw: suite_split_crs(workers=kw.get("workers", 1)),
+    "zero-dim": lambda **kw: suite_zero_dim(seed=kw.get("seed", 0)),
+    "split-diag": lambda **kw: suite_split_diag(),
+    "split-crs": lambda **kw: suite_split_crs(),
     "mapped-witness": lambda **kw: suite_mapped_witness(seed=kw.get("seed", 0)),
     "twin-system": lambda **kw: suite_twin_system(max_base=kw.get("max_base", TWIN_MAX_BASE)),
     "equations": lambda **kw: suite_equations(),

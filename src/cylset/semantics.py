@@ -455,30 +455,6 @@ def _iter_evaluations(v: Unit, m: int, max_eval_subsets: int, seed_tag: str) -> 
     return (tuple(rng.randrange(total) for _ in range(m)) for _ in range(max_eval_subsets)), False
 
 
-def _scan_chunk(args) -> tuple[tuple | None, int, int, bool]:
-    chunk, lhs, rhs, m, max_eval_subsets, seed = args
-    units_checked = 0
-    evals_checked = 0
-    exhaustive = True
-    for idx, v in chunk:
-        units_checked += 1
-        alg = UnitAlgebra(v)
-        evals, full = _iter_evaluations(v, m, max_eval_subsets, f"validity:{seed}:{idx}")
-        exhaustive = exhaustive and full
-        for masks in evals:
-            evals_checked += 1
-            diff = _eval(alg, lhs, masks) ^ _eval(alg, rhs, masks)
-            if diff:
-                focus = v.sequences[(diff & -diff).bit_length() - 1]
-                iota = {k: alg.subset(mask) for k, mask in enumerate(masks)}
-                return (idx, v, focus, iota), units_checked, evals_checked, exhaustive
-    return None, units_checked, evals_checked, exhaustive
-
-
-def _chunks(items: list, size: int) -> list[list]:
-    return [items[k:k + size] for k in range(0, len(items), size)]
-
-
 def bounded_validity(
     lhs: Term,
     rhs: Term,
@@ -486,7 +462,6 @@ def bounded_validity(
     bounds: SearchBounds,
     m: int | None = None,
     seed: int = 0,
-    workers: int = 1,
 ) -> ValidityResult:
     """Search tagged units within bounds for a point separating lhs from rhs.
 
@@ -508,29 +483,17 @@ def bounded_validity(
         raise ValueError(f"unassigned variables {sorted(unassigned)}")
 
     units = list(enumerate_units(window, bounds.base_size, bounds.max_seqs, tag))
-    indexed = list(enumerate(units))
-
-    if workers <= 1:
-        hit, n_units, n_evals, exhaustive = _scan_chunk((indexed, lhs, rhs, m, bounds.max_eval_subsets, seed))
-        if hit:
-            _, v, focus, iota = hit
-            return ValidityResult(Counterexample(v, focus, iota), exhaustive, n_units, n_evals)
-        return ValidityResult(None, exhaustive, n_units, n_evals)
-
-    import multiprocessing
-
-    chunk_size = max(1, len(indexed) // (workers * 4) or 1)
-    tasks = [(c, lhs, rhs, m, bounds.max_eval_subsets, seed) for c in _chunks(indexed, chunk_size)]
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        results = pool.map(_scan_chunk, tasks)
-    n_units = 0
     n_evals = 0
     exhaustive = True
-    for hit, units_checked, evals_checked, full in results:
-        n_units += units_checked
-        n_evals += evals_checked
+    for idx, v in enumerate(units):
+        alg = UnitAlgebra(v)
+        evals, full = _iter_evaluations(v, m, bounds.max_eval_subsets, f"validity:{seed}:{idx}")
         exhaustive = exhaustive and full
-        if hit:
-            _, v, focus, iota = hit
-            return ValidityResult(Counterexample(v, focus, iota), exhaustive, n_units, n_evals)
-    return ValidityResult(None, exhaustive, n_units, n_evals)
+        for masks in evals:
+            n_evals += 1
+            diff = _eval(alg, lhs, masks) ^ _eval(alg, rhs, masks)
+            if diff:
+                focus = v.sequences[(diff & -diff).bit_length() - 1]
+                iota = {k: alg.subset(mask) for k, mask in enumerate(masks)}
+                return ValidityResult(Counterexample(v, focus, iota), exhaustive, idx + 1, n_evals)
+    return ValidityResult(None, exhaustive, len(units), n_evals)

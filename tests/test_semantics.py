@@ -301,19 +301,6 @@ class TestBoundedValidity:
                 parse_term("c5 x0"), parse_term("x0"), ClassTag.CRS, SearchBounds(2, 2, 4, 16)
             )
 
-    def test_worker_count_does_not_change_result(self):
-        lhs, rhs = parse_term("c0 c1 x0"), parse_term("c1 c0 x0")
-        bounds = SearchBounds(2, 2, 4, 16)
-        r1 = bounded_validity(lhs, rhs, ClassTag.CRS, bounds, workers=1)
-        r2 = bounded_validity(lhs, rhs, ClassTag.CRS, bounds, workers=2)
-        assert r1.counterexample.unit == r2.counterexample.unit
-        assert r1.counterexample.focus == r2.counterexample.focus
-        assert r1.counterexample.evaluation == r2.counterexample.evaluation
-        assert (r1.units_checked, r1.evaluations_checked) == (
-            r2.units_checked,
-            r2.evaluations_checked,
-        )
-
 
 class TestEvaluationJson:
     def test_round_trip(self):
