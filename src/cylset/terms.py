@@ -112,33 +112,18 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise TermSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.group("ws"):
-            pos = m.end()
-            continue
-        if m.group("var"):
-            tokens.append(("var", int(m.group("var_k")), pos))
-        elif m.group("cyl"):
-            tokens.append(("cyl", int(m.group("cyl_i")), pos))
-        elif m.group("diag"):
-            if m.group("di") is not None:
-                pair = (int(m.group("di")), int(m.group("dj")))
-            else:
-                pair = (int(m.group("di1")), int(m.group("dj1")))
-            tokens.append(("diag", pair, pos))
-        elif m.group("zero"):
-            tokens.append(("zero", None, pos))
-        elif m.group("one"):
-            tokens.append(("one", None, pos))
-        elif m.group("minus"):
-            tokens.append(("minus", None, pos))
-        elif m.group("dot"):
-            tokens.append(("dot", None, pos))
-        elif m.group("plus"):
-            tokens.append(("plus", None, pos))
-        elif m.group("lpar"):
-            tokens.append(("lpar", None, pos))
-        elif m.group("rpar"):
-            tokens.append(("rpar", None, pos))
+        # The outer named group closes last, so lastgroup is never a digit group.
+        kind = m.lastgroup
+        if kind == "var":
+            value = int(m["var_k"])
+        elif kind == "cyl":
+            value = int(m["cyl_i"])
+        elif kind == "diag":
+            value = (int(m["di"] or m["di1"]), int(m["dj"] or m["dj1"]))
+        else:
+            value = None
+        if kind != "ws":
+            tokens.append((kind, value, pos))
         pos = m.end()
     return tokens
 
