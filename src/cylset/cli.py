@@ -43,7 +43,7 @@ def _print_report(report: CheckReport, as_json: bool, label: str = "") -> int:
 def _load_unit(path: str) -> units.Unit:
     try:
         return units.load_unit(path)
-    except (OSError, ValueError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:
         raise SystemExit(f"cylset: malformed unit file {path}: {err}") from None
 
 
@@ -210,7 +210,7 @@ def _cmd_verify(args) -> int:
     try:
         with open(args.cert) as fh:
             cert = constructions.certificate_from_dict(json.load(fh))
-    except (OSError, ValueError, TypeError) as err:
+    except (OSError, ValueError) as err:
         print(f"cylset: cannot read certificate {args.cert}: {err}", file=sys.stderr)
         return 2
     verified = constructions.verify_certificate(cert)

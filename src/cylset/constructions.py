@@ -67,7 +67,7 @@ from .semantics import (
     sample_masks,
     satisfies,
 )
-from .units import seq, unit, unit_from_dict
+from .units import int_list, seq, unit, unit_from_dict
 
 
 # --- split certificates ---------------------------------------------------
@@ -137,29 +137,43 @@ def certificate_to_dict(cert: SplitCertificate) -> dict:
 
 
 def certificate_from_dict(data: dict) -> SplitCertificate:
-    """Decode certificate JSON; a missing field raises ValueError naming it."""
+    """Decode certificate JSON; a missing or malformed field raises ValueError naming it."""
 
-    def get(d: dict, name: str, where: str = ""):
+    def get(d: dict, name: str, decode: Callable = lambda x: x, where: str = ""):
         try:
-            return d[name]
+            value = d[name]
         except (KeyError, TypeError):
             raise ValueError(f"certificate JSON lacks the field {where}{name}") from None
+        try:
+            return decode(value)
+        except ValueError as err:
+            raise ValueError(f"certificate field {where}{name}: {err}") from None
+
+    def term(text: object) -> Term:
+        if not isinstance(text, str):
+            raise ValueError("expected a term string")
+        return parse_term(text)
 
     def half(side: str) -> SplitHalf:
         d = get(data, side)
-        u = unit_from_dict(get(d, "unit", f"{side}."))
-        focus = seq(u.window, get(d, "focus", f"{side}."))
-        return SplitHalf(u, focus, evaluation_from_dict(u, get(d, "evaluation", f"{side}.")))
+        u = get(d, "unit", unit_from_dict, f"{side}.")
+        focus = get(d, "focus", lambda f: seq(u.window, int_list(f)), f"{side}.")
+        return SplitHalf(u, focus, get(d, "evaluation", lambda e: evaluation_from_dict(u, e), f"{side}."))
 
-    return SplitCertificate(
-        original=parse_term(get(data, "original")),
-        splitter=parse_term(get(data, "splitter")),
-        fresh=tuple(get(data, "fresh")),
+    cert = SplitCertificate(
+        original=get(data, "original", term),
+        splitter=get(data, "splitter", term),
+        fresh=get(data, "fresh", lambda f: int_list(f, 2)),
         branch=data.get("branch", ""),
         pivot=data.get("pivot", 0),
         negative=half("negative"),
         positive=half("positive"),
     )
+    if not isinstance(cert.branch, str):
+        raise ValueError("certificate field branch: expected a string")
+    if type(cert.pivot) is not int:
+        raise ValueError("certificate field pivot: expected an integer")
+    return cert
 
 
 # --- singleton witnesses and the atom census -------------------------------

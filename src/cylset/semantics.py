@@ -271,10 +271,14 @@ def sample_subsets(alg: FiniteAlgebra, count: int, seed: int = 0) -> list[frozen
 
 def evaluation_from_dict(v: Unit, data: Mapping[str, list[int]]) -> Evaluation:
     """Decode {"x0": [positions]} with positions into the sorted sequence list."""
+    if not isinstance(data, Mapping):
+        raise ValueError("expected an object mapping x0, x1, ... to position lists")
     iota: Evaluation = {}
     for name, positions in data.items():
-        if not name.startswith("x") or not name[1:].isdigit():
+        if not isinstance(name, str) or not name.startswith("x") or not name[1:].isdigit():
             raise ValueError(f"bad variable name {name!r}; expected x0, x1, ...")
+        if not isinstance(positions, list):
+            raise ValueError(f"{name} must be a list of positions")
         if not all(type(p) is int and 0 <= p < len(v) for p in positions):
             raise ValueError(f"{name} lists a position outside 0..{len(v) - 1}")
         iota[int(name[1:])] = frozenset(v.sequences[p] for p in positions)

@@ -397,12 +397,28 @@ def unit_to_dict(v: Unit) -> dict:
     return {"window": list(v.window), "sequences": [list(f.values) for f in v]}
 
 
+def _is_int_list(data: object) -> bool:
+    return isinstance(data, list) and all(type(x) is int for x in data)
+
+
+def int_list(data: object, length: int | None = None) -> tuple[int, ...]:
+    """A JSON list of integers, of `length` items if given, as a tuple."""
+    if not _is_int_list(data) or length not in (None, len(data)):
+        raise ValueError(f"expected a list of {length} integers" if length else "expected a list of integers")
+    return tuple(data)
+
+
 def unit_from_dict(data: dict) -> Unit:
+    """Decode unit JSON; a missing or mistyped field raises ValueError naming it."""
     try:
         window = data["window"]
         seqs = data["sequences"]
     except (KeyError, TypeError):
         raise ValueError("unit JSON needs 'window' and 'sequences' fields") from None
+    if not _is_int_list(window):
+        raise ValueError("unit field 'window': expected a list of integers")
+    if not isinstance(seqs, list) or not all(map(_is_int_list, seqs)):
+        raise ValueError("unit field 'sequences': expected a list of integer lists")
     return unit(window, seqs)
 
 

@@ -1,0 +1,182 @@
+"""The exit-code contract: 0, 1 or 2, never a traceback.
+
+Malformed input (term text, certificate JSON, unit JSON) must end in exit 2
+with a message, or in a `ValueError` from the library decoders that names
+the offending field.
+"""
+
+import contextlib
+import io
+import json
+from copy import deepcopy
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cylset.cli import main
+from cylset.constructions import certificate_from_dict
+from cylset.semantics import evaluation_from_dict
+from cylset.terms import TermSyntaxError, parse_term
+from cylset.units import save_unit, unit, unit_from_dict, unit_to_dict
+
+SQ22 = unit((0, 1), [(0, 0), (0, 1), (1, 0), (1, 1)])
+SQ22_JSON = unit_to_dict(SQ22)
+BAD_VALUE_UNIT = {"window": [0, 1], "sequences": [[0, 1], [1, "a"]]}
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["x0", "x1", "window", "sequences"]) | st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _json_type(x) -> str:
+    for name, types in (
+        ("null", type(None)),
+        ("boolean", bool),
+        ("number", (int, float)),
+        ("string", str),
+        ("array", list),
+    ):
+        if isinstance(x, types):
+            return name
+    return "object"
+
+
+def _paths(node, path=()):
+    """Every position in a JSON document, the root included."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def _retyped(doc):
+    """A strategy for `doc` with one value, at any depth, swapped for a value of another JSON type."""
+
+    @st.composite
+    def build(draw):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        old = doc
+        for key in path:
+            old = old[key]
+        value = draw(JSON_VALUES.filter(lambda v: _json_type(v) != _json_type(old)))
+        return _replaced(doc, path, value)
+
+    return build()
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """A unit file, a real `split --json` certificate from it, and a scratch path."""
+    root = tmp_path_factory.mktemp("exit-codes")
+    unit_path = root / "sq22.json"
+    save_unit(SQ22, str(unit_path))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([
+            "split", "--unit", str(unit_path), "--term", "x0",
+            "--assign", "x0=[0,1,2,3]", "--mode", "diag", "--json",
+        ]) == 0
+    return {"unit": str(unit_path), "cert": json.loads(out.getvalue()), "scratch": root / "input.json"}
+
+
+def _write(path, data) -> str:
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="xcd0123456789,-.+() ", max_size=40))
+def test_parse_term_raises_only_syntax_errors(text):
+    try:
+        parse_term(text)
+    except TermSyntaxError:
+        pass
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_verify_retyped_certificate_exits_0_1_or_2(files, data):
+    cert = data.draw(_retyped(files["cert"]))
+    assert main(["verify", "--cert", _write(files["scratch"], cert)]) in (0, 1, 2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_retyped_unit_file_exits_2(files, data):
+    path = _write(files["scratch"], data.draw(_retyped(SQ22_JSON)))
+    assert main(["classify", "--unit", path]) == 2
+    assert main(["eval", "--unit", path, "--term", "c0 d01"]) == 2
+
+
+def test_well_formed_unit_file_exits_0(files):
+    assert main(["classify", "--unit", files["unit"]]) == 0
+    assert main(["eval", "--unit", files["unit"], "--term", "c0 d01"]) == 0
+
+
+@pytest.mark.parametrize("command", [["classify"], ["eval", "--term", "c0 d01"]])
+def test_unit_value_of_wrong_type_exits_2(files, command, capsys):
+    path = _write(files["scratch"], BAD_VALUE_UNIT)
+    assert main([command[0], "--unit", path, *command[1:]]) == 2
+    assert "unit field 'sequences'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data,field",
+    [
+        ({"window": "01", "sequences": []}, "'window'"),
+        ({"window": [0, 1], "sequences": {"0": [0, 0]}}, "'sequences'"),
+        ({"window": [0, 1], "sequences": [[0, True]]}, "'sequences'"),
+        (BAD_VALUE_UNIT, "'sequences'"),
+    ],
+)
+def test_unit_decoder_names_field(data, field):
+    with pytest.raises(ValueError, match=f"unit field {field}"):
+        unit_from_dict(data)
+
+
+@pytest.mark.parametrize("data", [[1], {"x0": 3}, {"x0": None}, {"x0": "01"}])
+def test_evaluation_decoder_rejects_wrong_types(data):
+    with pytest.raises(ValueError):
+        evaluation_from_dict(SQ22, data)
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        (("negative", "evaluation"), [1]),
+        (("positive", "evaluation", "x0"), 3),
+        (("fresh",), 3),
+        (("fresh",), [2]),
+        (("negative", "focus"), 1),
+        (("positive", "focus"), [0, "a"]),
+        (("original",), 7),
+        (("negative", "unit", "window"), None),
+        (("branch",), 0),
+        (("pivot",), "0"),
+    ],
+)
+def test_certificate_decoder_names_field(files, path, value, capsys):
+    cert = _replaced(files["cert"], path, value)
+    field = ".".join(path[:2])
+    with pytest.raises(ValueError, match=f"certificate field {field}"):
+        certificate_from_dict(cert)
+    assert main(["verify", "--cert", _write(files["scratch"], cert)]) == 2
+    assert field in capsys.readouterr().err
