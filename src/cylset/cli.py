@@ -43,7 +43,7 @@ def _print_report(report: CheckReport, as_json: bool, label: str = "") -> int:
 def _load_unit(path: str) -> units.Unit:
     try:
         return units.load_unit(path)
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, RecursionError) as err:
         raise SystemExit(f"cylset: malformed unit file {path}: {err}") from None
 
 
@@ -117,10 +117,18 @@ _CLASS_TAGS = {
 }
 
 
-def _enumerated_units(args) -> list[units.Unit]:
-    tag = _CLASS_TAGS[args.cls]
+def _check_class(args, check) -> CheckReport:
+    """Merge `check(v)` over every unit of the --class enumeration, built in
+    full before any is checked; each failure's witness names its unit."""
     window = tuple(range(args.window))
-    return list(units.enumerate_units(window, args.max_base, args.max_seqs, tag))
+    enumerated = list(units.enumerate_units(window, args.max_base, args.max_seqs, _CLASS_TAGS[args.cls]))
+    report = CheckReport()
+    for v in enumerated:
+        one = check(v)
+        for f in one.failures:
+            f.witness.setdefault("unit", units.unit_to_dict(v))
+        report.merge(one)
+    return report
 
 
 def _check_one_algebra(alg, samples: int, seed: int) -> CheckReport:
@@ -137,12 +145,7 @@ def _cmd_check_axioms(args) -> int:
     elif args.unit:
         report = _check_one_algebra(semantics.UnitAlgebra(_load_unit(args.unit)), args.samples, args.seed)
     elif args.cls:
-        report = CheckReport()
-        for v in _enumerated_units(args):
-            one = _check_one_algebra(semantics.UnitAlgebra(v), args.samples, args.seed)
-            for f in one.failures:
-                f.witness.setdefault("unit", units.unit_to_dict(v))
-            report.merge(one)
+        report = _check_class(args, lambda v: _check_one_algebra(semantics.UnitAlgebra(v), args.samples, args.seed))
     else:
         raise SystemExit("cylset: check-axioms needs --unit FILE, --mapped N, or --class TAG")
     return _print_report(report, args.json)
@@ -152,12 +155,7 @@ def _cmd_check_eqs(args) -> int:
     if args.unit:
         report = semantics.check_eq_laws(_load_unit(args.unit), samples=args.samples, seed=args.seed)
     elif args.cls:
-        report = CheckReport()
-        for v in _enumerated_units(args):
-            one = semantics.check_eq_laws(v, samples=args.samples, seed=args.seed)
-            for f in one.failures:
-                f.witness.setdefault("unit", units.unit_to_dict(v))
-            report.merge(one)
+        report = _check_class(args, lambda v: semantics.check_eq_laws(v, samples=args.samples, seed=args.seed))
     else:
         raise SystemExit("cylset: check-eqs needs --unit FILE or --class TAG")
     return _print_report(report, args.json)
@@ -210,7 +208,7 @@ def _cmd_verify(args) -> int:
     try:
         with open(args.cert) as fh:
             cert = constructions.certificate_from_dict(json.load(fh))
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, RecursionError) as err:
         print(f"cylset: cannot read certificate {args.cert}: {err}", file=sys.stderr)
         return 2
     verified = constructions.verify_certificate(cert)

@@ -176,38 +176,19 @@ def _diag_closed(v: Unit) -> bool:
     return True
 
 
-def _range_blocks(v: Unit) -> list[frozenset[int]]:
-    """Connected components of base elements under "appear in one sequence"."""
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for f in v:
-        vals = list(f.range_values())
-        for x in vals:
-            parent.setdefault(x, x)
-        for x in vals[1:]:
-            rx, r0 = find(x), find(vals[0])
-            if rx != r0:
-                parent[rx] = r0
-    blocks: dict[int, set[int]] = {}
-    for x in parent:
-        blocks.setdefault(find(x), set()).add(x)
-    return [frozenset(b) for b in sorted(blocks.values(), key=min)]
-
-
 def classify(v: Unit) -> frozenset[ClassTag]:
     """Class membership flags for the unit.
 
     Every unit is Crs.  D requires closure under f(i/f(j)) for window
     indices.  G requires the full square over each member's range, so the
     unit is a union of possibly overlapping Cartesian squares.  Gs requires
-    the unit to be the union of the full squares over its range blocks,
-    which are pairwise disjoint.
+    the unit to be the union of the full squares over its range blocks, the
+    classes of base elements linked through shared members.  A G unit is Gs
+    iff the full square over N(u), the union of the ranges of the members
+    holding u, lies in the unit for every base element u: with two or more
+    window indices the square over N(w) for w in N(u) holds a member with
+    values u and x for each x in N(w), so N(u) is u's block; with at most
+    one index every block is a singleton.
     """
     tags = {ClassTag.CRS}
     if _diag_closed(v):
@@ -215,10 +196,14 @@ def classify(v: Unit) -> frozenset[ClassTag]:
     members = v.as_set()
     if all(g in members for f in v for g in full_square(v.window, f.range_values())):
         tags.add(ClassTag.G)
+        near: dict[int, set[int]] = {}
+        for f in v:
+            for u in f.values:
+                near.setdefault(u, set()).update(f.values)
         if all(
-            len(block) ** len(v.window) <= len(v)
-            and all(s in members for s in full_square(v.window, block))
-            for block in _range_blocks(v)
+            len(n) ** len(v.window) <= len(v)
+            and all(s in members for s in full_square(v.window, n))
+            for n in near.values()
         ):
             tags.add(ClassTag.GS)
     return frozenset(tags)
@@ -259,7 +244,8 @@ def add_sequence(v: Unit, f: Sequence) -> Unit:
     return Unit(v.window, tuple(sorted(v.sequences + (f,))))
 
 
-def _fresh_naturals(used: Iterable[int], n: int) -> list[int]:
+def fresh_naturals(used: Iterable[int], n: int) -> list[int]:
+    """The n smallest naturals not in `used`."""
     used = set(used)
     out: list[int] = []
     candidate = 0
@@ -272,12 +258,12 @@ def _fresh_naturals(used: Iterable[int], n: int) -> list[int]:
 
 def fresh_base(v: Unit, n: int) -> list[int]:
     """The n smallest base elements not used anywhere in the unit."""
-    return _fresh_naturals(base(v), n)
+    return fresh_naturals(base(v), n)
 
 
 def fresh_indices(v: Unit, gamma: Iterable[int], n: int) -> list[int]:
     """The n smallest indices outside both the window and gamma."""
-    return _fresh_naturals(set(v.window) | set(gamma), n)
+    return fresh_naturals(set(v.window) | set(gamma), n)
 
 
 # Enumeration refuses to build more units than this: the subsets of a

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cylset.cli import main
-from cylset.constructions import certificate_from_dict
+from cylset.constructions import certificate_from_dict, verify_certificate
 from cylset.semantics import evaluation_from_dict
 from cylset.terms import TermSyntaxError, parse_term
 from cylset.units import save_unit, unit, unit_from_dict, unit_to_dict
@@ -22,6 +22,15 @@ from cylset.units import save_unit, unit, unit_from_dict, unit_to_dict
 SQ22 = unit((0, 1), [(0, 0), (0, 1), (1, 0), (1, 1)])
 SQ22_JSON = unit_to_dict(SQ22)
 BAD_VALUE_UNIT = {"window": [0, 1], "sequences": [[0, 1], [1, "a"]]}
+# Every command that reads --unit, with the other flags it needs; each exits
+# 0 on SQ22.
+UNIT_COMMANDS = [
+    ["classify"],
+    ["eval", "--term", "c0 d01"],
+    ["split", "--term", "x0", "--assign", "x0=[0]"],
+    ["check-axioms"],
+    ["check-eqs"],
+]
 
 JSON_VALUES = st.recursive(
     st.none()
@@ -122,13 +131,30 @@ def test_verify_retyped_certificate_exits_0_1_or_2(files, data):
 @given(data=st.data())
 def test_retyped_unit_file_exits_2(files, data):
     path = _write(files["scratch"], data.draw(_retyped(SQ22_JSON)))
-    assert main(["classify", "--unit", path]) == 2
-    assert main(["eval", "--unit", path, "--term", "c0 d01"]) == 2
+    for command in UNIT_COMMANDS:
+        assert main([command[0], "--unit", path, *command[1:]]) == 2, command
 
 
 def test_well_formed_unit_file_exits_0(files):
-    assert main(["classify", "--unit", files["unit"]]) == 0
-    assert main(["eval", "--unit", files["unit"], "--term", "c0 d01"]) == 0
+    for command in UNIT_COMMANDS:
+        assert main([command[0], "--unit", files["unit"], *command[1:]]) == 0, command
+
+
+def test_deeply_nested_json_exits_2(files, capsys):
+    path = files["scratch"]
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["verify", "--cert", str(path)]) == 2
+    assert main(["classify", "--unit", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read certificate {path}" in err
+    assert f"malformed unit file {path}" in err
+
+
+def test_certificate_with_unassigned_variable_is_rejected(files, capsys):
+    cert = _replaced(files["cert"], ("original",), "x3 . c0 -d01")
+    assert not verify_certificate(certificate_from_dict(cert))
+    assert main(["verify", "--cert", _write(files["scratch"], cert)]) == 1
+    assert "verified: False" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", [["classify"], ["eval", "--term", "c0 d01"]])

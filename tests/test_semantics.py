@@ -92,6 +92,29 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="unassigned"):
             evaluate(parse_term("x1"), SQ22, {0: frozenset()})
 
+    def test_off_window_equal_diagonal_rejected(self):
+        # d77 denotes the top over any window, so only the walk can catch it.
+        with pytest.raises(ValueError, match="off-window"):
+            evaluate(parse_term("d77"), SQ22, {})
+        with pytest.raises(ValueError, match="off-window"):
+            satisfies(SQ22, F00, {}, parse_term("d77"))
+        with pytest.raises(ValueError, match="off-window"):
+            mapped_eval(parse_term("d77"), MappedUnitAlgebra(2), {})
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("x0 . c5 x0 . c7 x0", "off-window index 5:"),
+            ("d06 + d55", "off-window index 6:"),
+            ("x2 + x1", "unassigned variable x2$"),
+            ("x3 . d66", "unassigned variable x3$"),
+            ("d66 . x3", "off-window index 6:"),
+        ],
+    )
+    def test_error_names_first_offender(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            evaluate(parse_term(text), SQ22, {0: frozenset()})
+
     def test_foreign_sequences_rejected(self):
         with pytest.raises(ValueError, match="subset"):
             evaluate(parse_term("x0"), unit((0, 1), [(0, 0)]), {0: frozenset({F11})})

@@ -278,6 +278,34 @@ def test_generators_match_classify_filter(window, base_size, max_seqs):
         assert list(enumerate_units(window, base_size, max_seqs, tag)) == want, tag
 
 
+def _gs_by_blocks(v: Unit) -> bool:
+    """Gs by definition: the unit is the union of the full squares over its
+    range blocks, the classes of base elements linked by sharing a member."""
+    blocks: list[set[int]] = []
+    for f in v:
+        block = set(f.values)
+        for b in [b for b in blocks if b & block]:
+            blocks.remove(b)
+            block |= b
+        blocks.append(block)
+    return v.as_set() == {g for b in blocks for g in full_square(v.window, b)}
+
+
+@pytest.mark.parametrize(
+    "window,base_size",
+    [(w, b) for w in [(), (0,), (0, 1)] for b in (1, 2, 3, 4)]
+    + [((0, 1, 2), 2), ((0, 1, 2), 3), ((0, 1, 2, 3), 2)],
+)
+def test_gs_test_matches_block_definition(window, base_size):
+    seen = set()
+    for v in enumerate_units(window, base_size, base_size ** len(window), ClassTag.G):
+        gs = _gs_by_blocks(v)
+        assert (ClassTag.GS in classify(v)) == gs, unit_to_dict(v)
+        seen.add(gs)
+    if len(window) == 2 and base_size >= 3:
+        assert seen == {True, False}
+
+
 class TestPartitions:
     def test_counts(self):
         assert len(list(set_partitions([0]))) == 1
