@@ -134,7 +134,7 @@ def _check_class(args, check) -> CheckReport:
 def _check_one_algebra(alg, samples: int, seed: int) -> CheckReport:
     exhaustive = len(alg.labels) <= 10
     masks = range(alg.top + 1) if exhaustive else semantics.sample_masks(alg, samples, seed)
-    report = semantics.check_ca_masks(alg, masks)
+    report = semantics.check_ca_axioms(alg, masks)
     report.exhaustive = exhaustive
     return report
 

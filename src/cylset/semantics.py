@@ -4,7 +4,10 @@ One class, `FiniteAlgebra`, serves both carrier shapes: the power set of a
 unit's sequences (`UnitAlgebra`), and the mapped algebra whose carrier is the
 full square over a finite window plus one extra point relabelled onto the
 identity sequence (`MappedUnitAlgebra`).  Subsets are Python-int bitmasks
-over a fixed carrier order; frozensets appear only at the API edge.  The
+over a fixed carrier order, and `evaluate_masks`, `cyl_mask`, `diag_mask`
+and the checkers take and return masks.  Frozensets of sequences appear
+only where units and evaluations enter or leave: `evaluate`, `satisfies`,
+the evaluation JSON codec, and `FiniteAlgebra.mask`/`subset`.  The
 postulate and equation checkers share one law table and run it over sampled
 instances, so they act as refuters, never as provers.
 """
@@ -146,30 +149,10 @@ class FiniteAlgebra:
         labels = self.labels
         return frozenset(labels[k] for k in range(m.bit_length()) if m >> k & 1)
 
-    @property
-    def universe(self) -> frozenset:
-        return frozenset(self.labels)
-
-    def cyl(self, i: int, x: Iterable) -> frozenset:
-        return self.subset(self.cyl_mask(i, self.mask(x)))
-
-    def diag(self, i: int, j: int) -> frozenset:
-        return self.subset(self.diag_mask(i, j))
-
 
 def UnitAlgebra(v: Unit) -> FiniteAlgebra:
     """The power-set algebra over a unit; bit k is `v.sequences[k]`."""
     return FiniteAlgebra(v.sequences, v.window, (f.values for f in v))
-
-
-def diagonal(v: Unit, i: int, j: int) -> frozenset[Sequence]:
-    """All sequences of the unit whose i-th and j-th values coincide."""
-    return UnitAlgebra(v).diag(i, j)
-
-
-def cylindrify(v: Unit, i: int, x: Iterable[Sequence]) -> frozenset[Sequence]:
-    """All sequences differing from some member of x at most at coordinate i."""
-    return UnitAlgebra(v).cyl(i, x)
 
 
 class _ExtraPoint:
@@ -187,9 +170,9 @@ def MappedUnitAlgebra(n: int) -> FiniteAlgebra:
     identity sequence's cylinders, for 2 <= n <= 4.
 
     The carrier is the n^n grid of value tuples in lexicographic order with
-    p' last; `grid` and `identity` are set on the returned algebra.  The
-    extra point p' is relabelled onto the identity sequence when cylinders
-    are computed, yet it belongs to no diagonal d_ij with i != j.  The result
+    p' last; `identity` is set on the returned algebra.  The extra point p'
+    is relabelled onto the identity sequence when cylinders are computed,
+    yet it belongs to no diagonal d_ij with i != j.  The result
     satisfies the cylindric postulates while containing a nonzero element
     disjoint from every diagonal over indices >= 2.
     """
@@ -198,16 +181,17 @@ def MappedUnitAlgebra(n: int) -> FiniteAlgebra:
     grid = tuple(product(range(n), repeat=n))
     identity = tuple(range(n))
     alg = FiniteAlgebra(grid + (P_PRIME,), identity, grid + (identity,), pinned=1 << len(grid))
-    alg.grid, alg.identity = grid, identity
+    alg.identity = identity
     return alg
 
 
-def _eval(alg: FiniteAlgebra, t: Term, iota: Mapping[int, int]) -> int:
-    """Mask of t's interpretation.  Raises ValueError naming the first
-    off-window index or unassigned variable the walk meets."""
+def evaluate_masks(alg: FiniteAlgebra, t: Term, masks: Mapping[int, int]) -> int:
+    """Mask of t's interpretation when variable k denotes `masks[k]`.  Raises
+    ValueError naming the first off-window index or unassigned variable the
+    walk meets."""
     if isinstance(t, Var):
         try:
-            return iota[t.k]
+            return masks[t.k]
         except KeyError:
             raise ValueError(f"unassigned variable x{t.k}") from None
     if isinstance(t, Zero):
@@ -220,19 +204,19 @@ def _eval(alg: FiniteAlgebra, t: Term, iota: Mapping[int, int]) -> int:
             alg._position(t.i)
         return alg.diag_mask(t.i, t.j)
     if isinstance(t, Not):
-        return alg.top ^ _eval(alg, t.t, iota)
+        return alg.top ^ evaluate_masks(alg, t.t, masks)
     if isinstance(t, And):
-        return _eval(alg, t.t1, iota) & _eval(alg, t.t2, iota)
+        return evaluate_masks(alg, t.t1, masks) & evaluate_masks(alg, t.t2, masks)
     if isinstance(t, Or):
-        return _eval(alg, t.t1, iota) | _eval(alg, t.t2, iota)
+        return evaluate_masks(alg, t.t1, masks) | evaluate_masks(alg, t.t2, masks)
     if isinstance(t, Cyl):
-        return alg.cyl_mask(t.i, _eval(alg, t.t, iota))
+        return alg.cyl_mask(t.i, evaluate_masks(alg, t.t, masks))
     raise TypeError(f"not a term: {t!r}")
 
 
 def _value(alg: FiniteAlgebra, t: Term, iota: Mapping[int, frozenset]) -> int:
-    """`_eval` under iota with its subsets turned into masks."""
-    return _eval(alg, t, {k: alg.mask(val) for k, val in iota.items()})
+    """`evaluate_masks` under iota with its subsets turned into masks."""
+    return evaluate_masks(alg, t, {k: alg.mask(val) for k, val in iota.items()})
 
 
 def evaluate(t: Term, v: Unit, iota: Mapping[int, frozenset]) -> frozenset[Sequence]:
@@ -249,26 +233,12 @@ def satisfies(v: Unit, f: Sequence, iota: Mapping[int, frozenset], t: Term) -> b
     return bool(_value(alg, t, iota) & alg.mask((f,)))
 
 
-def mapped_eval(t: Term, alg: FiniteAlgebra, iota: Mapping[int, frozenset]) -> frozenset:
-    """Interpretation of `t` in the mapped algebra under `iota`."""
-    return alg.subset(_value(alg, t, iota))
-
-
 # --- evaluation helpers --------------------------------------------------
-
-def all_subsets(alg: FiniteAlgebra) -> list[frozenset]:
-    return [alg.subset(m) for m in range(1 << len(alg.labels))]
-
 
 def sample_masks(alg: FiniteAlgebra, count: int, seed: int = 0) -> list[int]:
     """Deterministic pseudo-random subsets of the carrier, as masks."""
     rng = random.Random(f"subsets:{seed}")
     return [rng.getrandbits(len(alg.labels)) for _ in range(count)]
-
-
-def sample_subsets(alg: FiniteAlgebra, count: int, seed: int = 0) -> list[frozenset]:
-    """Deterministic pseudo-random subsets of the carrier."""
-    return [alg.subset(m) for m in sample_masks(alg, count, seed)]
 
 
 def evaluation_from_dict(v: Unit, data: Mapping[str, list[int]]) -> Evaluation:
@@ -404,14 +374,9 @@ def _check_laws(alg: FiniteAlgebra, laws: list, elems: list[int], report: CheckR
     return report
 
 
-def check_ca_masks(alg: FiniteAlgebra, masks: Iterable[int]) -> CheckReport:
-    """Check the cylindric postulates over elements given as carrier masks."""
+def check_ca_axioms(alg: FiniteAlgebra, masks: Iterable[int]) -> CheckReport:
+    """Check the cylindric postulates over the given element masks and the window."""
     return _check_laws(alg, _CA_LAWS, list(masks), CheckReport())
-
-
-def check_ca_axioms(alg: FiniteAlgebra, elems: Iterable[frozenset]) -> CheckReport:
-    """Check the cylindric postulates over the sampled elements and the window."""
-    return check_ca_masks(alg, [alg.mask(x) for x in elems])
 
 
 def check_eq_laws(v: Unit, max_exhaustive_subsets: int = 64, samples: int = 64, seed: int = 0) -> CheckReport:
@@ -496,7 +461,7 @@ def bounded_validity(
         exhaustive = exhaustive and full
         for masks in evals:
             n_evals += 1
-            diff = _eval(alg, lhs, masks) ^ _eval(alg, rhs, masks)
+            diff = evaluate_masks(alg, lhs, masks) ^ evaluate_masks(alg, rhs, masks)
             if diff:
                 focus = v.sequences[(diff & -diff).bit_length() - 1]
                 iota = {k: alg.subset(mask) for k, mask in enumerate(masks)}

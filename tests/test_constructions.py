@@ -5,7 +5,6 @@ import pytest
 from cylset.constructions import (
     _gs2_units,
     _twin_pairs,
-    _twin_report,
     certificate_from_dict,
     certificate_to_dict,
     check_split_invariance,
@@ -27,7 +26,7 @@ from cylset.semantics import (
     MappedUnitAlgebra,
     SearchBounds,
     UnitAlgebra,
-    mapped_eval,
+    evaluate_masks,
     satisfies,
 )
 from cylset.terms import (
@@ -254,14 +253,14 @@ class TestMappedWitness:
     def test_small_window(self):
         alg, report = mapped_witness(2, ca_samples=100)
         assert report.ok
-        assert len(alg.universe) == 5
+        assert len(alg.labels) == 5
 
     def test_full_window(self):
         alg, report = mapped_witness(4, ca_samples=100)
         assert report.ok
-        assert len(alg.universe) == 257
-        iota = {0: frozenset({alg.identity})}
-        assert mapped_eval(guarded_term(), alg, iota) == frozenset({alg.identity})
+        assert len(alg.labels) == 257
+        a = alg.mask({alg.identity})
+        assert evaluate_masks(alg, guarded_term(), {0: a}) == a
 
     def test_window_bounds(self):
         with pytest.raises(ValueError):
@@ -273,9 +272,9 @@ class TestMappedWitness:
 class TestTwinSystem:
     def test_holds_in_witness_algebra(self):
         alg = MappedUnitAlgebra(4)
-        iota = {0: frozenset({alg.identity})}
-        x = mapped_eval(guarded_term(), alg, iota)
-        y = mapped_eval(guarded_twin_term(), alg, iota)
+        iota = {0: alg.mask({alg.identity})}
+        x = evaluate_masks(alg, guarded_term(), iota)
+        y = evaluate_masks(alg, guarded_twin_term(), iota)
         report = twin_system_holds(alg, x, y)
         assert report.holds
         assert report.disjoint and report.nonzero
@@ -283,13 +282,13 @@ class TestTwinSystem:
 
     def test_zero_first_component_fails(self):
         alg = UnitAlgebra(SQ22)
-        report = twin_system_holds(alg, frozenset(), SQ22.as_set())
+        report = twin_system_holds(alg, 0, alg.top)
         assert not report.nonzero and not report.holds
 
     def test_swapped_pair_in_square_fails(self):
         alg = UnitAlgebra(SQ22)
-        x = frozenset({seq((0, 1), (0, 1))})
-        y = frozenset({seq((0, 1), (1, 0))})
+        x = alg.mask({seq((0, 1), (0, 1))})
+        y = alg.mask({seq((0, 1), (1, 0))})
         report = twin_system_holds(alg, x, y)
         assert not all(report.cylinders_equal)
         assert not report.holds
@@ -320,8 +319,8 @@ def brute_twins():
             masks = range(alg.top + 1)
             seen[id(alg)] = (
                 len(masks) ** 2,
-                sum(all(_twin_report(alg, x, 0).diagonal_bounds) for x in masks[1:]),
-                [(x, y) for x in masks for y in masks if _twin_report(alg, x, y).holds],
+                sum(all(twin_system_holds(alg, x, 0).diagonal_bounds) for x in masks[1:]),
+                [(x, y) for x in masks for y in masks if twin_system_holds(alg, x, y).holds],
             )
         return seen[id(alg)]
 

@@ -7,23 +7,21 @@ from cylset.semantics import (
     P_PRIME,
     SearchBounds,
     UnitAlgebra,
-    all_subsets,
     bounded_validity,
     check_ca_axioms,
     check_eq_laws,
-    cylindrify,
-    diagonal,
     evaluate,
+    evaluate_masks,
     evaluation_from_dict,
     evaluation_to_dict,
-    mapped_eval,
-    sample_subsets,
+    sample_masks,
     satisfies,
 )
 from cylset.terms import Cyl, atom_term, parse_term, twin_term
 from cylset.units import ClassTag, enumerate_units, full_square, seq, unit
 
 SQ22 = full_square((0, 1), (0, 1))
+SQ = UnitAlgebra(SQ22)
 F00 = seq((0, 1), (0, 0))
 F01 = seq((0, 1), (0, 1))
 F10 = seq((0, 1), (1, 0))
@@ -39,37 +37,38 @@ def subsets_of(v):
 
 class TestDiagonal:
     def test_square(self):
-        assert diagonal(SQ22, 0, 1) == {F00, F11}
+        assert SQ.subset(SQ.diag_mask(0, 1)) == {F00, F11}
 
     def test_equal_indices_give_unit(self):
-        assert diagonal(SQ22, 0, 0) == SQ22.as_set()
-        assert diagonal(SQ22, 7, 7) == SQ22.as_set()
+        assert SQ.subset(SQ.diag_mask(0, 0)) == SQ22.as_set()
+        assert SQ.subset(SQ.diag_mask(7, 7)) == SQ22.as_set()
 
     def test_empty_diagonal(self):
-        assert diagonal(unit((0, 1), [(0, 1)]), 0, 1) == frozenset()
+        assert UnitAlgebra(unit((0, 1), [(0, 1)])).diag_mask(0, 1) == 0
 
     def test_distinct_off_window_rejected(self):
         with pytest.raises(ValueError):
-            diagonal(SQ22, 0, 5)
+            SQ.diag_mask(0, 5)
 
 
 class TestCylindrify:
     def test_square_example(self):
-        assert cylindrify(SQ22, 0, {F00}) == {F00, F10}
+        assert SQ.subset(SQ.cyl_mask(0, SQ.mask({F00}))) == {F00, F10}
 
     def test_empty_set(self):
-        assert cylindrify(SQ22, 0, frozenset()) == frozenset()
+        assert SQ.cyl_mask(0, 0) == 0
 
     def test_whole_unit_fixed(self):
-        assert cylindrify(SQ22, 1, SQ22.as_set()) == SQ22.as_set()
+        assert SQ.subset(SQ.cyl_mask(1, SQ.mask(SQ22.as_set()))) == SQ22.as_set()
 
     def test_off_window_index_rejected(self):
         with pytest.raises(ValueError):
-            cylindrify(SQ22, 5, {F00})
+            SQ.cyl_mask(5, SQ.mask({F00}))
 
     def test_non_subset_rejected(self):
-        with pytest.raises(ValueError):
-            cylindrify(unit((0, 1), [(0, 0)]), 0, {F11})
+        # A set enters the algebra through `mask`, which refuses foreign members.
+        with pytest.raises(ValueError, match="not in the carrier"):
+            UnitAlgebra(unit((0, 1), [(0, 0)])).mask({F11})
 
 
 class TestEvaluate:
@@ -99,7 +98,7 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="off-window"):
             satisfies(SQ22, F00, {}, parse_term("d77"))
         with pytest.raises(ValueError, match="off-window"):
-            mapped_eval(parse_term("d77"), MappedUnitAlgebra(2), {})
+            evaluate_masks(MappedUnitAlgebra(2), parse_term("d77"), {})
 
     @pytest.mark.parametrize(
         "text,message",
@@ -163,35 +162,36 @@ class TestSatisfies:
 class TestMappedAlgebra:
     def test_cylinder_of_identity_point(self):
         alg = MappedUnitAlgebra(2)
-        a = frozenset({alg.identity})
-        got = mapped_eval(parse_term("c0 x0"), alg, {0: a})
-        assert got == frozenset({(0, 1), (1, 1), P_PRIME})
+        a = alg.mask({alg.identity})
+        got = evaluate_masks(alg, parse_term("c0 x0"), {0: a})
+        assert alg.subset(got) == frozenset({(0, 1), (1, 1), P_PRIME})
 
     def test_extra_point_same_cylinders(self):
         alg = MappedUnitAlgebra(2)
-        a = frozenset({alg.identity})
-        b = frozenset({P_PRIME})
+        a = alg.mask({alg.identity})
+        b = alg.mask({P_PRIME})
         for i in (0, 1):
             t = parse_term(f"c{i} x0")
-            assert mapped_eval(t, alg, {0: a}) == mapped_eval(t, alg, {0: b})
+            assert evaluate_masks(alg, t, {0: a}) == evaluate_masks(alg, t, {0: b})
 
     def test_twin_value_is_extra_point(self):
         alg = MappedUnitAlgebra(2)
-        got = mapped_eval(twin_term(), alg, {0: frozenset({alg.identity})})
-        assert got == frozenset({P_PRIME})
+        got = evaluate_masks(alg, twin_term(), {0: alg.mask({alg.identity})})
+        assert alg.subset(got) == frozenset({P_PRIME})
 
     def test_extra_point_avoids_diagonals(self):
         alg = MappedUnitAlgebra(3)
+        p_prime = alg.mask({P_PRIME})
         for i in range(3):
             for j in range(3):
                 if i != j:
-                    assert P_PRIME not in alg.diag(i, j)
-            assert P_PRIME in alg.diag(i, i)
+                    assert not alg.diag_mask(i, j) & p_prime
+            assert alg.diag_mask(i, i) & p_prime
 
     def test_index_bound(self):
         alg = MappedUnitAlgebra(2)
         with pytest.raises(ValueError):
-            mapped_eval(parse_term("c2 x0"), alg, {0: frozenset()})
+            evaluate_masks(alg, parse_term("c2 x0"), {0: 0})
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_agrees_with_square_cylindrification(self, n):
@@ -199,15 +199,15 @@ class TestMappedAlgebra:
         # is the square's cylinder, and the extra point joins exactly when
         # the identity sequence does.
         alg = MappedUnitAlgebra(n)
-        square = full_square(tuple(range(n)), range(n))
-        to_seq = {q: seq(tuple(range(n)), q) for q in alg.grid}
-        samples = sample_subsets(alg, 40, seed=7)
-        for x in samples:
-            grid_x = frozenset(q for q in x if q is not P_PRIME)
-            square_x = frozenset(to_seq[q] for q in grid_x)
+        square = UnitAlgebra(full_square(tuple(range(n)), range(n)))
+        to_seq = {q: seq(tuple(range(n)), q) for q in alg.labels if q is not P_PRIME}
+        p_prime = alg.mask({P_PRIME})
+        for x in sample_masks(alg, 40, seed=7):
+            grid_x = x & ~p_prime
+            square_x = square.mask(to_seq[q] for q in alg.subset(grid_x))
             for i in range(n):
-                mapped = alg.cyl(i, grid_x)
-                plain = cylindrify(square, i, square_x)
+                mapped = alg.subset(alg.cyl_mask(i, grid_x))
+                plain = square.subset(square.cyl_mask(i, square_x))
                 assert frozenset(to_seq[q] for q in mapped if q is not P_PRIME) == plain
                 assert (P_PRIME in mapped) == (to_seq[alg.identity] in plain)
 
@@ -215,37 +215,37 @@ class TestMappedAlgebra:
 class TestAxiomChecker:
     def test_full_square_satisfies_all(self):
         alg = UnitAlgebra(SQ22)
-        report = check_ca_axioms(alg, all_subsets(alg))
+        report = check_ca_axioms(alg, range(alg.top + 1))
         assert report.ok
         assert report.checked > 0
 
     def test_commutation_fails_on_crs_unit(self):
         alg = UnitAlgebra(CA4_UNIT)
-        report = check_ca_axioms(alg, all_subsets(alg))
+        report = check_ca_axioms(alg, range(alg.top + 1))
         laws = {f.law for f in report.failures}
         assert laws == {"CA4"}
         f00 = seq((0, 1), (0, 0))
         witnessed = [f for f in report.failures if f.witness.get("x") == [str(f00)]]
         assert witnessed
         # The documented witness sets for X = {(0,0)}.
-        x = frozenset({f00})
-        assert alg.cyl(0, alg.cyl(1, x)) == {f00, seq((0, 1), (1, 0))}
-        assert alg.cyl(1, alg.cyl(0, x)) == CA4_UNIT.as_set()
+        x = alg.mask({f00})
+        assert alg.subset(alg.cyl_mask(0, alg.cyl_mask(1, x))) == {f00, seq((0, 1), (1, 0))}
+        assert alg.subset(alg.cyl_mask(1, alg.cyl_mask(0, x))) == CA4_UNIT.as_set()
 
     def test_mapped_algebra_satisfies_all(self):
         alg = MappedUnitAlgebra(2)
-        report = check_ca_axioms(alg, sample_subsets(alg, 200, seed=3))
+        report = check_ca_axioms(alg, sample_masks(alg, 200, seed=3))
         assert report.ok
 
     def test_gs_units_satisfy_all_exhaustively(self):
         for v in enumerate_units((0, 1), 2, 16, ClassTag.GS):
             alg = UnitAlgebra(v)
-            assert check_ca_axioms(alg, all_subsets(alg)).ok
+            assert check_ca_axioms(alg, range(alg.top + 1)).ok
 
     def test_three_index_gs_unit_with_composition_axiom(self):
         v = full_square((0, 1, 2), (0, 1))
         alg = UnitAlgebra(v)
-        report = check_ca_axioms(alg, sample_subsets(alg, 40, seed=5))
+        report = check_ca_axioms(alg, sample_masks(alg, 40, seed=5))
         assert report.ok
 
 
@@ -260,14 +260,13 @@ class TestEquationLaws:
             assert check_eq_laws(v).ok
 
     def test_subset_bound_under_cylinder(self):
-        for x in all_subsets(UnitAlgebra(SQ22)):
-            assert x <= cylindrify(SQ22, 0, x)
+        for x in range(SQ.top + 1):
+            assert SQ.subset(x) <= SQ.subset(SQ.cyl_mask(0, x))
 
     def test_complement_of_cylinder_fixed(self):
-        algebra = UnitAlgebra(SQ22)
-        for x in all_subsets(algebra):
-            c = algebra.cyl(0, x)
-            assert algebra.cyl(0, SQ22.as_set() - c) == SQ22.as_set() - c
+        for x in range(SQ.top + 1):
+            out = SQ.top ^ SQ.cyl_mask(0, x)
+            assert SQ.cyl_mask(0, out) == out
 
 
 class TestZeroDimensionalFixpoints:
