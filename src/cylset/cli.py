@@ -53,6 +53,8 @@ def _parse_assignments(v: units.Unit, assigns: list[str]) -> semantics.Evaluatio
         m = re.fullmatch(r"(x\d+)=\[([\d,\s]*)\]", item.strip())
         if not m:
             raise SystemExit(f"cylset: bad --assign {item!r}; expected e.g. x0=[0,2]")
+        if m.group(1) in data:
+            raise SystemExit(f"cylset: --assign gives {m.group(1)} more than once")
         positions = [int(p) for p in m.group(2).replace(",", " ").split()]
         data[m.group(1)] = positions
     try:
@@ -326,9 +328,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Count flags and the least value each accepts.
+_FLAG_FLOORS = (("samples", "--samples", 1), ("window", "--window", 1), ("max_seqs", "--max-seqs", 0))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for dest, flag, floor in _FLAG_FLOORS:
+        value = getattr(args, dest, None)
+        if value is not None and value < floor:
+            print(f"cylset: {flag} must be at least {floor}, got {value}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except SystemExit as err:

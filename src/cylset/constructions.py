@@ -431,6 +431,11 @@ def check_split_invariance(cert: SplitCertificate) -> CheckReport:
                     )
     else:
         v1, iota, g = cert.source_unit, cert.source_eval, cert.via
+        if v1 is None or iota is None or g is None:
+            raise ValueError(
+                f"replaying a {cert.branch!r} split needs the builder context (source unit, "
+                "evaluation and branching sequence), which certificate JSON does not carry"
+            )
         v2 = cert.negative.unit
         eval1, eval2 = cert.negative.evaluation, cert.positive.evaluation
         for h in v1:
@@ -459,7 +464,11 @@ class SplitInstance:
     term: Term
 
 
-def diag_split_corpus(min_size: int = 50) -> list[SplitInstance]:
+# Each split corpus must hold at least this many instances.
+MIN_CORPUS_SIZE = 50
+
+
+def diag_split_corpus() -> list[SplitInstance]:
     """Deterministic (unit, focus, evaluation, term) instances satisfying
     tau . c0 -d01, engineered to hit both split branches."""
     instances: list[SplitInstance] = []
@@ -478,12 +487,12 @@ def diag_split_corpus(min_size: int = 50) -> list[SplitInstance]:
         sat = evaluate(guard, v, iota)
         if sat:
             instances.append(SplitInstance(v, min(sat), iota, Or(Var(0), Not(Var(0)))))
-        if len(instances) >= min_size // 2 + 8:
+        if len(instances) >= MIN_CORPUS_SIZE // 2 + 8:
             break
 
     # Window {0,1,2,3}: columns 2,3 pre-exist, so both branches can fire.
     for v in enumerate_units((0, 1, 2, 3), 2, 2):
-        if len(instances) >= min_size + 12:
+        if len(instances) >= MIN_CORPUS_SIZE + 12:
             break
         if not len(v):
             continue
@@ -491,12 +500,12 @@ def diag_split_corpus(min_size: int = 50) -> list[SplitInstance]:
         sat = evaluate(And(Var(0), guard), v, iota)
         if sat:
             instances.append(SplitInstance(v, min(sat), iota, Var(0)))
-    if len(instances) < min_size:
-        raise RuntimeError(f"corpus too small: {len(instances)} < {min_size}")
+    if len(instances) < MIN_CORPUS_SIZE:
+        raise RuntimeError(f"corpus too small: {len(instances)} < {MIN_CORPUS_SIZE}")
     return instances
 
 
-def crs_split_corpus(min_size: int = 50) -> list[SplitInstance]:
+def crs_split_corpus() -> list[SplitInstance]:
     """Witnessed nonzero terms, including every atom term for m <= 2."""
     instances: list[SplitInstance] = []
     for m in (1, 2):
@@ -519,8 +528,8 @@ def crs_split_corpus(min_size: int = 50) -> list[SplitInstance]:
             sat = evaluate(term, v, iota)
             if sat:
                 instances.append(SplitInstance(v, min(sat), iota, term))
-    if len(instances) < min_size:
-        raise RuntimeError(f"corpus too small: {len(instances)} < {min_size}")
+    if len(instances) < MIN_CORPUS_SIZE:
+        raise RuntimeError(f"corpus too small: {len(instances)} < {MIN_CORPUS_SIZE}")
     return instances
 
 
@@ -552,8 +561,11 @@ def mapped_witness(n: int, ca_samples: int = 200, seed: int = 0) -> tuple[Finite
     Sets a to the singleton of the identity sequence, checks the twin's
     value, cylinder agreement, both diagonal bounds, fullness of the guard,
     the guarded value, its disjointness from every d_ij with 2 <= i < j, and
-    spot-checks the cylindric postulates on seeded random subsets.
+    spot-checks the cylindric postulates on ca_samples >= 1 seeded random
+    subsets.
     """
+    if ca_samples < 1:
+        raise ValueError(f"ca_samples must be at least 1, got {ca_samples}")
     alg = MappedUnitAlgebra(n)
     report = CheckReport(notes=f"carrier size {len(alg.labels)}")
     a = alg.mask((alg.identity,))

@@ -15,6 +15,7 @@ instances, so they act as refuters, never as provers.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -25,6 +26,10 @@ from .units import ClassTag, Sequence, Unit, enumerate_units
 
 # Variable index -> subset of the carrier.
 Evaluation = dict[int, frozenset]
+
+# check_eq_laws checks every subset of a unit with at most this many, and
+# seeded samples of larger ones.
+MAX_EXHAUSTIVE_SUBSETS = 64
 
 
 class FiniteAlgebra:
@@ -247,8 +252,9 @@ def evaluation_from_dict(v: Unit, data: Mapping[str, list[int]]) -> Evaluation:
         raise ValueError("expected an object mapping x0, x1, ... to position lists")
     iota: Evaluation = {}
     for name, positions in data.items():
-        if not isinstance(name, str) or not name.startswith("x") or not name[1:].isdigit():
-            raise ValueError(f"bad variable name {name!r}; expected x0, x1, ...")
+        # One spelling per variable, so no two names can assign the same one.
+        if not isinstance(name, str) or not re.fullmatch(r"x(0|[1-9][0-9]*)", name):
+            raise ValueError(f"bad variable name {name!r}; expected x0, x1, ... without leading zeros")
         if not isinstance(positions, list):
             raise ValueError(f"{name} must be a list of positions")
         if not all(type(p) is int and 0 <= p < len(v) for p in positions):
@@ -379,10 +385,10 @@ def check_ca_axioms(alg: FiniteAlgebra, masks: Iterable[int]) -> CheckReport:
     return _check_laws(alg, _CA_LAWS, list(masks), CheckReport())
 
 
-def check_eq_laws(v: Unit, max_exhaustive_subsets: int = 64, samples: int = 64, seed: int = 0) -> CheckReport:
+def check_eq_laws(v: Unit, samples: int = 64, seed: int = 0) -> CheckReport:
     """Check the seven unit-algebra equations over subsets of the unit."""
     alg = UnitAlgebra(v)
-    exhaustive = (1 << len(v)) <= max_exhaustive_subsets
+    exhaustive = (1 << len(v)) <= MAX_EXHAUSTIVE_SUBSETS
     elems = list(range(1 << len(v))) if exhaustive else sample_masks(alg, samples, seed)
     return _check_laws(alg, _EQ_LAWS, elems, CheckReport(exhaustive=exhaustive))
 

@@ -313,6 +313,8 @@ def enumerate_units(
     """
     if base_size < 1:
         raise ValueError("base_size must be at least 1")
+    if max_seqs < 0:
+        raise ValueError(f"max_seqs must be at least 0, got {max_seqs}")
     w = tuple(sorted(window))
     n = base_size ** len(w)
     if n > MAX_UNITS:

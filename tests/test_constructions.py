@@ -215,6 +215,20 @@ class TestCertificates:
         loaded = certificate_from_dict(data)
         assert verify_certificate(loaded)
 
+    def test_decoded_diag_certificate_cannot_replay(self):
+        # certificate JSON does not carry the source unit, evaluation or `via`.
+        cert = split_atom_diag(SQ22, seq((0, 1), (0, 1)), {0: SQ22.as_set()}, Var(0))
+        loaded = certificate_from_dict(json.loads(json.dumps(certificate_to_dict(cert))))
+        assert check_split_invariance(cert).ok
+        with pytest.raises(ValueError, match="needs the builder context"):
+            check_split_invariance(loaded)
+
+    def test_decoded_relabelled_certificate_replays(self):
+        f = seq((0, 1), (0, 1))
+        cert = split_any_crs(unit((0, 1), [(0, 1), (1, 1)]), f, {0: frozenset({f})}, Var(0))
+        loaded = certificate_from_dict(json.loads(json.dumps(certificate_to_dict(cert))))
+        assert check_split_invariance(loaded) == check_split_invariance(cert)
+
     def test_tampered_certificate_rejected(self):
         f = seq((0, 1), (0, 1))
         cert = split_atom_diag(SQ22, f, {0: SQ22.as_set()}, Var(0))

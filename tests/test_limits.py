@@ -1,5 +1,7 @@
 """Inputs outside the supported range fail with a clear error, not a crash."""
 
+import re
+
 import pytest
 
 from cylset import constructions
@@ -7,6 +9,7 @@ from cylset.cli import main
 from cylset.constructions import (
     certificate_from_dict,
     certificate_to_dict,
+    mapped_witness,
     refute_twins_in_gs2,
     replicate,
     split_atom_diag,
@@ -96,6 +99,67 @@ class TestTwinBaseRange:
         assert main([command, "--max-base", max_base]) == 2
         captured = capsys.readouterr()
         assert "1..4" in captured.err and captured.out == ""
+
+
+class TestCountFlagRange:
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["witness", "--n", "4", "--samples", "-1", "--json"], "--samples"),
+            (["witness", "--samples", "0"], "--samples"),
+            (["check-axioms", "--mapped", "3", "--samples", "-5"], "--samples"),
+            (["check-eqs", "--unit", "unused.json", "--samples", "0"], "--samples"),
+            (["check-eqs", "--class", "crs", "--max-seqs", "-1"], "--max-seqs"),
+            (["check-axioms", "--class", "d", "--window", "-2"], "--window"),
+            (["check-eqs", "--class", "d", "--window", "0"], "--window"),
+        ],
+    )
+    def test_cli_exits_2(self, argv, flag, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"{flag} must be at least" in captured.err and captured.out == ""
+
+    def test_cli_accepts_the_least_values(self, capsys):
+        argv = ["check-axioms", "--class", "d", "--window", "1", "--max-seqs", "0", "--samples", "1"]
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_mapped_witness_rejects(self, samples):
+        with pytest.raises(ValueError, match="ca_samples must be at least 1"):
+            mapped_witness(2, ca_samples=samples)
+
+    @pytest.mark.parametrize("tag", list(ClassTag))
+    def test_enumeration_rejects_negative_max_seqs(self, tag):
+        with pytest.raises(ValueError, match="max_seqs must be at least 0"):
+            next(enumerate_units((0, 1), 2, -1, tag))
+
+
+class TestOneAssignmentPerVariable:
+    @pytest.mark.parametrize("name", ["x00", "x01", "x\u0663", "x", "x-1", "X0"])
+    def test_decoder_rejects_other_spellings(self, name):
+        with pytest.raises(ValueError, match=re.escape(f"bad variable name {name!r}")):
+            evaluation_from_dict(SQ22, {"x0": [0], name: [1]})
+
+    @pytest.mark.parametrize(
+        "assigns,message",
+        [
+            (["x0=[0]", "x00=[1]"], "bad variable name 'x00'"),
+            (["x0=[0]", "x0=[1]"], "--assign gives x0 more than once"),
+        ],
+    )
+    def test_cli_exits_2(self, assigns, message, sq22_file, capsys):
+        argv = ["eval", "--unit", sq22_file, "--term", "x0"]
+        for item in assigns:
+            argv += ["--assign", item]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+    def test_certificate_error_names_the_field(self):
+        data = certificate_to_dict(split_atom_diag(SQ22, seq((0, 1), (0, 1)), {0: SQ22.as_set()}, Var(0)))
+        data["negative"]["evaluation"]["x00"] = data["negative"]["evaluation"].pop("x0")
+        with pytest.raises(ValueError, match=r"negative\.evaluation: bad variable name 'x00'"):
+            certificate_from_dict(data)
 
 
 class TestCertificateFields:
