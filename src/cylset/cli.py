@@ -91,7 +91,7 @@ def _cmd_eval(args) -> int:
     except (terms.TermSyntaxError, ValueError) as err:
         print(f"cylset: {err}", file=sys.stderr)
         return 2
-    positions = sorted(v.position(f) for f in value)
+    positions = units.bit_positions(semantics.UnitAlgebra(v).mask(value))
     if args.json:
         print(json.dumps({
             "positions": positions,
@@ -248,7 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def floors(p, *rows):
+        """Record, per command, count flags as (dest, flag, least value)."""
+        p.set_defaults(floors=p.get_default("floors") + rows)
+
     def common(p, unit=False, term=False, assign=False, sampled=False):
+        p.set_defaults(floors=())
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if unit:
             p.add_argument("--unit", required=True, help="unit JSON file")
@@ -262,6 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         if sampled:
             p.add_argument("--samples", type=int, default=200)
             p.add_argument("--seed", type=int, default=0)
+            floors(p, ("samples", "--samples", 1))
 
     p = sub.add_parser("parse", help="parse a term and echo its normal rendering")
     common(p, term=True)
@@ -282,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--window", type=int, default=2, help="window size for --class enumeration")
         p.add_argument("--max-base", type=int, default=2, help="base size for --class enumeration")
         p.add_argument("--max-seqs", type=int, default=16, help="unit size cap for --class enumeration")
+        floors(p, ("window", "--window", 1), ("max_base", "--max-base", 1), ("max_seqs", "--max-seqs", 0))
 
     p = sub.add_parser("check-axioms", help="check the cylindric postulates on sampled subsets")
     common(p, sampled=True)
@@ -328,16 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Count flags and the least value each accepts.
-_FLAG_FLOORS = (("samples", "--samples", 1), ("window", "--window", 1), ("max_seqs", "--max-seqs", 0))
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for dest, flag, floor in _FLAG_FLOORS:
-        value = getattr(args, dest, None)
-        if value is not None and value < floor:
+    for dest, flag, floor in args.floors:
+        value = getattr(args, dest)
+        if value < floor:
             print(f"cylset: {flag} must be at least {floor}, got {value}", file=sys.stderr)
             return 2
     try:

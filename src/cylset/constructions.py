@@ -262,10 +262,19 @@ def _escape_candidates(v: Unit, f: Sequence, pivot: int) -> list[Sequence]:
     return [h for h in v if eqv_i(h, f, pivot) and h[0] != h[1]]
 
 
-def _carry(iota: Evaluation, ext: list[tuple[int, int]]) -> Evaluation:
-    if not ext:
-        return {k: frozenset(val) for k, val in iota.items()}
-    return {k: frozenset(s.extended(ext) for s in val) for k, val in iota.items()}
+def _extended(
+    v: Unit, iota: Evaluation, ext: list[tuple[int, int]]
+) -> tuple[Unit, dict[Sequence, Sequence], Evaluation]:
+    """The unit with the constant columns of ext added, each member's image in
+    it, and the evaluation carried over; each member is extended once.
+
+    Every member gets the same constants at the same new indices, so the
+    order of the members is kept and the i-th member of v maps to the i-th
+    of the result.  The evaluation must be over members of v.
+    """
+    v1 = extend_window(v, ext)
+    moved = dict(zip(v.sequences, v1.sequences))
+    return v1, moved, {k: frozenset(moved[h] for h in val) for k, val in iota.items()}
 
 
 def split_atom_diag(
@@ -308,10 +317,8 @@ def _diag_certificate(
     g: Sequence,
 ) -> SplitCertificate | None:
     ext = [(k, g[1 - p]) for k in (i, j) if k not in v.window]
-    v1 = extend_window(v, ext)
-    f1 = f.extended(ext)
-    g1 = g.extended(ext)
-    iota1 = _carry(iota, ext)
+    v1, moved, iota1 = _extended(v, iota, ext)
+    f1, g1 = moved[f], moved[g]
     domain = sorted(set(iota1) | {0})
 
     if g1[i] == g1[j]:
@@ -362,22 +369,16 @@ def split_any_crs(v: Unit, f: Sequence, iota: Evaluation, tau: Term) -> SplitCer
     gamma = index_set(tau)
     i, j = fresh_indices(v, gamma, 2)
     const = min(base(v), default=0)
-    ext = [(i, const), (j, const)]
-    v1 = extend_window(v, ext)
-    f1 = f.extended(ext)
-    iota1 = _carry(iota, ext)
+    v1, moved, iota1 = _extended(v, iota, [(i, const), (j, const)])
+    f1 = moved[f]
 
     a, b = fresh_base(v1, 2)
-
-    def star(h: Sequence) -> Sequence:
-        return h.update(i, a).update(j, b)
-
-    neighbours = [h for h in v1 if eqv_gamma(h, f1, gamma)]
-    v_star = Unit(v1.window, tuple(sorted(star(h) for h in neighbours)))
-    f_star = star(f1)
+    # Each neighbour of f1 and its starred copy.
+    star = {h: h.update(i, a).update(j, b) for h in v1 if eqv_gamma(h, f1, gamma)}
+    v_star = Unit(v1.window, tuple(star.values()))
+    f_star = star[f1]
     iota_star: Evaluation = {
-        k: frozenset(star(h) for h in val if eqv_gamma(h, f1, gamma))
-        for k, val in iota1.items()
+        k: frozenset(star[h] for h in val if h in star) for k, val in iota1.items()
     }
     cert = SplitCertificate(
         original=tau,

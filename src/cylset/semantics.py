@@ -17,12 +17,12 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Mapping
 
 from .terms import And, Cyl, Diag, Not, One, Or, Term, Var, Zero, index_set, variables
-from .units import ClassTag, Sequence, Unit, enumerate_units
+from .units import ClassTag, Sequence, Unit, bit_positions, enumerate_units
 
 # Variable index -> subset of the carrier.
 Evaluation = dict[int, frozenset]
@@ -152,11 +152,16 @@ class FiniteAlgebra:
 
     def subset(self, m: int) -> frozenset:
         labels = self.labels
-        return frozenset(labels[k] for k in range(m.bit_length()) if m >> k & 1)
+        return frozenset(labels[k] for k in bit_positions(m))
 
 
+@lru_cache(maxsize=8)
 def UnitAlgebra(v: Unit) -> FiniteAlgebra:
-    """The power-set algebra over a unit; bit k is `v.sequences[k]`."""
+    """The power-set algebra over a unit; bit k is `v.sequences[k]`.
+
+    Equal units share one algebra, and with it the cylinder blocks and
+    diagonal masks it builds on first use, from a cache of the last eight
+    distinct units.  Callers must not mutate it."""
     return FiniteAlgebra(v.sequences, v.window, (f.values for f in v))
 
 
@@ -190,33 +195,41 @@ def MappedUnitAlgebra(n: int) -> FiniteAlgebra:
     return alg
 
 
+def _var(alg: FiniteAlgebra, t: Var, masks: Mapping[int, int]) -> int:
+    try:
+        return masks[t.k]
+    except KeyError:
+        raise ValueError(f"unassigned variable x{t.k}") from None
+
+
+def _diag(alg: FiniteAlgebra, t: Diag, masks: Mapping[int, int]) -> int:
+    if t.i == t.j:
+        # diag_mask gives the top for d_ii whatever i is, so check i here.
+        alg._position(t.i)
+    return alg.diag_mask(t.i, t.j)
+
+
+# Node type -> the step that evaluates a node of that type.
+_STEPS = {
+    Var: _var,
+    Zero: lambda alg, t, masks: 0,
+    One: lambda alg, t, masks: alg.top,
+    Diag: _diag,
+    Not: lambda alg, t, masks: alg.top ^ evaluate_masks(alg, t.t, masks),
+    And: lambda alg, t, masks: evaluate_masks(alg, t.t1, masks) & evaluate_masks(alg, t.t2, masks),
+    Or: lambda alg, t, masks: evaluate_masks(alg, t.t1, masks) | evaluate_masks(alg, t.t2, masks),
+    Cyl: lambda alg, t, masks: alg.cyl_mask(t.i, evaluate_masks(alg, t.t, masks)),
+}
+
+
 def evaluate_masks(alg: FiniteAlgebra, t: Term, masks: Mapping[int, int]) -> int:
     """Mask of t's interpretation when variable k denotes `masks[k]`.  Raises
     ValueError naming the first off-window index or unassigned variable the
-    walk meets."""
-    if isinstance(t, Var):
-        try:
-            return masks[t.k]
-        except KeyError:
-            raise ValueError(f"unassigned variable x{t.k}") from None
-    if isinstance(t, Zero):
-        return 0
-    if isinstance(t, One):
-        return alg.top
-    if isinstance(t, Diag):
-        if t.i == t.j:
-            # diag_mask gives the top for d_ii whatever i is, so check i here.
-            alg._position(t.i)
-        return alg.diag_mask(t.i, t.j)
-    if isinstance(t, Not):
-        return alg.top ^ evaluate_masks(alg, t.t, masks)
-    if isinstance(t, And):
-        return evaluate_masks(alg, t.t1, masks) & evaluate_masks(alg, t.t2, masks)
-    if isinstance(t, Or):
-        return evaluate_masks(alg, t.t1, masks) | evaluate_masks(alg, t.t2, masks)
-    if isinstance(t, Cyl):
-        return alg.cyl_mask(t.i, evaluate_masks(alg, t.t, masks))
-    raise TypeError(f"not a term: {t!r}")
+    walk meets, and TypeError on anything that is not a term node."""
+    step = _STEPS.get(type(t))
+    if step is None:
+        raise TypeError(f"not a term: {t!r}")
+    return step(alg, t, masks)
 
 
 def _value(alg: FiniteAlgebra, t: Term, iota: Mapping[int, frozenset]) -> int:
@@ -264,10 +277,8 @@ def evaluation_from_dict(v: Unit, data: Mapping[str, list[int]]) -> Evaluation:
 
 
 def evaluation_to_dict(v: Unit, iota: Mapping[int, frozenset]) -> dict[str, list[int]]:
-    return {
-        f"x{k}": sorted(v.position(f) for f in val)
-        for k, val in sorted(iota.items())
-    }
+    alg = UnitAlgebra(v)
+    return {f"x{k}": list(bit_positions(alg.mask(val))) for k, val in sorted(iota.items())}
 
 
 # --- check reports -------------------------------------------------------

@@ -15,23 +15,42 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import attrgetter
 from typing import Iterable, Iterator
+
+
+def _check_window(window: tuple[int, ...]) -> None:
+    if any(window[k] >= window[k + 1] for k in range(len(window) - 1)):
+        raise ValueError(f"window must be strictly increasing, got {window}")
+    if window and window[0] < 0:
+        raise ValueError("indices and base elements are natural numbers")
+
+
+def _check_values(window: tuple[int, ...], values: tuple[int, ...]) -> None:
+    if len(window) != len(values):
+        raise ValueError("one value per window index required")
+    if any(v < 0 for v in values):
+        raise ValueError("indices and base elements are natural numbers")
 
 
 @dataclass(frozen=True, order=True)
 class Sequence:
-    """A finite-window assignment of base elements to coordinate indices."""
+    """A finite-window assignment of base elements to coordinate indices.
+
+    The hash is computed once, when the sequence is built; equality and
+    order compare (window, values) as usual.
+    """
 
     window: tuple[int, ...]
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if any(self.window[k] >= self.window[k + 1] for k in range(len(self.window) - 1)):
-            raise ValueError(f"window must be strictly increasing, got {self.window}")
-        if len(self.window) != len(self.values):
-            raise ValueError("one value per window index required")
-        if any(v < 0 for v in self.values) or any(i < 0 for i in self.window):
-            raise ValueError("indices and base elements are natural numbers")
+        _check_window(self.window)
+        _check_values(self.window, self.values)
+        object.__setattr__(self, "_hash", hash((self.window, self.values)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __getitem__(self, i: int) -> int:
         try:
@@ -45,6 +64,7 @@ class Sequence:
         f = object.__new__(cls)
         object.__setattr__(f, "window", window)
         object.__setattr__(f, "values", values)
+        object.__setattr__(f, "_hash", hash((window, values)))
         return f
 
     def update(self, i: int, u: int) -> "Sequence":
@@ -123,7 +143,9 @@ class Unit:
         for f in self.sequences:
             if f.window != self.window:
                 raise ValueError(f"sequence {f} does not match window {self.window}")
-        if any(self.sequences[k] >= self.sequences[k + 1] for k in range(len(self.sequences) - 1)):
+        # Every member has the unit's window, so values alone give the order.
+        values = [f.values for f in self.sequences]
+        if any(values[k] >= values[k + 1] for k in range(len(values) - 1)):
             object.__setattr__(self, "sequences", tuple(sorted(set(self.sequences))))
 
     def __iter__(self) -> Iterator[Sequence]:
@@ -141,14 +163,20 @@ class Unit:
     def as_set(self) -> frozenset[Sequence]:
         return frozenset(self.sequences)
 
-    def position(self, f: Sequence) -> int:
-        """Index of f in the canonical (sorted) sequence order."""
-        return self.sequences.index(f)
+
+_values = attrgetter("values")
 
 
 def unit(window: Iterable[int], seqs: Iterable[Iterable[int]]) -> Unit:
-    w = tuple(sorted(window))
-    return Unit(w, tuple(sorted({seq(w, v) for v in seqs})))
+    """The unit of the given value tuples over a strictly increasing window."""
+    w = tuple(window)
+    _check_window(w)
+    members = set()
+    for v in seqs:
+        values = tuple(v)
+        _check_values(w, values)
+        members.add(Sequence._trusted(w, values))
+    return Unit(w, tuple(sorted(members, key=_values)))
 
 
 def full_square(window: Iterable[int], base: Iterable[int]) -> Unit:
@@ -292,7 +320,7 @@ def _closed_masks(closures: list[int], max_bits: int) -> set[int]:
     return seen
 
 
-def _bit_positions(mask: int) -> tuple[int, ...]:
+def bit_positions(mask: int) -> tuple[int, ...]:
     return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
 
 
@@ -345,7 +373,7 @@ def enumerate_units(
         closures = [mask(diagonalization_closure(Unit(w, (f,)))) for f in seqs]
     else:
         closures = [mask(full_square(w, f.range_values())) for f in seqs]
-    closed = sorted((m.bit_count(), _bit_positions(m)) for m in _closed_masks(closures, limit))
+    closed = sorted((m.bit_count(), bit_positions(m)) for m in _closed_masks(closures, limit))
     for _, positions in closed:
         u = Unit(w, tuple(seqs[k] for k in positions))
         if tag is not ClassTag.GS or ClassTag.GS in classify(u):
@@ -397,7 +425,8 @@ def int_list(data: object, length: int | None = None) -> tuple[int, ...]:
 
 
 def unit_from_dict(data: dict) -> Unit:
-    """Decode unit JSON; a missing or mistyped field raises ValueError naming it."""
+    """Decode unit JSON; a missing or mistyped field, or a window that is not
+    strictly increasing, raises ValueError naming the field."""
     try:
         window = data["window"]
         seqs = data["sequences"]
@@ -405,6 +434,10 @@ def unit_from_dict(data: dict) -> Unit:
         raise ValueError("unit JSON needs 'window' and 'sequences' fields") from None
     if not _is_int_list(window):
         raise ValueError("unit field 'window': expected a list of integers")
+    try:
+        _check_window(tuple(window))
+    except ValueError as err:
+        raise ValueError(f"unit field 'window': {err}") from None
     if not isinstance(seqs, list) or not all(map(_is_int_list, seqs)):
         raise ValueError("unit field 'sequences': expected a list of integer lists")
     return unit(window, seqs)

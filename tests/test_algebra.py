@@ -114,3 +114,29 @@ def test_pinned_bit_not_last_takes_block_path():
     # p shares the cylinders of (0, 1): c0{p} = {p, (0, 1), (1, 1)}.
     assert alg.subset(alg.cyl_mask(0, alg.mask({"p"}))) == {"p", (0, 1), (1, 1)}
     assert alg.subset(alg.cyl_mask(1, alg.mask({(0, 0)}))) == {"p", (0, 0), (0, 1)}
+
+
+def test_unit_algebra_cache_is_bounded():
+    maxsize = UnitAlgebra.cache_info().maxsize
+    assert maxsize is not None
+    for n in range(maxsize + 3):
+        UnitAlgebra(unit((0, 1), [(n, n)]))
+    assert UnitAlgebra.cache_info().currsize <= maxsize
+
+
+def test_equal_units_share_one_algebra():
+    v = unit_from_dict({"window": [0, 1], "sequences": [[0, 1], [1, 1]]})
+    assert UnitAlgebra(v) is UnitAlgebra(unit((0, 1), [(1, 1), (0, 1)]))
+
+
+@pytest.mark.parametrize("v", [CA4_UNIT, full_square((0, 1, 2), (0, 1)), unit((0, 1, 2), [(0, 1, 2), (2, 1, 0), (1, 1, 0)])])
+def test_reused_unit_algebra_matches_a_fresh_one(v):
+    UnitAlgebra(v).cyl_mask(v.window[0], 1)  # fill the cached algebra's blocks
+    reused = UnitAlgebra(v)
+    fresh = FiniteAlgebra(v.sequences, v.window, (f.values for f in v))
+    assert reused.labels == fresh.labels and reused.top == fresh.top
+    for i in v.window:
+        for j in v.window:
+            assert reused.diag_mask(i, j) == fresh.diag_mask(i, j)
+        for m in range(fresh.top + 1):
+            assert reused.cyl_mask(i, m) == fresh.cyl_mask(i, m)

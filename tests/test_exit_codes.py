@@ -206,3 +206,15 @@ def test_certificate_decoder_names_field(files, path, value, capsys):
         certificate_from_dict(cert)
     assert main(["verify", "--cert", _write(files["scratch"], cert)]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_unsorted_window_exits_2(files, capsys):
+    # Sorting [1, 0] would put each value on the other index.
+    path = _write(files["scratch"], {"window": [1, 0], "sequences": [[5, 7]]})
+    assert main(["classify", "--unit", path]) == 2
+    assert "unit field 'window'" in capsys.readouterr().err
+    cert = deepcopy(files["cert"])
+    half = cert["negative"]["unit"]
+    half["window"] = half["window"][::-1]
+    assert main(["verify", "--cert", _write(files["scratch"], cert)]) == 2
+    assert "negative.unit: unit field 'window'" in capsys.readouterr().err

@@ -119,6 +119,13 @@ class TestCountFlagRange:
         captured = capsys.readouterr()
         assert f"{flag} must be at least" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("command", ["check-axioms", "check-eqs"])
+    @pytest.mark.parametrize("max_base", ["0", "-3"])
+    def test_enumeration_max_base_floor_names_the_flag(self, command, max_base, capsys):
+        assert main([command, "--class", "d", "--max-base", max_base]) == 2
+        captured = capsys.readouterr()
+        assert f"--max-base must be at least 1, got {max_base}" in captured.err and captured.out == ""
+
     def test_cli_accepts_the_least_values(self, capsys):
         argv = ["check-axioms", "--class", "d", "--window", "1", "--max-seqs", "0", "--samples", "1"]
         assert main(argv) == 0

@@ -17,7 +17,7 @@ from cylset.semantics import (
     sample_masks,
     satisfies,
 )
-from cylset.terms import Cyl, atom_term, parse_term, twin_term
+from cylset.terms import Cyl, Term, atom_term, parse_term, twin_term
 from cylset.units import ClassTag, enumerate_units, full_square, seq, unit
 
 SQ22 = full_square((0, 1), (0, 1))
@@ -360,3 +360,9 @@ class TestCheckReport:
         b.merge(CheckReport(notes="not"))
         b.merge(CheckReport(notes="not a proof"))
         assert b.notes == "not; not a proof"
+
+
+@pytest.mark.parametrize("node", [Term(), "x0", None, 3])
+def test_evaluate_masks_rejects_what_is_not_a_term_node(node):
+    with pytest.raises(TypeError, match="not a term"):
+        evaluate_masks(SQ, node, {0: 1})

@@ -340,3 +340,35 @@ class TestUnitValidation:
     def test_duplicates_collapse(self):
         v = unit((0, 1), [(0, 1), (0, 1)])
         assert len(v) == 1
+
+
+def test_unsorted_window_is_refused_naming_the_field():
+    # Sorting the window would move each value onto another index.
+    with pytest.raises(ValueError, match="unit field 'window': window must be strictly increasing"):
+        unit_from_dict({"window": [1, 0], "sequences": [[5, 7]]})
+    with pytest.raises(ValueError, match="strictly increasing"):
+        unit((1, 0), [(5, 7)])
+
+
+@st.composite
+def _window_and_values(draw):
+    window = tuple(sorted(draw(st.sets(st.integers(0, 6), min_size=1, max_size=4))))
+    values = tuple(draw(st.lists(st.integers(0, 2), min_size=len(window), max_size=len(window))))
+    return window, values, draw(st.integers(0, len(window) - 1))
+
+
+@given(_window_and_values())
+def test_equal_sequences_hash_equal_however_built(data):
+    window, values, k = data
+    i = window[k]
+    other = values[:k] + ((values[k] + 1) % 3,) + values[k + 1:]
+    built = [
+        seq(window, values),
+        next(f for f in full_square(window, range(3)) if f.values == values),
+        unit_from_dict({"window": list(window), "sequences": [list(values)]}).sequences[0],
+        seq(window, other).update(i, values[k]),
+        seq(window[:k] + window[k + 1:], values[:k] + values[k + 1:]).extended([(i, values[k])]),
+    ]
+    for f in built:
+        assert f == built[0] and hash(f) == hash(built[0])
+    assert len(set(built)) == 1
