@@ -19,13 +19,16 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .terms import And, Cyl, Diag, Not, One, Or, Term, Var, Zero, index_set, variables
 from .units import ClassTag, Sequence, Unit, bit_positions, enumerate_units
 
 # Variable index -> subset of the carrier.
 Evaluation = dict[int, frozenset]
+
+# A term specialized to one algebra: variable masks (x0, x1, ...) -> mask.
+_MaskFn = Callable[[tuple[int, ...]], int]
 
 # check_eq_laws checks every subset of a unit with at most this many, and
 # seeded samples of larger ones.
@@ -230,6 +233,47 @@ def evaluate_masks(alg: FiniteAlgebra, t: Term, masks: Mapping[int, int]) -> int
     if step is None:
         raise TypeError(f"not a term: {t!r}")
     return step(alg, t, masks)
+
+
+def _specialize(alg: FiniteAlgebra, t: Term) -> _MaskFn:
+    """`evaluate_masks(alg, t, masks)` as a function of `masks` alone.
+
+    One bottom-up walk marks each subterm closed (variable-free) or not.
+    Each maximal closed subterm is evaluated once, through `evaluate_masks`,
+    and enters as a constant; only the spine above the variables becomes
+    closures, so a call walks no closed subterm again."""
+    top, cyl = alg.top, alg.cyl_mask
+
+    def constant(t: Term) -> _MaskFn:
+        c = evaluate_masks(alg, t, {})
+        return lambda masks: c
+
+    def walk(t: Term) -> _MaskFn | None:
+        """The closure for t, or None when t is closed."""
+        kind = type(t)
+        if kind is Var:
+            k = t.k
+            return lambda masks: masks[k]
+        if kind is Not or kind is Cyl:
+            f = walk(t.t)
+            if f is None:
+                return None
+            if kind is Not:
+                return lambda masks: top ^ f(masks)
+            i = t.i
+            return lambda masks: cyl(i, f(masks))
+        if kind is And or kind is Or:
+            f1, f2 = walk(t.t1), walk(t.t2)
+            if f1 is None and f2 is None:
+                return None
+            f1, f2 = f1 or constant(t.t1), f2 or constant(t.t2)
+            if kind is And:
+                return lambda masks: f1(masks) & f2(masks)
+            return lambda masks: f1(masks) | f2(masks)
+        # Zero, One, Diag, and anything evaluate_masks will refuse.
+        return None
+
+    return walk(t) or constant(t)
 
 
 def _value(alg: FiniteAlgebra, t: Term, iota: Mapping[int, frozenset]) -> int:
@@ -474,11 +518,12 @@ def bounded_validity(
     exhaustive = True
     for idx, v in enumerate(units):
         alg = UnitAlgebra(v)
+        left, right = _specialize(alg, lhs), _specialize(alg, rhs)
         evals, full = _iter_evaluations(v, m, bounds.max_eval_subsets, f"validity:{seed}:{idx}")
         exhaustive = exhaustive and full
         for masks in evals:
             n_evals += 1
-            diff = evaluate_masks(alg, lhs, masks) ^ evaluate_masks(alg, rhs, masks)
+            diff = left(masks) ^ right(masks)
             if diff:
                 focus = v.sequences[(diff & -diff).bit_length() - 1]
                 iota = {k: alg.subset(mask) for k, mask in enumerate(masks)}

@@ -1,12 +1,15 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cylset.semantics import (
     CheckReport,
+    FiniteAlgebra,
     MappedUnitAlgebra,
     P_PRIME,
     SearchBounds,
     UnitAlgebra,
+    _iter_evaluations,
+    _specialize,
     bounded_validity,
     check_ca_axioms,
     check_eq_laws,
@@ -17,7 +20,21 @@ from cylset.semantics import (
     sample_masks,
     satisfies,
 )
-from cylset.terms import Cyl, Term, atom_term, parse_term, twin_term
+from cylset.terms import (
+    And,
+    Cyl,
+    Diag,
+    Not,
+    ONE,
+    Or,
+    Term,
+    Var,
+    ZERO,
+    atom_term,
+    escape_term,
+    parse_term,
+    twin_term,
+)
 from cylset.units import ClassTag, enumerate_units, full_square, seq, unit
 
 SQ22 = full_square((0, 1), (0, 1))
@@ -322,6 +339,110 @@ class TestBoundedValidity:
             bounded_validity(
                 parse_term("c5 x0"), parse_term("x0"), ClassTag.CRS, SearchBounds(2, 2, 4, 16)
             )
+
+
+def reference_validity(lhs, rhs, tag, bounds, m, seed=0):
+    """`bounded_validity`'s search written out over `evaluate_masks`:
+    (counterexample triple or None, exhaustive, units, evaluations)."""
+    units = list(enumerate_units(tuple(range(bounds.window_size)), bounds.base_size, bounds.max_seqs, tag))
+    n_evals, exhaustive = 0, True
+    for idx, v in enumerate(units):
+        alg = UnitAlgebra(v)
+        evals, full = _iter_evaluations(v, m, bounds.max_eval_subsets, f"validity:{seed}:{idx}")
+        exhaustive = exhaustive and full
+        for masks in evals:
+            n_evals += 1
+            diff = evaluate_masks(alg, lhs, masks) ^ evaluate_masks(alg, rhs, masks)
+            if diff:
+                focus = v.sequences[(diff & -diff).bit_length() - 1]
+                iota = {k: alg.subset(x) for k, x in enumerate(masks)}
+                return (v, focus, iota), exhaustive, idx + 1, n_evals
+    return None, exhaustive, len(units), n_evals
+
+
+class TestSpecializedSearch:
+    """`bounded_validity` evaluates each term through `_specialize`, which
+    folds the variable-free subterms once per unit."""
+
+    @pytest.mark.parametrize("lhs,rhs,tag,bounds,m,seed,found,exhaustive", [
+        # Crs separates the guards, over every evaluation.
+        (atom_term(1, (1,)), parse_term("x0 . -c2 -d23"), ClassTag.CRS, SearchBounds(4, 2, 4, 16), 1, 0, True, True),
+        # A sampled search that finds a counterexample.
+        (parse_term("c0 c1 x0"), parse_term("c1 c0 x0"), ClassTag.CRS, SearchBounds(2, 2, 4, 4), 1, 3, True, False),
+        # A sampled search over the class-search units that finds none.
+        (atom_term(2, (1, -1)), parse_term("x0 . -x1 . -c2 -d23"), ClassTag.D, SearchBounds(4, 2, 16, 64), 2, 5, False, False),
+        # Both sides closed.
+        (parse_term("-c0 -d01"), parse_term("-c1 -d01 + 0"), ClassTag.CRS, SearchBounds(2, 2, 4, 16), 0, 0, True, True),
+    ])
+    def test_matches_reference_loop(self, lhs, rhs, tag, bounds, m, seed, found, exhaustive):
+        result = bounded_validity(lhs, rhs, tag, bounds, m=m, seed=seed)
+        expected = reference_validity(lhs, rhs, tag, bounds, m, seed)
+        ce = result.counterexample
+        got = (ce.unit, ce.focus, ce.evaluation) if ce else None
+        assert (got, result.exhaustive, result.units_checked, result.evaluations_checked) == expected
+        assert (result.found, result.exhaustive) == (found, exhaustive)
+
+    def test_class_search_folds_the_guards(self, monkeypatch):
+        """On the class-search bounds each unit evaluates its two closed
+        guards once; the evaluations themselves call no cyl_mask."""
+        calls = []
+        cyl_mask = FiniteAlgebra.cyl_mask
+
+        def counted(self, i, x):
+            calls.append(i)
+            return cyl_mask(self, i, x)
+
+        monkeypatch.setattr(FiniteAlgebra, "cyl_mask", counted)
+        lhs = atom_term(2, (1, -1))
+        rhs = And(Var(0), And(Not(Var(1)), Not(escape_term(2, 3))))
+        result = bounded_validity(lhs, rhs, ClassTag.D, SearchBounds(4, 2, 16, 4096), m=2, seed=1)
+        assert not result.found and result.evaluations_checked == 4121
+        assert len(calls) <= 16
+
+
+def closed_terms(max_index: int = 1):
+    leaves = st.one_of(
+        st.just(ZERO),
+        st.just(ONE),
+        st.builds(Diag, st.integers(0, max_index), st.integers(0, max_index)),
+    )
+    return st.recursive(leaves, lambda children: st.one_of(
+        st.builds(Not, children),
+        st.builds(And, children, children),
+        st.builds(Or, children, children),
+        st.builds(Cyl, st.integers(0, max_index), children),
+    ), max_leaves=8)
+
+
+def open_terms(m: int = 2, max_index: int = 1):
+    leaves = st.one_of(st.builds(Var, st.integers(0, m - 1)), closed_terms(max_index))
+    return st.recursive(leaves, lambda children: st.one_of(
+        st.builds(Not, children),
+        st.builds(And, children, children),
+        st.builds(Or, children, children),
+        st.builds(Cyl, st.integers(0, max_index), children),
+    ), max_leaves=12)
+
+
+# A grid unit, a unit that is not a grid, and the mapped algebra, all over {0, 1}.
+SPECIALIZE_ALGEBRAS = {
+    "grid": UnitAlgebra(full_square((0, 1), (0, 1, 2))),
+    "non-grid": UnitAlgebra(CA4_UNIT),
+    "mapped": MappedUnitAlgebra(2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECIALIZE_ALGEBRAS))
+@given(t=st.one_of(closed_terms(), open_terms()), raw=st.tuples(st.integers(0, 2**9), st.integers(0, 2**9)))
+@example(t=ZERO, raw=(1, 2))
+@example(t=ONE, raw=(0, 0))
+@example(t=Diag(1, 1), raw=(3, 0))
+@example(t=parse_term("-c0 -d01 . c1 d01"), raw=(5, 1))
+@example(t=parse_term("x1 . -c0 -d01 + c0 (d01 . -x0)"), raw=(6, 9))
+def test_specialize_agrees_with_evaluate_masks(name, t, raw):
+    alg = SPECIALIZE_ALGEBRAS[name]
+    masks = tuple(x & alg.top for x in raw)
+    assert _specialize(alg, t)(masks) == evaluate_masks(alg, t, masks)
 
 
 class TestEvaluationJson:
