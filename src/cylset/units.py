@@ -134,7 +134,10 @@ class ClassTag(enum.Enum):
 
 @dataclass(frozen=True)
 class Unit:
-    """A finite set of sequences over one shared window."""
+    """A finite set of sequences over one shared window.
+
+    As for `Sequence`, the hash is computed once, after the members are in
+    order; equality compares (window, sequences) as usual."""
 
     window: tuple[int, ...]
     sequences: tuple[Sequence, ...]
@@ -147,6 +150,10 @@ class Unit:
         values = [f.values for f in self.sequences]
         if any(values[k] >= values[k + 1] for k in range(len(values) - 1)):
             object.__setattr__(self, "sequences", tuple(sorted(set(self.sequences))))
+        object.__setattr__(self, "_hash", hash((self.window, self.sequences)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __iter__(self) -> Iterator[Sequence]:
         return iter(self.sequences)

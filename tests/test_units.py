@@ -8,6 +8,7 @@ from cylset.semantics import evaluate
 from cylset.terms import parse_term
 from cylset.units import (
     ClassTag,
+    Sequence,
     Unit,
     add_sequence,
     base,
@@ -372,3 +373,20 @@ def test_equal_sequences_hash_equal_however_built(data):
     for f in built:
         assert f == built[0] and hash(f) == hash(built[0])
     assert len(set(built)) == 1
+
+
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=9))
+def test_unit_hash_is_stored_and_matches_the_field_hash(pairs):
+    """Equal units hash equal however their members were given, with the
+    value the generated dataclass hash gave, and hashing reads no member."""
+    v = unit((0, 1), pairs)
+    same = Unit((0, 1), tuple(reversed(v.sequences)))
+    assert v == same and hash(v) == hash(same) == hash((v.window, v.sequences))
+    calls = []
+    original = Sequence.__hash__
+    Sequence.__hash__ = lambda f: calls.append(f) or original(f)
+    try:
+        hash(v)
+    finally:
+        Sequence.__hash__ = original
+    assert calls == []
