@@ -406,11 +406,20 @@ def check_split_invariance(cert: SplitCertificate) -> CheckReport:
     region and adding the new point must both leave satisfaction of every
     subterm unchanged on sequences agreeing with the branching sequence off
     the fresh coordinates.  For the relabelled split: the starred copy must
-    satisfy exactly the same subterms.
+    satisfy exactly the same subterms.  Each distinct subterm is evaluated
+    once per (unit, evaluation) pair; each sequence then reads its bit.
     """
     report = CheckReport()
     gamma = index_set(cert.original)
     sigmas = list(dict.fromkeys(subterms(cert.original)))
+
+    def satisfaction(v: Unit, iota: Evaluation) -> Callable[[Sequence, Term], bool]:
+        """`satisfies(v, h, iota, sigma)` for h in v and sigma in sigmas."""
+        alg = UnitAlgebra(v)
+        masks = {k: alg.mask(val) for k, val in iota.items()}
+        values = {sigma: evaluate_masks(alg, sigma, masks) for sigma in sigmas}
+        return lambda h, sigma: bool(values[sigma] & alg.mask((h,)))
+
     if cert.branch == "fresh-base":
         v1, iota1, f1 = cert.positive.unit, cert.positive.evaluation, cert.positive.focus
         v_star, iota_star, f_star = (
@@ -420,13 +429,14 @@ def check_split_invariance(cert: SplitCertificate) -> CheckReport:
         )
         i, j = cert.fresh
         a, b = f_star[i], f_star[j]
+        sat1, sat_star = satisfaction(v1, iota1), satisfaction(v_star, iota_star)
         for h in v1:
             if not eqv_gamma(h, f1, gamma):
                 continue
             h_star = h.update(i, a).update(j, b)
             for sigma in sigmas:
                 report.count()
-                if satisfies(v1, h, iota1, sigma) != satisfies(v_star, h_star, iota_star, sigma):
+                if sat1(h, sigma) != sat_star(h_star, sigma):
                     report.fail(
                         "relabel-invariance", term=render_term(sigma), h=str(h)
                     )
@@ -438,17 +448,16 @@ def check_split_invariance(cert: SplitCertificate) -> CheckReport:
                 "evaluation and branching sequence), which certificate JSON does not carry"
             )
         v2 = cert.negative.unit
-        eval1, eval2 = cert.negative.evaluation, cert.positive.evaluation
+        sat1 = satisfaction(v1, iota)
+        restricted = satisfaction(v2, cert.negative.evaluation)
+        adjoined = satisfaction(v2, cert.positive.evaluation)
         for h in v1:
             if not eqv_gamma(h, g, gamma):
                 continue
             for sigma in sigmas:
                 report.count()
-                ref = satisfies(v1, h, iota, sigma)
-                if (
-                    satisfies(v2, h, eval1, sigma) != ref
-                    or satisfies(v2, h, eval2, sigma) != ref
-                ):
+                ref = sat1(h, sigma)
+                if restricted(h, sigma) != ref or adjoined(h, sigma) != ref:
                     report.fail(
                         "restrict-adjoin-invariance", term=render_term(sigma), h=str(h)
                     )

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -35,10 +36,20 @@ from cylset.terms import (
     atom_term,
     guarded_term,
     guarded_twin_term,
+    index_set,
     parse_term,
     render_term,
+    subterms,
 )
-from cylset.units import ClassTag, diagonalization_closure, full_square, seq, unit, unit_to_dict
+from cylset.units import (
+    ClassTag,
+    diagonalization_closure,
+    eqv_gamma,
+    full_square,
+    seq,
+    unit,
+    unit_to_dict,
+)
 
 BOUNDS = SearchBounds(window_size=4, base_size=2, max_seqs=4, max_eval_subsets=16)
 SQ22 = full_square((0, 1), (0, 1))
@@ -261,6 +272,60 @@ class TestCorpora:
         for cert in certs:
             report = check_split_invariance(cert)
             assert report.ok and report.checked > 0
+
+
+def reference_replay(cert):
+    """`check_split_invariance` written out with one `satisfies` call per
+    (sequence, subterm): (checked, failures as (law, witness) pairs)."""
+    gamma = index_set(cert.original)
+    sigmas = list(dict.fromkeys(subterms(cert.original)))
+    out = []
+    if cert.branch == "fresh-base":
+        pos, neg = cert.positive, cert.negative
+        i, j = cert.fresh
+        for h in pos.unit:
+            if eqv_gamma(h, pos.focus, gamma):
+                h_star = h.update(i, neg.focus[i]).update(j, neg.focus[j])
+                out += [
+                    (sigma, h, satisfies(pos.unit, h, pos.evaluation, sigma)
+                     == satisfies(neg.unit, h_star, neg.evaluation, sigma))
+                    for sigma in sigmas
+                ]
+        law = "relabel-invariance"
+    else:
+        v2 = cert.negative.unit
+        for h in cert.source_unit:
+            if eqv_gamma(h, cert.via, gamma):
+                for sigma in sigmas:
+                    ref = satisfies(cert.source_unit, h, cert.source_eval, sigma)
+                    out.append((sigma, h, satisfies(v2, h, cert.negative.evaluation, sigma) == ref
+                                and satisfies(v2, h, cert.positive.evaluation, sigma) == ref))
+        law = "restrict-adjoin-invariance"
+    return len(out), [(law, {"term": render_term(s), "h": str(h)}) for s, h, ok in out if not ok]
+
+
+@pytest.mark.parametrize("corpus,splitter", [
+    (diag_split_corpus, split_atom_diag),
+    (crs_split_corpus, split_any_crs),
+], ids=["diag", "crs"])
+def test_replay_matches_per_sequence_reference(corpus, splitter):
+    """Replay evaluates each subterm once per (unit, evaluation) pair; its
+    counts and failures are those of one `satisfies` call per pair of
+    sequence and subterm, on the corpus and on copies whose negative half
+    lost its evaluation."""
+    certs, _ = run_split_corpus(corpus()[::3], splitter)
+    tampered = [
+        replace(c, negative=replace(c.negative, evaluation={k: frozenset() for k in c.negative.evaluation}))
+        for c in certs
+    ]
+    failing = 0
+    for cert in certs + tampered:
+        report = check_split_invariance(cert)
+        checked, failures = reference_replay(cert)
+        assert report.checked == checked
+        assert [(f.law, f.witness) for f in report.failures] == failures
+        failing += bool(failures)
+    assert failing > 0
 
 
 class TestMappedWitness:
