@@ -320,8 +320,14 @@ def escape_term(i: int, j: int) -> Term:
 def atom_term(m: int, q: Seq[int]) -> Term:
     """Signed generator product x0^q . ... . x{m-1}^q . -c0 -d01.
 
-    These 2^m terms are the minimal nonzero elements of the diagonal-bound
-    region in the m-generated free algebras of diagonal-closed unit classes.
+    For infinite alpha, the paper shows that these 2^m terms give all the
+    atoms of the m-generated free D_alpha and G_alpha algebras.  What cylset
+    shows is narrower: `separation_suite` checks that they are nonzero and
+    pairwise separated, and `zero_dim_check` searches bounded D units for a
+    point where the guard -c0 -d01 and a guard -c_i -d_ij over two other
+    indices disagree below them.  Minimality is not checked, and over a
+    two-index window it fails: there -c0 -d01 does not force -c1 -d01, so
+    c1 -d01 splits x0 . -c0 -d01 between D units over window {0, 1}.
     """
     if m < 1:
         raise ValueError("atom terms need at least one generator (m >= 1)")
@@ -356,11 +362,6 @@ def xor_term(a: Term, b: Term) -> Term:
 def cyl01(t: Term) -> Term:
     """Cylindrify over both of the first two coordinates: c0 c1 t."""
     return Cyl(0, Cyl(1, t))
-
-
-def subst(i: int, j: int, t: Term) -> Term:
-    """Substitution operator c_i(t . d_ij)."""
-    return Cyl(i, And(t, Diag(i, j)))
 
 
 def twin_term() -> Term:

@@ -21,7 +21,6 @@ from cylset.terms import (
     parse_term,
     render_term,
     splitter_term,
-    subst,
     subterms,
     twin_guard_term,
     twin_term,
@@ -184,9 +183,8 @@ class TestDerivedTerms:
         a, b = Var(0), Var(1)
         assert xor_term(a, b) == Or(And(a, Not(b)), And(Not(a), b))
 
-    def test_cyl01_and_subst(self):
+    def test_cyl01(self):
         assert cyl01(Var(0)) == Cyl(0, Cyl(1, Var(0)))
-        assert subst(2, 3, Var(0)) == Cyl(2, And(Var(0), Diag(2, 3)))
 
     def test_twin_shape(self):
         assert twin_term() == And(Cyl(0, Var(0)), And(Cyl(1, Var(0)), Not(Var(0))))
