@@ -35,7 +35,7 @@ from cylset.terms import (
     parse_term,
     twin_term,
 )
-from cylset.units import ClassTag, enumerate_units, full_square, seq, unit
+from cylset.units import ClassTag, classify, enumerate_units, full_square, seq, unit
 
 SQ22 = full_square((0, 1), (0, 1))
 SQ = UnitAlgebra(SQ22)
@@ -487,3 +487,16 @@ class TestCheckReport:
 def test_evaluate_masks_rejects_what_is_not_a_term_node(node):
     with pytest.raises(TypeError, match="not a term"):
         evaluate_masks(SQ, node, {0: 1})
+
+
+def test_atom_term_splits_over_a_two_index_window():
+    """Over window {0, 1}, -c0 -d01 does not force -c1 -d01: c1 -d01 splits
+    x0 . -c0 -d01 between two D units, so the atom terms are not minimal there."""
+    inside = parse_term("x0 . -c0 -d01 . c1 -d01")
+    outside = parse_term("x0 . -c0 -d01 . -c1 -d01")
+    halves = []
+    for v in (unit((0, 1), [(0, 0), (0, 1), (1, 1)]), unit((0, 1), [(0, 0)])):
+        assert ClassTag.D in classify(v)
+        iota = {0: frozenset({F00})}
+        halves.append((evaluate(inside, v, iota), evaluate(outside, v, iota)))
+    assert halves == [({F00}, set()), (set(), {F00})]
