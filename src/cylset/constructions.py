@@ -240,7 +240,8 @@ def zero_dim_check(
         checked=result.evaluations_checked,
         exhaustive=result.exhaustive,
         notes=f"{tag.value}-tagged units, window {bounds.window_size}, "
-        f"base {bounds.base_size}, <= {bounds.max_seqs} sequences; "
+        f"base {bounds.base_size}, <= {bounds.max_seqs} sequences: "
+        f"{result.units_checked} searched, {result.nonconstant_units} with a non-constant sequence; "
         "exhaustion within bounds is not a validity proof",
     )
     if result.found:
@@ -747,13 +748,18 @@ def suite_atom_census() -> CheckReport:
 
 
 def suite_zero_dim(seed: int = 0) -> CheckReport:
-    bounds = SearchBounds(window_size=4, base_size=2, max_seqs=4, max_eval_subsets=16)
+    # Base 2 is degenerate for D: the closure of a non-constant sequence is
+    # the whole square.  Base 3 with all 81 sequences of the window-4 square
+    # reaches the D units that hold non-constant sequences.
+    bounds = SearchBounds(window_size=4, base_size=3, max_seqs=81, max_eval_subsets=4096)
     report = CheckReport()
     for m in (1, 2):
         for q in all_choice_functions(m):
             report.merge(zero_dim_check(m, q, 2, 3, bounds, ClassTag.D, seed))
-    # The same search over arbitrary units must separate the two guards.
-    crs = zero_dim_check(1, (1,), 2, 3, bounds, ClassTag.CRS, seed)
+    # The same search over arbitrary units must separate the two guards.  At
+    # base 3 Crs units exceed MAX_UNITS, so this one stays at base 2.
+    crs_bounds = SearchBounds(window_size=4, base_size=2, max_seqs=4, max_eval_subsets=16)
+    crs = zero_dim_check(1, (1,), 2, 3, crs_bounds, ClassTag.CRS, seed)
     report.count(crs.checked)
     if crs.ok:
         report.fail("expected-crs-counterexample-missing")

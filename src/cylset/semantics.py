@@ -471,6 +471,8 @@ class ValidityResult:
     exhaustive: bool
     units_checked: int
     evaluations_checked: int
+    # How many of the units checked hold a sequence that is not constant.
+    nonconstant_units: int = 0
 
     @property
     def found(self) -> bool:
@@ -527,5 +529,10 @@ def bounded_validity(
             if diff:
                 focus = v.sequences[(diff & -diff).bit_length() - 1]
                 iota = {k: alg.subset(mask) for k, mask in enumerate(masks)}
-                return ValidityResult(Counterexample(v, focus, iota), exhaustive, idx + 1, n_evals)
-    return ValidityResult(None, exhaustive, len(units), n_evals)
+                ce = Counterexample(v, focus, iota)
+                return ValidityResult(ce, exhaustive, idx + 1, n_evals, _nonconstant(units[:idx + 1]))
+    return ValidityResult(None, exhaustive, len(units), n_evals, _nonconstant(units))
+
+
+def _nonconstant(units: list[Unit]) -> int:
+    return sum(any(len(f.range_values()) > 1 for f in v) for v in units)

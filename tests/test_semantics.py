@@ -328,6 +328,16 @@ class TestBoundedValidity:
         ca4_other = evaluate(parse_term("c1 c0 x0"), CA4_UNIT, {0: frozenset({F00})})
         assert ca4 != ca4_other
 
+    def test_counts_units_holding_a_nonconstant_sequence(self):
+        lhs, rhs = parse_term("x0 . -c0 -d01"), parse_term("x0 . -c2 -d23")
+        # Over base 2 a D unit is constant points plus, at most, the full square.
+        assert bounded_validity(lhs, rhs, ClassTag.D, self.BOUNDS).nonconstant_units == 0
+        square = bounded_validity(lhs, rhs, ClassTag.D, SearchBounds(4, 2, 16, 16))
+        assert (square.units_checked, square.nonconstant_units) == (5, 1)
+        # A counterexample stops the count at the unit that holds it.
+        crs = bounded_validity(lhs, rhs, ClassTag.CRS, self.BOUNDS)
+        assert (crs.units_checked, crs.nonconstant_units) == (3, 1)
+
     def test_identical_sides_exhaust_immediately(self):
         t = parse_term("c0 x0")
         result = bounded_validity(t, t, ClassTag.CRS, self.BOUNDS)
