@@ -472,7 +472,7 @@ class ValidityResult:
     units_checked: int
     evaluations_checked: int
     # How many of the units checked hold a sequence that is not constant.
-    nonconstant_units: int = 0
+    nonconstant_units: int
 
     @property
     def found(self) -> bool:
@@ -503,7 +503,7 @@ def bounded_validity(
     proof; the report flags whether evaluation spaces were fully enumerated.
     """
     if lhs == rhs:
-        return ValidityResult(None, True, 0, 0)
+        return ValidityResult(None, True, 0, 0, 0)
     window = tuple(range(bounds.window_size))
     outside = (index_set(lhs) | index_set(rhs)) - set(window)
     if outside:
