@@ -31,7 +31,6 @@ from cylset.terms import (
     Var,
     ZERO,
     atom_term,
-    escape_term,
     parse_term,
     twin_term,
 )
@@ -403,35 +402,26 @@ class TestSpecializedSearch:
             return cyl_mask(self, i, x)
 
         monkeypatch.setattr(FiniteAlgebra, "cyl_mask", counted)
-        lhs = atom_term(2, (1, -1))
-        rhs = And(Var(0), And(Not(Var(1)), Not(escape_term(2, 3))))
+        lhs, rhs = atom_term(2, (1, -1)), parse_term("x0 . -x1 . -c2 -d23")
         result = bounded_validity(lhs, rhs, ClassTag.D, SearchBounds(4, 2, 16, 4096), m=2, seed=1)
         assert not result.found and result.evaluations_checked == 4121
         assert len(calls) <= 16
 
 
-def closed_terms(max_index: int = 1):
-    leaves = st.one_of(
-        st.just(ZERO),
-        st.just(ONE),
-        st.builds(Diag, st.integers(0, max_index), st.integers(0, max_index)),
-    )
+def term_trees(leaves, max_leaves: int):
+    """Terms over window {0, 1} built from the given leaves."""
     return st.recursive(leaves, lambda children: st.one_of(
         st.builds(Not, children),
         st.builds(And, children, children),
         st.builds(Or, children, children),
-        st.builds(Cyl, st.integers(0, max_index), children),
-    ), max_leaves=8)
+        st.builds(Cyl, st.integers(0, 1), children),
+    ), max_leaves=max_leaves)
 
 
-def open_terms(m: int = 2, max_index: int = 1):
-    leaves = st.one_of(st.builds(Var, st.integers(0, m - 1)), closed_terms(max_index))
-    return st.recursive(leaves, lambda children: st.one_of(
-        st.builds(Not, children),
-        st.builds(And, children, children),
-        st.builds(Or, children, children),
-        st.builds(Cyl, st.integers(0, max_index), children),
-    ), max_leaves=12)
+CLOSED_TERMS = term_trees(
+    st.one_of(st.just(ZERO), st.just(ONE), st.builds(Diag, st.integers(0, 1), st.integers(0, 1))), 8
+)
+OPEN_TERMS = term_trees(st.one_of(st.builds(Var, st.integers(0, 1)), CLOSED_TERMS), 12)
 
 
 # A grid unit, a unit that is not a grid, and the mapped algebra, all over {0, 1}.
@@ -443,7 +433,7 @@ SPECIALIZE_ALGEBRAS = {
 
 
 @pytest.mark.parametrize("name", sorted(SPECIALIZE_ALGEBRAS))
-@given(t=st.one_of(closed_terms(), open_terms()), raw=st.tuples(st.integers(0, 2**9), st.integers(0, 2**9)))
+@given(t=st.one_of(CLOSED_TERMS, OPEN_TERMS), raw=st.tuples(st.integers(0, 2**9), st.integers(0, 2**9)))
 @example(t=ZERO, raw=(1, 2))
 @example(t=ONE, raw=(0, 0))
 @example(t=Diag(1, 1), raw=(3, 0))
