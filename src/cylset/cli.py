@@ -106,17 +106,12 @@ def _cmd_eval(args) -> int:
 def _cmd_classify(args) -> int:
     v = _load_unit(args.unit)
     tags = units.classify(v)
-    names = [t.value for t in (units.ClassTag.CRS, units.ClassTag.D, units.ClassTag.G, units.ClassTag.GS) if t in tags]
+    names = [t.value for t in units.ClassTag if t in tags]
     print(json.dumps(names) if args.json else ", ".join(names))
     return 0
 
 
-_CLASS_TAGS = {
-    "crs": units.ClassTag.CRS,
-    "d": units.ClassTag.D,
-    "g": units.ClassTag.G,
-    "gs": units.ClassTag.GS,
-}
+_CLASS_TAGS = {t.value.lower(): t for t in units.ClassTag}
 
 
 def _check_class(args, check) -> CheckReport:
@@ -133,21 +128,16 @@ def _check_class(args, check) -> CheckReport:
     return report
 
 
-def _check_one_algebra(alg, samples: int, seed: int) -> CheckReport:
-    exhaustive = len(alg.labels) <= 10
-    masks = range(alg.top + 1) if exhaustive else semantics.sample_masks(alg, samples, seed)
-    report = semantics.check_ca_axioms(alg, masks)
-    report.exhaustive = exhaustive
-    return report
-
-
 def _cmd_check_axioms(args) -> int:
+    def check(alg) -> CheckReport:
+        return semantics.check_ca_axioms(alg, samples=args.samples, seed=args.seed)
+
     if args.mapped is not None:
-        report = _check_one_algebra(semantics.MappedUnitAlgebra(args.mapped), args.samples, args.seed)
+        report = check(semantics.MappedUnitAlgebra(args.mapped))
     elif args.unit:
-        report = _check_one_algebra(semantics.UnitAlgebra(_load_unit(args.unit)), args.samples, args.seed)
+        report = check(semantics.UnitAlgebra(_load_unit(args.unit)))
     elif args.cls:
-        report = _check_class(args, lambda v: _check_one_algebra(semantics.UnitAlgebra(v), args.samples, args.seed))
+        report = _check_class(args, lambda v: check(semantics.UnitAlgebra(v)))
     else:
         raise SystemExit("cylset: check-axioms needs --unit FILE, --mapped N, or --class TAG")
     return _print_report(report, args.json)
@@ -174,7 +164,6 @@ def _cmd_split(args) -> int:
     if args.focus is not None and not 0 <= args.focus < len(v):
         print(f"cylset: --focus {args.focus} is outside the unit's positions 0..{len(v) - 1}", file=sys.stderr)
         return 2
-    build = constructions.split_atom_diag if args.mode == "diag" else constructions.split_any_crs
     probe = (
         terms.And(tau, terms.escape_term(0, 1)) if args.mode == "diag" else tau
     )
@@ -187,10 +176,10 @@ def _cmd_split(args) -> int:
                 print("cylset: no sequence satisfies the split target in this unit", file=sys.stderr)
                 return 1
             focus = min(sat)
-        if args.mode == "diag" and args.pivot is not None:
+        if args.mode == "diag":
             cert = constructions.split_atom_diag(v, focus, iota, tau, pivot=args.pivot)
         else:
-            cert = build(v, focus, iota, tau)
+            cert = constructions.split_any_crs(v, focus, iota, tau)
     except (ValueError, RuntimeError) as err:
         print(f"cylset: {err}", file=sys.stderr)
         return 1
@@ -290,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-seqs", type=int, default=16, help="unit size cap for --class enumeration")
         floors(p, ("window", "--window", 1), ("max_base", "--max-base", 1), ("max_seqs", "--max-seqs", 0))
 
-    p = sub.add_parser("check-axioms", help="check the cylindric postulates on sampled subsets")
+    p = sub.add_parser("check-axioms", help="check the cylindric postulates on subsets of the carrier")
     common(p, sampled=True)
     p.add_argument("--unit", help="unit JSON file")
     p.add_argument("--mapped", type=int, default=None, metavar="N", help="use the mapped algebra of window size N")

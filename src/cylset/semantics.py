@@ -8,8 +8,12 @@ over a fixed carrier order, and `evaluate_masks`, `cyl_mask`, `diag_mask`
 and the checkers take and return masks.  Frozensets of sequences appear
 only where units and evaluations enter or leave: `evaluate`, `satisfies`,
 the evaluation JSON codec, and `FiniteAlgebra.mask`/`subset`.  The
-postulate and equation checkers share one law table and run it over sampled
-instances, so they act as refuters, never as provers.
+postulate and equation checkers share one law table.  One rule, `_cover`,
+picks the instances of every check: the laws' subsets and pairs of subsets,
+and the evaluations of `bounded_validity`.  A check visits all instances
+when there are at most a cap of them, else seeded samples, and reports
+`exhaustive` only in the first case.  Every check is a refuter over finite
+models, never a prover.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ Evaluation = dict[int, frozenset]
 # A term specialized to one algebra: variable masks (x0, x1, ...) -> mask.
 _MaskFn = Callable[[tuple[int, ...]], int]
 
-# check_eq_laws checks every subset of a unit with at most this many, and
-# seeded samples of larger ones.
-MAX_EXHAUSTIVE_SUBSETS = 64
+# The law checkers visit every instance when there are at most this many,
+# and seeded samples otherwise; SearchBounds caps evaluations here by default.
+COVER_CAP = 4096
 
 
 class FiniteAlgebra:
@@ -297,10 +301,14 @@ def satisfies(v: Unit, f: Sequence, iota: Mapping[int, frozenset], t: Term) -> b
 
 # --- evaluation helpers --------------------------------------------------
 
-def sample_masks(alg: FiniteAlgebra, count: int, seed: int = 0) -> list[int]:
-    """Deterministic pseudo-random subsets of the carrier, as masks."""
-    rng = random.Random(f"subsets:{seed}")
-    return [rng.getrandbits(len(alg.labels)) for _ in range(count)]
+def _cover(n: int, arity: int, cap: int, samples: int, tag: str) -> tuple[Iterator[tuple[int, ...]], bool]:
+    """The `arity`-tuples of range(n) a check visits, and whether they are
+    all of them: every tuple when there are at most `cap`, else `samples`
+    tuples drawn from `random.Random(tag)`, one `randrange(n)` per slot."""
+    if n ** arity <= cap:
+        return product(range(n), repeat=arity), True
+    rng = random.Random(tag)
+    return (tuple(rng.randrange(n) for _ in range(arity)) for _ in range(samples)), False
 
 
 def evaluation_from_dict(v: Unit, data: Mapping[str, list[int]]) -> Evaluation:
@@ -331,9 +339,6 @@ def evaluation_to_dict(v: Unit, iota: Mapping[int, frozenset]) -> dict[str, list
 class CheckFailure:
     law: str
     witness: dict
-
-    def to_dict(self) -> dict:
-        return {"law": self.law, "witness": self.witness}
 
 
 @dataclass
@@ -398,34 +403,36 @@ _CA_LAWS = [(ca, shape, law) for ca, _, shape, law in _LAWS if ca]
 _EQ_LAWS = sorted(((eq, shape, law) for _, eq, shape, law in _LAWS if eq), key=lambda row: row[0])
 
 
-def _element_pairs(elems: list) -> list[tuple]:
-    if len(elems) <= 32:
-        return [(x, y) for x in elems for y in elems]
-    rotated = elems[1:] + elems[:1]
-    return list(zip(elems, rotated))
-
-
-def _instances(shape: str, elems: list[int], idx: tuple[int, ...]) -> Iterator[dict]:
+def _instances(shape: str, singles: list[int], pairs: list[tuple[int, int]], idx: tuple[int, ...]) -> Iterator[dict]:
     """Bindings of a shape's variables, indices before elements."""
     if shape == "i":
         return ({"i": i} for i in idx)
     if shape == "ijk":
         return ({"i": i, "j": j, "k": k} for i in idx for j in idx for k in idx if k != i and k != j)
     if shape == "xi":
-        return ({"i": i, "x": x} for x in elems for i in idx)
+        return ({"i": i, "x": x} for x in singles for i in idx)
     if shape == "x,i<j":
-        return ({"i": i, "j": j, "x": x} for x in elems for i in idx for j in idx if i < j)
+        return ({"i": i, "j": j, "x": x} for x in singles for i in idx for j in idx if i < j)
     if shape == "x,i!=j":
-        return ({"i": i, "j": j, "x": x} for x in elems for i in idx for j in idx if i != j)
-    pairs = _element_pairs(elems)
+        return ({"i": i, "j": j, "x": x} for x in singles for i in idx for j in idx if i != j)
     if shape == "xy":
         return ({"x": x, "y": y} for x, y in pairs)
     return ({"i": i, "x": x, "y": y} for x, y in pairs for i in idx)  # "xyi"
 
 
-def _check_laws(alg: FiniteAlgebra, laws: list, elems: list[int], report: CheckReport) -> CheckReport:
+def _check_laws(alg: FiniteAlgebra, laws: list, samples: int, seed: int, what: str) -> CheckReport:
+    """Check `laws` over the window and the subsets and pairs of subsets
+    that `_cover` picks; `what` names the laws in the report's note."""
+    singles, every_single = _cover(alg.top + 1, 1, COVER_CAP, samples, f"subsets:{seed}")
+    pairs, every_pair = _cover(alg.top + 1, 2, COVER_CAP, samples, f"pairs:{seed}")
+    singles, pairs = [x for x, in singles], list(pairs)
+    report = CheckReport(exhaustive=every_single and every_pair)
+    if not every_single:
+        report.notes = f"{what} spot-checked on {samples} seeded subsets"
+    elif not every_pair:
+        report.notes = f"{what} checked on every subset and {samples} seeded pairs"
     for name, shape, law in laws:
-        for binding in _instances(shape, elems, alg.indices):
+        for binding in _instances(shape, singles, pairs, alg.indices):
             report.count()
             if not law(alg, **binding):
                 report.fail(name, **{
@@ -435,17 +442,14 @@ def _check_laws(alg: FiniteAlgebra, laws: list, elems: list[int], report: CheckR
     return report
 
 
-def check_ca_axioms(alg: FiniteAlgebra, masks: Iterable[int]) -> CheckReport:
-    """Check the cylindric postulates over the given element masks and the window."""
-    return _check_laws(alg, _CA_LAWS, list(masks), CheckReport())
+def check_ca_axioms(alg: FiniteAlgebra, samples: int = 64, seed: int = 0) -> CheckReport:
+    """Check the cylindric postulates over the window and subsets of the carrier."""
+    return _check_laws(alg, _CA_LAWS, samples, seed, "postulates")
 
 
 def check_eq_laws(v: Unit, samples: int = 64, seed: int = 0) -> CheckReport:
-    """Check the seven unit-algebra equations over subsets of the unit."""
-    alg = UnitAlgebra(v)
-    exhaustive = (1 << len(v)) <= MAX_EXHAUSTIVE_SUBSETS
-    elems = list(range(1 << len(v))) if exhaustive else sample_masks(alg, samples, seed)
-    return _check_laws(alg, _EQ_LAWS, elems, CheckReport(exhaustive=exhaustive))
+    """Check the seven unit-algebra equations over the window and subsets of the unit."""
+    return _check_laws(UnitAlgebra(v), _EQ_LAWS, samples, seed, "equations")
 
 
 # --- bounded validity search ---------------------------------------------
@@ -455,7 +459,7 @@ class SearchBounds:
     window_size: int
     base_size: int
     max_seqs: int
-    max_eval_subsets: int = 4096
+    max_eval_subsets: int = COVER_CAP
 
 
 @dataclass
@@ -479,15 +483,6 @@ class ValidityResult:
         return self.counterexample is not None
 
 
-def _iter_evaluations(v: Unit, m: int, max_eval_subsets: int, seed_tag: str) -> tuple[Iterator[tuple[int, ...]], bool]:
-    """Mask tuples (one mask per variable): all of them, or seeded samples."""
-    total = 1 << len(v)
-    if total <= max_eval_subsets:
-        return product(range(total), repeat=m), True
-    rng = random.Random(seed_tag)
-    return (tuple(rng.randrange(total) for _ in range(m)) for _ in range(max_eval_subsets)), False
-
-
 def bounded_validity(
     lhs: Term,
     rhs: Term,
@@ -499,8 +494,10 @@ def bounded_validity(
     """Search tagged units within bounds for a point separating lhs from rhs.
 
     Returns the least counterexample in enumeration order, or reports the
-    search space exhausted.  Exhaustion within bounds is not a validity
-    proof; the report flags whether evaluation spaces were fully enumerated.
+    search space exhausted.  Each unit checks every m-tuple of its subsets
+    when there are at most `max_eval_subsets` of them, else that many seeded
+    tuples; `exhaustive` says whether every unit had all of its tuples
+    checked.  Exhaustion within bounds is not a validity proof.
     """
     if lhs == rhs:
         return ValidityResult(None, True, 0, 0, 0)
@@ -521,7 +518,8 @@ def bounded_validity(
     for idx, v in enumerate(units):
         alg = UnitAlgebra(v)
         left, right = _specialize(alg, lhs), _specialize(alg, rhs)
-        evals, full = _iter_evaluations(v, m, bounds.max_eval_subsets, f"validity:{seed}:{idx}")
+        cap = bounds.max_eval_subsets
+        evals, full = _cover(1 << len(v), m, cap, cap, f"validity:{seed}:{idx}")
         exhaustive = exhaustive and full
         for masks in evals:
             n_evals += 1

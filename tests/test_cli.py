@@ -118,6 +118,22 @@ class TestCheckCommands:
         # Arbitrary units include commutation breakers, so this must fail.
         assert main(["check-axioms", "--class", "crs", "--window", "2", "--max-base", "2", "--max-seqs", "4"]) == 1
 
+    def test_axioms_sample_pairs_on_ten_sequences(self, tmp_path, capsys):
+        # 2^10 subsets are all checked, but 2^20 pairs exceed the cap.
+        path = tmp_path / "ten.json"
+        save_unit(unit((0, 1, 2, 3), [tuple(c >> k & 1 for k in range(4)) for c in range(10)]), str(path))
+        # The unit is not closed under the commutation postulate CA4.
+        assert main(["check-axioms", "--unit", str(path), "--samples", "20", "--json"]) == 1
+        summary = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert summary["exhaustive"] is False
+        assert summary["notes"] == "postulates checked on every subset and 20 seeded pairs"
+
+    def test_eqs_check_every_pair_on_six_sequences(self, tmp_path, capsys):
+        path = tmp_path / "six.json"
+        save_unit(unit((0, 1, 2), [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)]), str(path))
+        assert main(["check-eqs", "--unit", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"checked": 25350, "exhaustive": True, "failures": 0}
+
 
 class TestSplitCommand:
     def test_diag_split_json_reverifies(self, sq22_file, capsys):

@@ -333,6 +333,13 @@ class TestMappedWitness:
         alg, report = mapped_witness(2, ca_samples=100)
         assert report.ok
         assert len(alg.labels) == 5
+        # 2^5 subsets and their 2^10 pairs are all under the cap.
+        assert report.exhaustive and report.notes == "carrier size 5"
+
+    def test_full_window_note(self):
+        _, report = mapped_witness(4, ca_samples=30, seed=1)
+        assert not report.exhaustive
+        assert report.notes == "carrier size 257; postulates spot-checked on 30 seeded subsets"
 
     def test_full_window(self):
         alg, report = mapped_witness(4, ca_samples=100)

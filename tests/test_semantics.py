@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -8,7 +10,7 @@ from cylset.semantics import (
     P_PRIME,
     SearchBounds,
     UnitAlgebra,
-    _iter_evaluations,
+    _cover,
     _specialize,
     bounded_validity,
     check_ca_axioms,
@@ -17,7 +19,6 @@ from cylset.semantics import (
     evaluate_masks,
     evaluation_from_dict,
     evaluation_to_dict,
-    sample_masks,
     satisfies,
 )
 from cylset.terms import (
@@ -218,7 +219,8 @@ class TestMappedAlgebra:
         square = UnitAlgebra(full_square(tuple(range(n)), range(n)))
         to_seq = {q: seq(tuple(range(n)), q) for q in alg.labels if q is not P_PRIME}
         p_prime = alg.mask({P_PRIME})
-        for x in sample_masks(alg, 40, seed=7):
+        rng = random.Random(7)
+        for x in (rng.getrandbits(len(alg.labels)) for _ in range(40)):
             grid_x = x & ~p_prime
             square_x = square.mask(to_seq[q] for q in alg.subset(grid_x))
             for i in range(n):
@@ -231,13 +233,13 @@ class TestMappedAlgebra:
 class TestAxiomChecker:
     def test_full_square_satisfies_all(self):
         alg = UnitAlgebra(SQ22)
-        report = check_ca_axioms(alg, range(alg.top + 1))
+        report = check_ca_axioms(alg)
         assert report.ok
         assert report.checked > 0
 
     def test_commutation_fails_on_crs_unit(self):
         alg = UnitAlgebra(CA4_UNIT)
-        report = check_ca_axioms(alg, range(alg.top + 1))
+        report = check_ca_axioms(alg)
         laws = {f.law for f in report.failures}
         assert laws == {"CA4"}
         f00 = seq((0, 1), (0, 0))
@@ -250,18 +252,18 @@ class TestAxiomChecker:
 
     def test_mapped_algebra_satisfies_all(self):
         alg = MappedUnitAlgebra(2)
-        report = check_ca_axioms(alg, sample_masks(alg, 200, seed=3))
+        report = check_ca_axioms(alg, samples=200, seed=3)
         assert report.ok
 
     def test_gs_units_satisfy_all_exhaustively(self):
         for v in enumerate_units((0, 1), 2, 16, ClassTag.GS):
             alg = UnitAlgebra(v)
-            assert check_ca_axioms(alg, range(alg.top + 1)).ok
+            assert check_ca_axioms(alg).ok
 
     def test_three_index_gs_unit_with_composition_axiom(self):
         v = full_square((0, 1, 2), (0, 1))
         alg = UnitAlgebra(v)
-        report = check_ca_axioms(alg, sample_masks(alg, 40, seed=5))
+        report = check_ca_axioms(alg, samples=40, seed=5)
         assert report.ok
 
 
@@ -283,6 +285,58 @@ class TestEquationLaws:
         for x in range(SQ.top + 1):
             out = SQ.top ^ SQ.cyl_mask(0, x)
             assert SQ.cyl_mask(0, out) == out
+
+
+# The window-3 unit of the six sequences 000 to 101.
+SIX = unit((0, 1, 2), [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)])
+
+
+class TestCoverage:
+    """One rule picks the instances of every check: all of them up to the
+    cap, else seeded samples, and `exhaustive` only in the first case."""
+
+    def test_every_tuple_up_to_the_cap(self):
+        tuples, full = _cover(4, 2, 16, 3, "t")
+        assert full and list(tuples) == [(x, y) for x in range(4) for y in range(4)]
+        tuples, full = _cover(5, 0, 1, 3, "t")
+        assert full and list(tuples) == [()]
+
+    def test_seeded_samples_past_the_cap(self):
+        tuples, full = _cover(5, 2, 24, 3, "t")
+        rng = random.Random("t")
+        assert not full
+        assert list(tuples) == [(rng.randrange(5), rng.randrange(5)) for _ in range(3)]
+
+    def test_eq_laws_check_every_pair_on_six_sequences(self):
+        # Eq3 and Eq4 range over all 64^2 pairs, for each of the 3 indices.
+        report = check_eq_laws(SIX)
+        assert (report.checked, report.exhaustive, report.ok) == (25350, True, True)
+        assert report.notes == ""
+
+    def test_eq_laws_sample_pairs_past_the_cap(self):
+        v = unit((0, 1, 2), [f.values for f in SIX] + [(1, 1, 0)])
+        report = check_eq_laws(v, samples=10, seed=1)
+        assert report.ok and not report.exhaustive
+        # Every one of 128 subsets for Eq2, Eq5 and Eq7, ten pairs for Eq3 and Eq4.
+        assert report.checked == 3 + 128 * 3 + 10 * 3 + 10 * 3 + 128 * 3 + 3 + 128 * 6
+        assert report.notes == "equations checked on every subset and 10 seeded pairs"
+
+    def test_postulates_sample_subsets_past_the_cap(self):
+        alg = MappedUnitAlgebra(3)
+        report = check_ca_axioms(alg, samples=5, seed=2)
+        assert report.ok and not report.exhaustive
+        assert report.notes == "postulates spot-checked on 5 seeded subsets"
+        assert check_ca_axioms(MappedUnitAlgebra(2), samples=5).exhaustive
+
+    def test_validity_cap_counts_tuples_of_subsets(self):
+        # With m = 2 a three-sequence unit has 8^2 = 64 > 16 evaluations.
+        result = bounded_validity(
+            parse_term("x0 . x1"), parse_term("x1 . x0"), ClassTag.CRS, SearchBounds(2, 2, 3, 16), m=2
+        )
+        assert not result.found and not result.exhaustive
+        # One empty unit, 4 one-sequence units (4 each), 6 two-sequence
+        # units (16 each), 4 three-sequence units (16 samples each).
+        assert (result.units_checked, result.evaluations_checked) == (15, 177)
 
 
 class TestZeroDimensionalFixpoints:
@@ -357,7 +411,8 @@ def reference_validity(lhs, rhs, tag, bounds, m, seed=0):
     n_evals, exhaustive = 0, True
     for idx, v in enumerate(units):
         alg = UnitAlgebra(v)
-        evals, full = _iter_evaluations(v, m, bounds.max_eval_subsets, f"validity:{seed}:{idx}")
+        cap = bounds.max_eval_subsets
+        evals, full = _cover(1 << len(v), m, cap, cap, f"validity:{seed}:{idx}")
         exhaustive = exhaustive and full
         for masks in evals:
             n_evals += 1
