@@ -2,13 +2,21 @@
 
 Exit codes: 0 on success or when no counterexample exists within bounds,
 1 when a counterexample was found or a check failed, 2 on usage errors.
-Reports print as JSON when --json is passed, human-readable otherwise.
+Commands, `_load_unit` and `_parse_assignments` signal a usage error by
+raising `ValueError` with its message; `main` alone maps it to exit 2 and
+prints `cylset: <message>` (argparse exits 2 on its own errors). `main` also
+writes each command's stdout, so a reader that closes it early leaves the
+exit status as it was. Reports print as JSON when --json is passed,
+human-readable otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
+import os
 import re
 import sys
 
@@ -44,7 +52,7 @@ def _load_unit(path: str) -> units.Unit:
     try:
         return units.load_unit(path)
     except (OSError, ValueError, RecursionError) as err:
-        raise SystemExit(f"cylset: malformed unit file {path}: {err}") from None
+        raise ValueError(f"malformed unit file {path}: {err}") from None
 
 
 def _parse_assignments(v: units.Unit, assigns: list[str]) -> semantics.Evaluation:
@@ -52,23 +60,16 @@ def _parse_assignments(v: units.Unit, assigns: list[str]) -> semantics.Evaluatio
     for item in assigns or []:
         m = re.fullmatch(r"(x\d+)=\[([\d,\s]*)\]", item.strip())
         if not m:
-            raise SystemExit(f"cylset: bad --assign {item!r}; expected e.g. x0=[0,2]")
+            raise ValueError(f"bad --assign {item!r}; expected e.g. x0=[0,2]")
         if m.group(1) in data:
-            raise SystemExit(f"cylset: --assign gives {m.group(1)} more than once")
+            raise ValueError(f"--assign gives {m.group(1)} more than once")
         positions = [int(p) for p in m.group(2).replace(",", " ").split()]
         data[m.group(1)] = positions
-    try:
-        return semantics.evaluation_from_dict(v, data)
-    except ValueError as err:
-        raise SystemExit(f"cylset: {err}") from None
+    return semantics.evaluation_from_dict(v, data)
 
 
 def _cmd_parse(args) -> int:
-    try:
-        t = terms.parse_term(args.term, args.vars)
-    except terms.TermSyntaxError as err:
-        print(f"cylset: {err}", file=sys.stderr)
-        return 2
+    t = terms.parse_term(args.term, args.vars)
     out = {
         "term": terms.render_term(t),
         "index_set": sorted(terms.index_set(t)),
@@ -84,13 +85,8 @@ def _cmd_parse(args) -> int:
 
 def _cmd_eval(args) -> int:
     v = _load_unit(args.unit)
-    try:
-        t = terms.parse_term(args.term)
-        iota = _parse_assignments(v, args.assign)
-        value = semantics.evaluate(t, v, iota)
-    except (terms.TermSyntaxError, ValueError) as err:
-        print(f"cylset: {err}", file=sys.stderr)
-        return 2
+    t = terms.parse_term(args.term)
+    value = semantics.evaluate(t, v, _parse_assignments(v, args.assign))
     positions = units.bit_positions(semantics.UnitAlgebra(v).mask(value))
     if args.json:
         print(json.dumps({
@@ -139,7 +135,7 @@ def _cmd_check_axioms(args) -> int:
     elif args.cls:
         report = _check_class(args, lambda v: check(semantics.UnitAlgebra(v)))
     else:
-        raise SystemExit("cylset: check-axioms needs --unit FILE, --mapped N, or --class TAG")
+        raise ValueError("check-axioms needs --unit FILE, --mapped N, or --class TAG")
     return _print_report(report, args.json)
 
 
@@ -149,21 +145,16 @@ def _cmd_check_eqs(args) -> int:
     elif args.cls:
         report = _check_class(args, lambda v: semantics.check_eq_laws(v, samples=args.samples, seed=args.seed))
     else:
-        raise SystemExit("cylset: check-eqs needs --unit FILE or --class TAG")
+        raise ValueError("check-eqs needs --unit FILE or --class TAG")
     return _print_report(report, args.json)
 
 
 def _cmd_split(args) -> int:
     v = _load_unit(args.unit)
-    try:
-        tau = terms.parse_term(args.term)
-        iota = _parse_assignments(v, args.assign)
-    except (terms.TermSyntaxError, ValueError) as err:
-        print(f"cylset: {err}", file=sys.stderr)
-        return 2
+    tau = terms.parse_term(args.term)
+    iota = _parse_assignments(v, args.assign)
     if args.focus is not None and not 0 <= args.focus < len(v):
-        print(f"cylset: --focus {args.focus} is outside the unit's positions 0..{len(v) - 1}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--focus {args.focus} is outside the unit's positions 0..{len(v) - 1}")
     probe = (
         terms.And(tau, terms.escape_term(0, 1)) if args.mode == "diag" else tau
     )
@@ -200,8 +191,7 @@ def _cmd_verify(args) -> int:
         with open(args.cert) as fh:
             cert = constructions.certificate_from_dict(json.load(fh))
     except (OSError, ValueError, RecursionError) as err:
-        print(f"cylset: cannot read certificate {args.cert}: {err}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot read certificate {args.cert}: {err}") from None
     verified = constructions.verify_certificate(cert)
     if args.json:
         print(json.dumps({"original": terms.render_term(cert.original), "verified": verified}, sort_keys=True))
@@ -325,23 +315,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for dest, flag, floor in args.floors:
-        value = getattr(args, dest)
-        if value < floor:
-            print(f"cylset: {flag} must be at least {floor}, got {value}", file=sys.stderr)
-            return 2
+    args = build_parser().parse_args(argv)
+    out = io.StringIO()
     try:
-        return args.func(args)
-    except SystemExit as err:
-        if isinstance(err.code, str):
-            print(err.code, file=sys.stderr)
-            return 2
-        raise
+        for dest, flag, floor in args.floors:
+            if getattr(args, dest) < floor:
+                raise ValueError(f"{flag} must be at least {floor}, got {getattr(args, dest)}")
+        with contextlib.redirect_stdout(out):
+            code = args.func(args)
     except ValueError as err:
         print(f"cylset: {err}", file=sys.stderr)
         return 2
+    try:
+        sys.stdout.write(out.getvalue())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early: send what is left, and the flush
+        # at interpreter exit, to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

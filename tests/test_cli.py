@@ -254,8 +254,8 @@ class TestReplicateCommand:
         out = capsys.readouterr().out
         assert out.startswith("atom-census: PASS")
 
-    def test_all_suites(self, capsys):
-        assert main(["replicate", "--max-base", "1"]) == 0
+    def test_all_suites(self, shared_replicate, capsys):
+        assert main(["replicate"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 7
 

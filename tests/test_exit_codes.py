@@ -2,17 +2,23 @@
 
 Malformed input (term text, certificate JSON, unit JSON) must end in exit 2
 with a message, or in a `ValueError` from the library decoders that names
-the offending field.
+the offending field. A reader that closes stdout early leaves the exit
+status as it was and gets no traceback.
 """
 
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from copy import deepcopy
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cylset
 from cylset.cli import main
 from cylset.constructions import certificate_from_dict, verify_certificate
 from cylset.semantics import evaluation_from_dict
@@ -218,3 +224,51 @@ def test_unsorted_window_exits_2(files, capsys):
     half["window"] = half["window"][::-1]
     assert main(["verify", "--cert", _write(files["scratch"], cert)]) == 2
     assert "negative.unit: unit field 'window'" in capsys.readouterr().err
+
+
+# argv -> the one stderr line it prints; {unit} is SQ22's file, {missing} a
+# path that does not exist.
+USAGE_ERRORS = [
+    (["check-axioms"], "check-axioms needs --unit FILE, --mapped N, or --class TAG"),
+    (["check-eqs"], "check-eqs needs --unit FILE or --class TAG"),
+    (["eval", "--unit", "{unit}", "--term", "x0", "--assign", "x0=[0]", "--assign", "x0=[1]"],
+     "--assign gives x0 more than once"),
+    (["eval", "--unit", "{unit}", "--term", "x0", "--assign", "x0=0"], "bad --assign 'x0=0'; expected e.g. x0=[0,2]"),
+    (["eval", "--unit", "{unit}", "--term", "x0", "--assign", "x0=[9]"], "x0 lists a position outside 0..3"),
+    (["parse", "--term", "x0 . ?"], "unexpected character '?' (at position 5)"),
+    (["eval", "--unit", "{unit}", "--term", "x0 . ?"], "unexpected character '?' (at position 5)"),
+    (["split", "--unit", "{unit}", "--term", "x0 . ?"], "unexpected character '?' (at position 5)"),
+    (["split", "--unit", "{unit}", "--term", "x0", "--assign", "x0=[0]", "--focus", "9"],
+     "--focus 9 is outside the unit's positions 0..3"),
+    (["verify", "--cert", "{missing}"],
+     "cannot read certificate {missing}: [Errno 2] No such file or directory: '{missing}'"),
+    (["classify", "--unit", "{missing}"],
+     "malformed unit file {missing}: [Errno 2] No such file or directory: '{missing}'"),
+    (["witness", "--n", "7"], "mapped algebra supports 2 <= n <= 4, got 7"),
+    (["replicate", "--suite", "bogus"],
+     "unknown suite 'bogus'; pick from ['atom-census', 'equations', 'mapped-witness', "
+     "'split-crs', 'split-diag', 'twin-system', 'zero-dim'] or 'all'"),
+    (["witness", "--samples", "0"], "--samples must be at least 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS)
+def test_usage_error_exits_2_with_one_stderr_line(files, argv, message, capsys):
+    paths = {"unit": files["unit"], "missing": str(files["scratch"].parent / "absent.json")}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cylset: {message.format(**paths)}\n"
+
+
+def test_closed_stdout_keeps_exit_status_without_traceback():
+    """The failure lines (about 110 kB) outrun the pipe buffer, so later writes hit the closed pipe."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cylset.__file__).parents[1])}
+    argv = ["check-axioms", "--class", "crs", "--window", "2", "--max-base", "3", "--max-seqs", "4"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "cylset.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"FAIL checked=")
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (1, b"")

@@ -19,6 +19,6 @@ from cylset.cli import main
 GOLDEN = Path(__file__).parent / "data" / "replicate_all.jsonl"
 
 
-def test_replicate_all_json_matches_golden(capsys):
+def test_replicate_all_json_matches_golden(shared_replicate, capsys):
     assert main(["replicate", "--suite", "all", "--json"]) == 0
     assert capsys.readouterr().out == GOLDEN.read_text()
