@@ -155,18 +155,15 @@ def _cmd_split(args) -> int:
     iota = _parse_assignments(v, args.assign)
     if args.focus is not None and not 0 <= args.focus < len(v):
         raise ValueError(f"--focus {args.focus} is outside the unit's positions 0..{len(v) - 1}")
-    probe = (
-        terms.And(tau, terms.escape_term(0, 1)) if args.mode == "diag" else tau
-    )
+    # An off-window index or unassigned variable in the target is a usage
+    # error, so the probe is evaluated before a failed construction can exit 1.
+    probe = terms.And(tau, terms.escape_term(0, 1)) if args.mode == "diag" else tau
+    sat = semantics.evaluate(probe, v, iota)
+    if args.focus is None and not sat:
+        print("cylset: no sequence satisfies the split target in this unit", file=sys.stderr)
+        return 1
+    focus = min(sat) if args.focus is None else v.sequences[args.focus]
     try:
-        if args.focus is not None:
-            focus = v.sequences[args.focus]
-        else:
-            sat = semantics.evaluate(probe, v, iota)
-            if not sat:
-                print("cylset: no sequence satisfies the split target in this unit", file=sys.stderr)
-                return 1
-            focus = min(sat)
         if args.mode == "diag":
             cert = constructions.split_atom_diag(v, focus, iota, tau, pivot=args.pivot)
         else:

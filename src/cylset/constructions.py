@@ -58,14 +58,15 @@ from .semantics import (
     P_PRIME,
     SearchBounds,
     UnitAlgebra,
+    Witness,
     bounded_validity,
     check_ca_axioms,
     check_eq_laws,
     evaluate,
     evaluate_masks,
     evaluation_from_dict,
-    evaluation_to_dict,
     satisfies,
+    witness_to_dict,
 )
 from .units import int_list, seq, unit, unit_from_dict
 
@@ -73,21 +74,15 @@ from .units import int_list, seq, unit, unit_from_dict
 # --- split certificates ---------------------------------------------------
 
 @dataclass
-class SplitHalf:
-    unit: Unit
-    focus: Sequence
-    evaluation: Evaluation
-
-
-@dataclass
 class SplitCertificate:
     """Two witnessed halves showing `original` is not an atom.
 
     The negative half satisfies original . -splitter, the positive half
     original . splitter.  The halves may live in different units; refuting
-    atomhood only needs each half nonzero somewhere in the class.  Builder
-    context (source unit, the branching sequence, the added point) rides
-    along so invariance checks can replay the construction.
+    atomhood only needs each half nonzero somewhere in the class.  An
+    adjoin-a-point split also keeps its `source`: the extended unit, the
+    branching sequence and the carried-over evaluation, which invariance
+    replay compares both halves against.  Certificate JSON omits it.
     """
 
     original: Term
@@ -95,12 +90,9 @@ class SplitCertificate:
     fresh: tuple[int, int]
     branch: str
     pivot: int
-    negative: SplitHalf
-    positive: SplitHalf
-    source_unit: Unit | None = None
-    source_eval: Evaluation | None = None
-    via: Sequence | None = None
-    new_point: Sequence | None = None
+    negative: Witness
+    positive: Witness
+    source: Witness | None = None
 
 
 def verify_certificate(cert: SplitCertificate) -> bool:
@@ -108,31 +100,20 @@ def verify_certificate(cert: SplitCertificate) -> bool:
     neg = And(cert.original, Not(cert.splitter))
     pos = And(cert.original, cert.splitter)
     try:
-        return satisfies(
-            cert.negative.unit, cert.negative.focus, cert.negative.evaluation, neg
-        ) and satisfies(
-            cert.positive.unit, cert.positive.focus, cert.positive.evaluation, pos
-        )
+        return satisfies(*cert.negative, neg) and satisfies(*cert.positive, pos)
     except ValueError:
         return False
 
 
 def certificate_to_dict(cert: SplitCertificate) -> dict:
-    def half(h: SplitHalf) -> dict:
-        return {
-            "unit": unit_to_dict(h.unit),
-            "focus": list(h.focus.values),
-            "evaluation": evaluation_to_dict(h.unit, h.evaluation),
-        }
-
     return {
         "original": render_term(cert.original),
         "splitter": render_term(cert.splitter),
         "fresh": list(cert.fresh),
         "branch": cert.branch,
         "pivot": cert.pivot,
-        "negative": half(cert.negative),
-        "positive": half(cert.positive),
+        "negative": witness_to_dict(cert.negative),
+        "positive": witness_to_dict(cert.positive),
     }
 
 
@@ -154,11 +135,11 @@ def certificate_from_dict(data: dict) -> SplitCertificate:
             raise ValueError("expected a term string")
         return parse_term(text)
 
-    def half(side: str) -> SplitHalf:
+    def half(side: str) -> Witness:
         d = get(data, side)
         u = get(d, "unit", unit_from_dict, f"{side}.")
         focus = get(d, "focus", lambda f: seq(u.window, int_list(f)), f"{side}.")
-        return SplitHalf(u, focus, get(d, "evaluation", lambda e: evaluation_from_dict(u, e), f"{side}."))
+        return Witness(u, focus, get(d, "evaluation", lambda e: evaluation_from_dict(u, e), f"{side}."))
 
     cert = SplitCertificate(
         original=get(data, "original", term),
@@ -178,7 +159,7 @@ def certificate_from_dict(data: dict) -> SplitCertificate:
 
 # --- singleton witnesses and the atom census -------------------------------
 
-def singleton_witness(m: int, q: Iterable[int]) -> tuple[Unit, Sequence, Evaluation]:
+def singleton_witness(m: int, q: Iterable[int]) -> Witness:
     """One-sequence unit whose constant sequence satisfies atom_term(m, q)."""
     if m < 1:
         raise ValueError("witness needs at least one generator (m >= 1)")
@@ -188,7 +169,7 @@ def singleton_witness(m: int, q: Iterable[int]) -> tuple[Unit, Sequence, Evaluat
     nu: Evaluation = {
         k: (frozenset((w,)) if q[k] == 1 else frozenset()) for k in range(m)
     }
-    return v, w, nu
+    return Witness(v, w, nu)
 
 
 def separation_suite(m: int) -> CheckReport:
@@ -244,12 +225,9 @@ def zero_dim_check(
         "exhaustion within bounds is not a validity proof",
     )
     if result.found:
-        ce = result.counterexample
         report.fail(
             "guard-swap-separation",
-            unit=unit_to_dict(ce.unit),
-            focus=list(ce.focus.values),
-            evaluation=evaluation_to_dict(ce.unit, ce.evaluation),
+            **witness_to_dict(result.counterexample),
             lhs=render_term(lhs),
             rhs=render_term(rhs),
         )
@@ -326,8 +304,8 @@ def _diag_certificate(
         sign = -1
         inside = frozenset(h for h in v1 if h[i] == h[j])
         # g1[0] != g1[1], so one of them escapes g1[j]; prefer the pivot side.
-        source = p if g1[p] != g1[j] else 1 - p
-        new_point = g1.update(i, g1[source])
+        side = p if g1[p] != g1[j] else 1 - p
+        new_point = g1.update(i, g1[side])
     else:
         branch = "pair-distinct"
         sign = 1
@@ -344,12 +322,9 @@ def _diag_certificate(
         fresh=(i, j),
         branch=branch,
         pivot=p,
-        negative=SplitHalf(v2, f1, eval1),
-        positive=SplitHalf(v2, f1, eval2),
-        source_unit=v1,
-        source_eval=iota1,
-        via=g1,
-        new_point=new_point,
+        negative=Witness(v2, f1, eval1),
+        positive=Witness(v2, f1, eval2),
+        source=Witness(v1, g1, iota1),
     )
     return cert if verify_certificate(cert) else None
 
@@ -386,11 +361,8 @@ def split_any_crs(v: Unit, f: Sequence, iota: Evaluation, tau: Term) -> SplitCer
         fresh=(i, j),
         branch="fresh-base",
         pivot=0,
-        negative=SplitHalf(v_star, f_star, iota_star),
-        positive=SplitHalf(v1, f1, iota1),
-        source_unit=v1,
-        source_eval=iota1,
-        via=f1,
+        negative=Witness(v_star, f_star, iota_star),
+        positive=Witness(v1, f1, iota1),
     )
     if not verify_certificate(cert):
         raise RuntimeError("relabelled split failed verification; this is a bug")
@@ -402,65 +374,52 @@ def split_any_crs(v: Unit, f: Sequence, iota: Evaluation, tau: Term) -> SplitCer
 def check_split_invariance(cert: SplitCertificate) -> CheckReport:
     """Biconditional satisfaction checks replaying the certificate's build.
 
-    For the adjoin-a-point splits: restricting the evaluation to the branch
-    region and adding the new point must both leave satisfaction of every
-    subterm unchanged on sequences agreeing with the branching sequence off
-    the fresh coordinates.  For the relabelled split: the starred copy must
-    satisfy exactly the same subterms.  Each distinct subterm is evaluated
-    once per (unit, evaluation) pair; each sequence then reads its bit.
+    Each check compares a reference witness with halves of the certificate
+    on every sequence h of the reference unit that agrees with its focus on
+    the original's indices: each subterm must hold at h in the reference
+    exactly when it holds at h's image in each compared half.  For the
+    adjoin-a-point splits the reference is the `source`, and both halves
+    are compared at h itself: restricting the evaluation to the branch
+    region and adding the new point leave satisfaction unchanged.  For the
+    relabelled split the reference is the positive half, and the negative
+    half is compared at h's starred copy.  Each distinct subterm is
+    evaluated once per witness; each sequence then reads its bit.
     """
-    report = CheckReport()
+    if cert.branch == "fresh-base":
+        i, j = cert.fresh
+        a, b = cert.negative.focus[i], cert.negative.focus[j]
+        law, reference = "relabel-invariance", cert.positive
+        compared = [(cert.negative, lambda h: h.update(i, a).update(j, b))]
+    elif cert.source is None:
+        raise ValueError(
+            f"replaying a {cert.branch!r} split needs the builder context (source unit, "
+            "evaluation and branching sequence), which certificate JSON does not carry"
+        )
+    else:
+        law, reference = "restrict-adjoin-invariance", cert.source
+        compared = [(cert.negative, lambda h: h), (cert.positive, lambda h: h)]
     gamma = index_set(cert.original)
     sigmas = list(dict.fromkeys(subterms(cert.original)))
 
-    def satisfaction(v: Unit, iota: Evaluation) -> Callable[[Sequence, Term], bool]:
-        """`satisfies(v, h, iota, sigma)` for h in v and sigma in sigmas."""
-        alg = UnitAlgebra(v)
-        masks = {k: alg.mask(val) for k, val in iota.items()}
+    def satisfaction(w: Witness) -> Callable[[Sequence, Term], bool]:
+        """`satisfies(w.unit, h, w.evaluation, sigma)` for h in w.unit and sigma in sigmas."""
+        alg = UnitAlgebra(w.unit)
+        masks = {k: alg.mask(val) for k, val in w.evaluation.items()}
         values = {sigma: evaluate_masks(alg, sigma, masks) for sigma in sigmas}
         return lambda h, sigma: bool(values[sigma] & alg.mask((h,)))
 
-    if cert.branch == "fresh-base":
-        v1, iota1, f1 = cert.positive.unit, cert.positive.evaluation, cert.positive.focus
-        v_star, iota_star, f_star = (
-            cert.negative.unit,
-            cert.negative.evaluation,
-            cert.negative.focus,
-        )
-        i, j = cert.fresh
-        a, b = f_star[i], f_star[j]
-        sat1, sat_star = satisfaction(v1, iota1), satisfaction(v_star, iota_star)
-        for h in v1:
-            if not eqv_gamma(h, f1, gamma):
-                continue
-            h_star = h.update(i, a).update(j, b)
-            for sigma in sigmas:
-                report.count()
-                if sat1(h, sigma) != sat_star(h_star, sigma):
-                    report.fail(
-                        "relabel-invariance", term=render_term(sigma), h=str(h)
-                    )
-    else:
-        v1, iota, g = cert.source_unit, cert.source_eval, cert.via
-        if v1 is None or iota is None or g is None:
-            raise ValueError(
-                f"replaying a {cert.branch!r} split needs the builder context (source unit, "
-                "evaluation and branching sequence), which certificate JSON does not carry"
-            )
-        v2 = cert.negative.unit
-        sat1 = satisfaction(v1, iota)
-        restricted = satisfaction(v2, cert.negative.evaluation)
-        adjoined = satisfaction(v2, cert.positive.evaluation)
-        for h in v1:
-            if not eqv_gamma(h, g, gamma):
-                continue
-            for sigma in sigmas:
-                report.count()
-                ref = sat1(h, sigma)
-                if restricted(h, sigma) != ref or adjoined(h, sigma) != ref:
-                    report.fail(
-                        "restrict-adjoin-invariance", term=render_term(sigma), h=str(h)
-                    )
+    sat = satisfaction(reference)
+    halves = [(satisfaction(w), image) for w, image in compared]
+    report = CheckReport()
+    for h in reference.unit:
+        if not eqv_gamma(h, reference.focus, gamma):
+            continue
+        images = [(sat_w, image(h)) for sat_w, image in halves]
+        for sigma in sigmas:
+            report.count()
+            ref = sat(h, sigma)
+            if any(sat_w(h_w, sigma) != ref for sat_w, h_w in images):
+                report.fail(law, term=render_term(sigma), h=str(h))
     return report
 
 

@@ -26,7 +26,7 @@ from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .terms import And, Cyl, Diag, Not, One, Or, Term, Var, Zero, index_set, variables
-from .units import ClassTag, Sequence, Unit, bit_positions, enumerate_units
+from .units import ClassTag, Sequence, Unit, bit_positions, enumerate_units, unit_to_dict
 
 # Variable index -> subset of the carrier.
 Evaluation = dict[int, frozenset]
@@ -333,6 +333,27 @@ def evaluation_to_dict(v: Unit, iota: Mapping[int, frozenset]) -> dict[str, list
     return {f"x{k}": list(bit_positions(alg.mask(val))) for k, val in sorted(iota.items())}
 
 
+@dataclass
+class Witness:
+    """A pointed model: a unit, a focus sequence in it and an evaluation."""
+
+    unit: Unit
+    focus: Sequence
+    evaluation: Evaluation
+
+    def __iter__(self) -> Iterator:
+        """Unpack as `v, f, iota`, the order `satisfies` takes them in."""
+        return iter((self.unit, self.focus, self.evaluation))
+
+
+def witness_to_dict(w: Witness) -> dict:
+    return {
+        "unit": unit_to_dict(w.unit),
+        "focus": list(w.focus.values),
+        "evaluation": evaluation_to_dict(w.unit, w.evaluation),
+    }
+
+
 # --- check reports -------------------------------------------------------
 
 @dataclass
@@ -463,15 +484,8 @@ class SearchBounds:
 
 
 @dataclass
-class Counterexample:
-    unit: Unit
-    focus: Sequence
-    evaluation: Evaluation
-
-
-@dataclass
 class ValidityResult:
-    counterexample: Counterexample | None
+    counterexample: Witness | None
     exhaustive: bool
     units_checked: int
     evaluations_checked: int
@@ -527,7 +541,7 @@ def bounded_validity(
             if diff:
                 focus = v.sequences[(diff & -diff).bit_length() - 1]
                 iota = {k: alg.subset(mask) for k, mask in enumerate(masks)}
-                ce = Counterexample(v, focus, iota)
+                ce = Witness(v, focus, iota)
                 return ValidityResult(ce, exhaustive, idx + 1, n_evals, _nonconstant(units[:idx + 1]))
     return ValidityResult(None, exhaustive, len(units), n_evals, _nonconstant(units))
 

@@ -351,9 +351,16 @@ def enumerate_units(
     if max_seqs < 0:
         raise ValueError(f"max_seqs must be at least 0, got {max_seqs}")
     w = tuple(sorted(window))
-    n = base_size ** len(w)
-    if n > MAX_UNITS:
-        raise ValueError(f"the square has {n} sequences, over the enumeration cap of {MAX_UNITS}")
+    n = 1
+    for _ in w:
+        # Multiplied up, so a huge window or base is refused at the first
+        # power past the cap instead of after the whole power is computed.
+        n *= base_size
+        if n > MAX_UNITS:
+            raise ValueError(
+                f"the square over {len(w)} indices and base {base_size} has at least {n} sequences, "
+                f"over the enumeration cap of {MAX_UNITS}"
+            )
     limit = min(max_seqs, n)
     if tag is ClassTag.CRS:
         count = 0

@@ -42,9 +42,6 @@ class TestParseCommand:
         assert main(["parse", "--term", "x3", "--vars", "2"]) == 2
         assert "out of range" in capsys.readouterr().err
 
-    def test_syntax_error(self, capsys):
-        assert main(["parse", "--term", "x0 . ?"]) == 2
-
     def test_json(self, capsys):
         assert main(["parse", "--term", "c2 d23", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -62,13 +59,6 @@ class TestEvalCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["positions"] == [0, 2]
         assert data["sequences"] == [[0, 0], [1, 0]]
-
-    def test_bad_assignment(self, sq22_file, capsys):
-        assert main(["eval", "--unit", sq22_file, "--term", "x0", "--assign", "x0=0"]) == 2
-
-    def test_missing_unit_file(self, tmp_path, capsys):
-        code = main(["eval", "--unit", str(tmp_path / "none.json"), "--term", "x0"])
-        assert code == 2
 
     def test_malformed_unit_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -99,9 +89,6 @@ class TestCheckCommands:
 
     def test_axioms_on_mapped_algebra(self):
         assert main(["check-axioms", "--mapped", "2", "--samples", "50"]) == 0
-
-    def test_axioms_need_target(self, capsys):
-        assert main(["check-axioms"]) == 2
 
     def test_eq_laws(self, sq22_file, ca4_file):
         assert main(["check-eqs", "--unit", sq22_file]) == 0
@@ -210,10 +197,6 @@ class TestVerifyCommand:
         assert main(["verify", "--cert", _write_cert(tmp_path, "{not json")]) == 2
         assert "cannot read certificate" in capsys.readouterr().err
 
-    def test_missing_file(self, tmp_path, capsys):
-        assert main(["verify", "--cert", str(tmp_path / "absent.json")]) == 2
-        assert "cannot read certificate" in capsys.readouterr().err
-
     def test_missing_field_is_named(self, split_json, tmp_path, capsys):
         del split_json["negative"]["unit"]
         assert main(["verify", "--cert", _write_cert(tmp_path, split_json)]) == 2
@@ -258,9 +241,6 @@ class TestReplicateCommand:
         assert main(["replicate"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 7
-
-    def test_unknown_suite(self, capsys):
-        assert main(["replicate", "--suite", "bogus"]) == 2
 
     def test_deterministic_output(self, capsys):
         main(["replicate", "--suite", "equations", "--json"])

@@ -28,6 +28,7 @@ from cylset.semantics import (
     SearchBounds,
     UnitAlgebra,
     evaluate_masks,
+    evaluation_from_dict,
     satisfies,
 )
 from cylset.terms import (
@@ -48,6 +49,7 @@ from cylset.units import (
     full_square,
     seq,
     unit,
+    unit_from_dict,
     unit_to_dict,
 )
 
@@ -104,6 +106,12 @@ class TestZeroDimCheck:
         assert not report.ok
         witness = report.failures[0].witness
         assert witness["lhs"] == "x0 . -c0 -d01"
+        # The failure alone re-checks: its point separates the two sides.
+        v = unit_from_dict(witness["unit"])
+        focus = seq(v.window, witness["focus"])
+        iota = evaluation_from_dict(v, witness["evaluation"])
+        lhs, rhs = parse_term(witness["lhs"]), parse_term(witness["rhs"])
+        assert satisfies(v, focus, iota, lhs) != satisfies(v, focus, iota, rhs)
 
     def test_same_guard_is_trivial(self):
         report = zero_dim_check(1, (1,), 0, 1, BOUNDS, ClassTag.CRS)
@@ -124,7 +132,8 @@ class TestSplitAtomDiag:
         assert render_term(cert.splitter) == "c0(-d01 . c2(x0 . -d23))"
         assert verify_certificate(cert)
         # The fresh columns carry the branching sequence's value at index 1.
-        assert cert.via[2] == cert.via[3] == cert.via[1]
+        g = cert.source.focus
+        assert g[2] == g[3] == g[1]
 
     def test_closure_unit_instance(self):
         v = diagonalization_closure(unit((0, 1), [(0, 1)]))
@@ -170,7 +179,9 @@ class TestSplitAtomDiag:
         assert cert.branch == "pair-equal"
         assert cert.pivot == 0
         assert verify_certificate(cert)
-        assert cert.new_point == seq((0, 1, 2, 3), (2, 1, 1, 2))
+        # The halves' unit is the source unit with the new point adjoined.
+        added = set(cert.negative.unit) - set(cert.source.unit)
+        assert added == {seq((0, 1, 2, 3), (2, 1, 1, 2))}
 
     def test_variable_free_target(self):
         f = seq((0, 1), (0, 1))
@@ -189,6 +200,8 @@ class TestSplitAnyCrs:
         assert render_term(cert.splitter) == "d23"
         assert verify_certificate(cert)
         assert cert.negative.unit != cert.positive.unit
+        # Replay reads only the halves, so no builder context is kept.
+        assert cert.source is None
 
     def test_atom_term_is_split_over_arbitrary_units(self):
         t = atom_term(1, (1,))
@@ -227,7 +240,7 @@ class TestCertificates:
         assert verify_certificate(loaded)
 
     def test_decoded_diag_certificate_cannot_replay(self):
-        # certificate JSON does not carry the source unit, evaluation or `via`.
+        # Certificate JSON does not carry the `source` witness.
         cert = split_atom_diag(SQ22, seq((0, 1), (0, 1)), {0: SQ22.as_set()}, Var(0))
         loaded = certificate_from_dict(json.loads(json.dumps(certificate_to_dict(cert))))
         assert check_split_invariance(cert).ok
@@ -294,10 +307,11 @@ def reference_replay(cert):
         law = "relabel-invariance"
     else:
         v2 = cert.negative.unit
-        for h in cert.source_unit:
-            if eqv_gamma(h, cert.via, gamma):
+        src = cert.source
+        for h in src.unit:
+            if eqv_gamma(h, src.focus, gamma):
                 for sigma in sigmas:
-                    ref = satisfies(cert.source_unit, h, cert.source_eval, sigma)
+                    ref = satisfies(src.unit, h, src.evaluation, sigma)
                     out.append((sigma, h, satisfies(v2, h, cert.negative.evaluation, sigma) == ref
                                 and satisfies(v2, h, cert.positive.evaluation, sigma) == ref))
         law = "restrict-adjoin-invariance"

@@ -249,6 +249,22 @@ USAGE_ERRORS = [
      "unknown suite 'bogus'; pick from ['atom-census', 'equations', 'mapped-witness', "
      "'split-crs', 'split-diag', 'twin-system', 'zero-dim'] or 'all'"),
     (["witness", "--samples", "0"], "--samples must be at least 1, got 0"),
+    (["eval", "--unit", "{missing}", "--term", "x0"],
+     "malformed unit file {missing}: [Errno 2] No such file or directory: '{missing}'"),
+    # A target that cannot be evaluated is a usage error, not a failed split.
+    (["split", "--unit", "{unit}", "--term", "c5 x0", "--assign", "x0=[0]"],
+     "off-window index 5: the window is (0, 1)"),
+    (["split", "--unit", "{unit}", "--term", "c5 x0", "--assign", "x0=[0]", "--focus", "1"],
+     "off-window index 5: the window is (0, 1)"),
+    (["split", "--unit", "{unit}", "--term", "x1", "--assign", "x0=[0]"], "unassigned variable x1"),
+    (["split", "--unit", "{unit}", "--term", "x1", "--assign", "x0=[0]", "--mode", "crs"], "unassigned variable x1"),
+    # The square's size is multiplied up only as far as the cap.
+    (["check-axioms", "--class", "crs", "--window", "1000", "--max-base", "1000"],
+     "the square over 1000 indices and base 1000 has at least 1000000 sequences, "
+     "over the enumeration cap of 65536"),
+    (["check-axioms", "--class", "crs", "--window", "100000", "--max-base", "100000"],
+     "the square over 100000 indices and base 100000 has at least 100000 sequences, "
+     "over the enumeration cap of 65536"),
 ]
 
 
