@@ -42,6 +42,9 @@ class TestParseCommand:
         assert main(["parse", "--term", "x3", "--vars", "2"]) == 2
         assert "out of range" in capsys.readouterr().err
 
+    def test_syntax_error(self, capsys):
+        assert main(["parse", "--term", "x0 . ?"]) == 2
+
     def test_json(self, capsys):
         assert main(["parse", "--term", "c2 d23", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -59,6 +62,9 @@ class TestEvalCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["positions"] == [0, 2]
         assert data["sequences"] == [[0, 0], [1, 0]]
+
+    def test_bad_assignment(self, sq22_file, capsys):
+        assert main(["eval", "--unit", sq22_file, "--term", "x0", "--assign", "x0=0"]) == 2
 
     def test_malformed_unit_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -89,6 +95,9 @@ class TestCheckCommands:
 
     def test_axioms_on_mapped_algebra(self):
         assert main(["check-axioms", "--mapped", "2", "--samples", "50"]) == 0
+
+    def test_axioms_need_target(self, capsys):
+        assert main(["check-axioms"]) == 2
 
     def test_eq_laws(self, sq22_file, ca4_file):
         assert main(["check-eqs", "--unit", sq22_file]) == 0
@@ -197,6 +206,10 @@ class TestVerifyCommand:
         assert main(["verify", "--cert", _write_cert(tmp_path, "{not json")]) == 2
         assert "cannot read certificate" in capsys.readouterr().err
 
+    def test_missing_file(self, tmp_path, capsys):
+        assert main(["verify", "--cert", str(tmp_path / "absent.json")]) == 2
+        assert "cannot read certificate" in capsys.readouterr().err
+
     def test_missing_field_is_named(self, split_json, tmp_path, capsys):
         del split_json["negative"]["unit"]
         assert main(["verify", "--cert", _write_cert(tmp_path, split_json)]) == 2
@@ -241,6 +254,9 @@ class TestReplicateCommand:
         assert main(["replicate"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 7
+
+    def test_unknown_suite(self, capsys):
+        assert main(["replicate", "--suite", "bogus"]) == 2
 
     def test_deterministic_output(self, capsys):
         main(["replicate", "--suite", "equations", "--json"])
