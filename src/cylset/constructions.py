@@ -425,22 +425,14 @@ def check_split_invariance(cert: SplitCertificate) -> CheckReport:
 
 # --- split corpora ----------------------------------------------------------
 
-@dataclass
-class SplitInstance:
-    unit: Unit
-    focus: Sequence
-    evaluation: Evaluation
-    term: Term
-
-
 # Each split corpus must hold at least this many instances.
 MIN_CORPUS_SIZE = 50
 
 
-def diag_split_corpus() -> list[SplitInstance]:
-    """Deterministic (unit, focus, evaluation, term) instances satisfying
-    tau . c0 -d01, engineered to hit both split branches."""
-    instances: list[SplitInstance] = []
+def diag_split_corpus() -> list[tuple[Witness, Term]]:
+    """Deterministic (witness, term) instances satisfying tau . c0 -d01,
+    engineered to hit both split branches."""
+    instances: list[tuple[Witness, Term]] = []
     guard = escape_term(0, 1)
 
     # Window {0,1}: fresh columns get appended, forcing the pair-equal branch.
@@ -449,13 +441,13 @@ def diag_split_corpus() -> list[SplitInstance]:
         iota = {0: v.as_set()}
         sat = evaluate(And(Var(0), guard), v, iota)
         if sat:
-            instances.append(SplitInstance(v, min(sat), iota, Var(0)))
+            instances.append((Witness(v, min(sat), iota), Var(0)))
     # Variable-free and join-shaped targets on a few of the same units.
     for v in two_window:
         iota = {0: frozenset()}
         sat = evaluate(guard, v, iota)
         if sat:
-            instances.append(SplitInstance(v, min(sat), iota, Or(Var(0), Not(Var(0)))))
+            instances.append((Witness(v, min(sat), iota), Or(Var(0), Not(Var(0)))))
         if len(instances) >= MIN_CORPUS_SIZE // 2 + 8:
             break
 
@@ -468,19 +460,18 @@ def diag_split_corpus() -> list[SplitInstance]:
         iota = {0: v.as_set()}
         sat = evaluate(And(Var(0), guard), v, iota)
         if sat:
-            instances.append(SplitInstance(v, min(sat), iota, Var(0)))
+            instances.append((Witness(v, min(sat), iota), Var(0)))
     if len(instances) < MIN_CORPUS_SIZE:
         raise RuntimeError(f"corpus too small: {len(instances)} < {MIN_CORPUS_SIZE}")
     return instances
 
 
-def crs_split_corpus() -> list[SplitInstance]:
+def crs_split_corpus() -> list[tuple[Witness, Term]]:
     """Witnessed nonzero terms, including every atom term for m <= 2."""
-    instances: list[SplitInstance] = []
+    instances: list[tuple[Witness, Term]] = []
     for m in (1, 2):
         for q in all_choice_functions(m):
-            v, w, nu = singleton_witness(m, q)
-            instances.append(SplitInstance(v, w, nu, atom_term(m, q)))
+            instances.append((singleton_witness(m, q), atom_term(m, q)))
     for v in enumerate_units((0, 1), 2, 4):
         if not len(v):
             continue
@@ -496,28 +487,28 @@ def crs_split_corpus() -> list[SplitInstance]:
         for term, iota in candidates:
             sat = evaluate(term, v, iota)
             if sat:
-                instances.append(SplitInstance(v, min(sat), iota, term))
+                instances.append((Witness(v, min(sat), iota), term))
     if len(instances) < MIN_CORPUS_SIZE:
         raise RuntimeError(f"corpus too small: {len(instances)} < {MIN_CORPUS_SIZE}")
     return instances
 
 
 def run_split_corpus(
-    instances: list[SplitInstance],
+    instances: list[tuple[Witness, Term]],
     splitter: Callable[[Unit, Sequence, Evaluation, Term], SplitCertificate],
 ) -> tuple[list[SplitCertificate], CheckReport]:
     """Apply a split construction across a corpus, verifying every certificate."""
     certs: list[SplitCertificate] = []
     report = CheckReport()
-    for inst in instances:
+    for w, term in instances:
         report.count()
         try:
-            cert = splitter(inst.unit, inst.focus, inst.evaluation, inst.term)
+            cert = splitter(*w, term)
         except (ValueError, RuntimeError) as err:
-            report.fail("split-construction-failed", term=render_term(inst.term), error=str(err))
+            report.fail("split-construction-failed", term=render_term(term), error=str(err))
             continue
         if not verify_certificate(cert):
-            report.fail("certificate-rejected", term=render_term(inst.term))
+            report.fail("certificate-rejected", term=render_term(term))
         certs.append(cert)
     return certs, report
 

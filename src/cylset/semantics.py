@@ -26,7 +26,7 @@ from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .terms import And, Cyl, Diag, Not, One, Or, Term, Var, Zero, index_set, variables
-from .units import ClassTag, Sequence, Unit, bit_positions, enumerate_units, unit_to_dict
+from .units import MAX_UNITS, ClassTag, Sequence, Unit, bit_positions, enumerate_units, unit_to_dict
 
 # Variable index -> subset of the carrier.
 Evaluation = dict[int, frozenset]
@@ -443,7 +443,13 @@ def _instances(shape: str, singles: list[int], pairs: list[tuple[int, int]], idx
 
 def _check_laws(alg: FiniteAlgebra, laws: list, samples: int, seed: int, what: str) -> CheckReport:
     """Check `laws` over the window and the subsets and pairs of subsets
-    that `_cover` picks; `what` names the laws in the report's note."""
+    that `_cover` picks; `what` names the laws in the report's note.  Raises
+    ValueError first if a law binds more than MAX_UNITS index tuples."""
+    w = len(alg.indices)
+    bindings = {"ijk": w * (w - 1) ** 2, "x,i<j": w * (w - 1) // 2, "x,i!=j": w * (w - 1), "xy": 1}
+    for name, shape, _ in laws:
+        if (count := bindings.get(shape, w)) > MAX_UNITS:
+            raise ValueError(f"{name} binds {count} index tuples over {w} window indices, over the cap of {MAX_UNITS}")
     singles, every_single = _cover(alg.top + 1, 1, COVER_CAP, samples, f"subsets:{seed}")
     pairs, every_pair = _cover(alg.top + 1, 2, COVER_CAP, samples, f"pairs:{seed}")
     singles, pairs = [x for x, in singles], list(pairs)

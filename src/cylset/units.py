@@ -201,61 +201,66 @@ def base(v: Unit) -> frozenset[int]:
     return frozenset(out)
 
 
-def _diag_closed(v: Unit) -> bool:
-    members = v.as_set()
-    for f in v:
-        for i in v.window:
-            for j in v.window:
-                if f.update(i, f[j]) not in members:
-                    return False
-    return True
+def _spans(ranges: set[frozenset[int]], tag: ClassTag) -> set[frozenset[int]]:
+    """The ranges whose forced sequences (`_forced`) a `tag` unit with these
+    member ranges holds: none for Crs, the ranges for D and G, and for Gs the
+    range blocks, the classes of base elements linked through shared members."""
+    if tag is not ClassTag.GS:
+        return set() if tag is ClassTag.CRS else ranges
+    blocks: set[frozenset[int]] = set()
+    for r in ranges:
+        linked = {b for b in blocks if b & r}
+        blocks = (blocks - linked) | {r.union(*linked)}
+    return blocks
+
+
+def _forced(tag: ClassTag, n: int, span: frozenset[int]) -> tuple[int, Iterator[tuple[int, ...]]]:
+    """How many value tuples over n indices a member with range `span` forces
+    into a D, G or Gs unit, in closed form, and those tuples: for G and Gs the
+    full square over `span`, for D its non-injective tuples.  Diagonalizing f
+    through a repeated value reaches every non-injective tuple over its range
+    and never an injective one, so the D closure of f is f plus these.  A D
+    span is a range, so injective tuples exist only when it has n elements."""
+    square = product(sorted(span), repeat=n)
+    if tag is not ClassTag.D:
+        return len(span) ** n, square
+    injective = math.factorial(n) if len(span) == n else 0
+    return len(span) ** n - injective, (t for t in square if len(set(t)) < n)
 
 
 def classify(v: Unit) -> frozenset[ClassTag]:
-    """Class membership flags for the unit.
+    """Class membership flags: every unit is Crs, and D, G and Gs each hold
+    what the rule of `_forced` forces over every span (`_spans`).
 
-    Every unit is Crs.  D requires closure under f(i/f(j)) for window
-    indices.  G requires the full square over each member's range, so the
-    unit is a union of possibly overlapping Cartesian squares.  Gs requires
-    the unit to be the union of the full squares over its range blocks, the
-    classes of base elements linked through shared members.  A G unit is Gs
-    iff the full square over N(u), the union of the ranges of the members
-    holding u, lies in the unit for every base element u: with two or more
-    window indices the square over N(w) for w in N(u) holds a member with
-    values u and x for each x in N(w), so N(u) is u's block; with at most
-    one index every block is a singleton.
+    So a D unit is closed under f(i/f(j)) for window indices, a G unit is a
+    union of possibly overlapping Cartesian squares, and the squares over
+    the range blocks make up a Gs unit.  Each class forces a superset of
+    what the one before it forces, so the first that fails ends the checks,
+    and a span that forces more sequences than the unit has fails before
+    any is built.
     """
+    members = {f.values for f in v}
+    ranges = {frozenset(values) for values in members}
     tags = {ClassTag.CRS}
-    if _diag_closed(v):
-        tags.add(ClassTag.D)
-    members = v.as_set()
-    if all(g in members for f in v for g in full_square(v.window, f.range_values())):
-        tags.add(ClassTag.G)
-        near: dict[int, set[int]] = {}
-        for f in v:
-            for u in f.values:
-                near.setdefault(u, set()).update(f.values)
-        if all(
-            len(n) ** len(v.window) <= len(v)
-            and all(s in members for s in full_square(v.window, n))
-            for n in near.values()
-        ):
-            tags.add(ClassTag.GS)
+    for tag in (ClassTag.D, ClassTag.G, ClassTag.GS):
+        for span in _spans(ranges, tag):
+            count, forced = _forced(tag, len(v.window), span)
+            if count > len(v) or not all(t in members for t in forced):
+                return frozenset(tags)
+        tags.add(tag)
     return frozenset(tags)
 
 
-def diagonalization_closure(v: Unit) -> Unit:
-    """Smallest superset closed under f(i/f(j)) for window indices."""
+def closure(v: Unit, tag: ClassTag) -> Unit:
+    """The smallest `tag` unit holding v: v plus what `_forced` forces over
+    each span.  Raises ValueError, before anything is built, when the counts
+    add up past MAX_UNITS."""
+    forced = [_forced(tag, len(v.window), span) for span in _spans({f.range_values() for f in v}, tag)]
+    if sum(count for count, _ in forced) > MAX_UNITS:
+        raise ValueError(f"the {tag.value} closure forces more than {MAX_UNITS} sequences: over the enumeration cap")
     members = set(v.sequences)
-    work = list(v.sequences)
-    while work:
-        f = work.pop()
-        for i in v.window:
-            for j in v.window:
-                g = f.update(i, f[j])
-                if g not in members:
-                    members.add(g)
-                    work.append(g)
+    for _, tuples in forced:
+        members.update(Sequence._trusted(v.window, t) for t in tuples)
     return Unit(v.window, tuple(sorted(members)))
 
 
@@ -338,9 +343,8 @@ def enumerate_units(
     carrying the tag, by size then in `combinations` order of the square.
 
     Units are generated per class, not filtered.  Crs units are the
-    combinations themselves.  D and G are closures generated point by point
-    (`diagonalization_closure`, and the full square over a sequence's
-    range), so their units are exactly the unions of one closure mask per
+    combinations themselves.  A D or G unit holds what each member's range
+    forces, so these units are exactly the unions of one `closure` mask per
     sequence of `full_square(window, range(base_size))`.  Gs units are the
     G units that `classify` tags Gs.  Raises ValueError when the square or
     the units would number more than MAX_UNITS; for Crs the count is known
@@ -379,14 +383,7 @@ def enumerate_units(
 
     seqs = full_square(w, range(base_size)).sequences
     bit = {f: k for k, f in enumerate(seqs)}
-
-    def mask(v: Unit) -> int:
-        return sum(1 << bit[g] for g in v)
-
-    if tag is ClassTag.D:
-        closures = [mask(diagonalization_closure(Unit(w, (f,)))) for f in seqs]
-    else:
-        closures = [mask(full_square(w, f.range_values())) for f in seqs]
+    closures = [sum(1 << bit[g] for g in closure(Unit(w, (f,)), tag)) for f in seqs]
     closed = sorted((m.bit_count(), bit_positions(m)) for m in _closed_masks(closures, limit))
     for _, positions in closed:
         u = Unit(w, tuple(seqs[k] for k in positions))

@@ -115,7 +115,7 @@ def test_criterion_3_atom_splitting(diag_certs):
 def test_criterion_4_crs_atomlessness(crs_certs):
     instances, certs, rep = crs_certs
     atom_terms = {atom_term(m, q) for m in (1, 2) for q in all_choice_functions(m)}
-    covered = atom_terms <= {inst.term for inst in instances}
+    covered = atom_terms <= {term for _, term in instances}
     reverified = sum(1 for c in certs if verify_certificate(c))
     two_model = all(c.negative.unit != c.positive.unit for c in certs)
     ok = (

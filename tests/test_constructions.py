@@ -44,7 +44,7 @@ from cylset.terms import (
 )
 from cylset.units import (
     ClassTag,
-    diagonalization_closure,
+    closure,
     eqv_gamma,
     full_square,
     seq,
@@ -136,7 +136,7 @@ class TestSplitAtomDiag:
         assert g[2] == g[3] == g[1]
 
     def test_closure_unit_instance(self):
-        v = diagonalization_closure(unit((0, 1), [(0, 1)]))
+        v = closure(unit((0, 1), [(0, 1)]), ClassTag.D)
         cert = split_atom_diag(v, seq((0, 1), (0, 1)), {0: v.as_set()}, Var(0))
         assert verify_certificate(cert)
 
@@ -274,7 +274,7 @@ class TestCorpora:
     def test_crs_corpus_includes_all_small_atom_terms(self):
         instances = crs_split_corpus()
         assert len(instances) >= 50
-        present = {render_term(inst.term) for inst in instances}
+        present = {render_term(term) for _, term in instances}
         for m in (1, 2):
             for q in all_choice_functions(m):
                 assert render_term(atom_term(m, q)) in present

@@ -265,6 +265,9 @@ USAGE_ERRORS = [
     (["check-axioms", "--class", "crs", "--window", "100000", "--max-base", "100000"],
      "the square over 100000 indices and base 100000 has at least 100000 sequences, "
      "over the enumeration cap of 65536"),
+    # The square has one sequence, but CA6 binds W(W-1)^2 index tuples.
+    (["check-axioms", "--class", "crs", "--window", "200", "--max-base", "1", "--max-seqs", "1"],
+     "CA6 binds 7920200 index tuples over 200 window indices, over the cap of 65536"),
 ]
 
 

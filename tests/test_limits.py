@@ -1,6 +1,7 @@
 """Inputs outside the supported range fail with a clear error, not a crash."""
 
 import re
+from time import perf_counter
 
 import pytest
 
@@ -14,9 +15,18 @@ from cylset.constructions import (
     replicate,
     split_atom_diag,
 )
-from cylset.semantics import MappedUnitAlgebra, SearchBounds, bounded_validity, evaluate, evaluation_from_dict
+from cylset.semantics import (
+    MappedUnitAlgebra,
+    SearchBounds,
+    UnitAlgebra,
+    bounded_validity,
+    check_ca_axioms,
+    check_eq_laws,
+    evaluate,
+    evaluation_from_dict,
+)
 from cylset.terms import MAX_DEPTH, TermSyntaxError, Var, parse_term
-from cylset.units import MAX_UNITS, ClassTag, enumerate_units, full_square, save_unit, seq
+from cylset.units import MAX_UNITS, ClassTag, classify, enumerate_units, full_square, save_unit, seq, unit
 
 SQ22 = full_square((0, 1), (0, 1))
 
@@ -219,3 +229,37 @@ class TestEnumerationCap:
 
     def test_cap_admits_the_full_subset_space_of_16_sequences(self):
         assert sum(1 for _ in enumerate_units((0, 1, 2, 3), 2, 16)) == MAX_UNITS
+
+
+class TestClassifyBuildsNoSquareOverTheUnit:
+    """An injective sequence over 10 indices has a range of 10 elements, whose
+    square of 10^10 sequences must never be built to classify it."""
+
+    UNIT = unit(range(10), [tuple(range(10))])
+
+    def test_classify(self):
+        start = perf_counter()
+        assert classify(self.UNIT) == {ClassTag.CRS}
+        assert perf_counter() - start < 0.5
+
+    def test_cli(self, tmp_path, capsys):
+        path = tmp_path / "injective.json"
+        save_unit(self.UNIT, str(path))
+        start = perf_counter()
+        assert main(["classify", "--unit", str(path)]) == 0
+        assert perf_counter() - start < 0.5
+        assert capsys.readouterr().out == "Crs\n"
+
+
+class TestLawBindingCap:
+    """CA6 binds W(W-1)^2 index tuples, so the postulates admit W <= 40."""
+
+    def test_postulates_refused_past_40_indices(self):
+        message = f"CA6 binds 65600 index tuples over 41 window indices, over the cap of {MAX_UNITS}"
+        with pytest.raises(ValueError, match=message):
+            check_ca_axioms(UnitAlgebra(unit(range(41), [(0,) * 41])))
+
+    def test_equations_refused_past_256_indices(self):
+        # Eq7 binds W(W-1) index pairs.
+        with pytest.raises(ValueError, match="Eq7 binds 65792 index tuples over 257 window indices"):
+            check_eq_laws(unit(range(257), [(0,) * 257]))

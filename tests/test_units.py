@@ -1,5 +1,5 @@
 import json
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +13,7 @@ from cylset.units import (
     add_sequence,
     base,
     classify,
-    diagonalization_closure,
+    closure,
     disjoint_squares_unit,
     enumerate_units,
     eqv_gamma,
@@ -148,7 +148,15 @@ def _subunit(square: Unit, mask: int) -> Unit:
 @given(SQUARE_BITS)
 def test_d_tag_iff_closed(mask):
     u = _subunit(SQ33, mask)
-    assert (ClassTag.D in classify(u)) == (diagonalization_closure(u) == u)
+    assert (ClassTag.D in classify(u)) == (closure(u, ClassTag.D) == u)
+
+
+@given(SQUARE_BITS)
+def test_every_tag_iff_closed(mask):
+    u = _subunit(SQ33, mask)
+    tags = classify(u)
+    for tag in ClassTag:
+        assert (tag in tags) == (closure(u, tag) == u), tag
 
 
 @given(SQUARE_BITS)
@@ -161,24 +169,81 @@ def test_membership_matches_set(mask):
     assert (0, 0) not in u
 
 
+def _diag_worklist(values: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The closure of one value tuple under f(i/f(j)), found step by step:
+    the reference for the closed form that `closure` uses for D."""
+    seen = {values}
+    work = [values]
+    while work:
+        f = work.pop()
+        for i in range(len(f)):
+            for j in range(len(f)):
+                g = f[:i] + (f[j],) + f[i + 1:]
+                if g not in seen:
+                    seen.add(g)
+                    work.append(g)
+    return seen
+
+
 class TestClosure:
     def test_closure_of_off_diagonal_point(self):
-        v = diagonalization_closure(unit((0, 1), [(0, 1)]))
+        v = closure(unit((0, 1), [(0, 1)]), ClassTag.D)
         assert v == unit((0, 1), [(0, 1), (0, 0), (1, 1)])
 
     def test_closure_of_square_is_identity(self):
-        assert diagonalization_closure(SQ22) == SQ22
+        for tag in ClassTag:
+            assert closure(SQ22, tag) == SQ22
 
     def test_closure_of_empty(self):
         v = unit((0, 1), [])
-        assert diagonalization_closure(v) == v
+        for tag in ClassTag:
+            assert closure(v, tag) == v
 
     def test_idempotent_monotone_and_d_tagged(self):
         for v in enumerate_units((0, 1), 2, 4):
-            closed = diagonalization_closure(v)
-            assert diagonalization_closure(closed) == closed
-            assert v.as_set() <= closed.as_set()
-            assert ClassTag.D in classify(closed)
+            for tag in ClassTag:
+                closed = closure(v, tag)
+                assert closure(closed, tag) == closed
+                assert v.as_set() <= closed.as_set()
+                assert tag in classify(closed)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_d_closure_matches_the_worklist(self, n):
+        # Every sequence over n <= 4 indices and base <= 4.
+        for f in full_square(range(n), range(4)):
+            got = closure(Unit(f.window, (f,)), ClassTag.D)
+            assert {g.values for g in got} == _diag_worklist(f.values), f
+
+    def test_d_closure_sizes_of_injective_sequences(self):
+        # n^n - n! non-injective sequences plus the injective one.
+        sizes = [len(closure(unit(range(n), [tuple(range(n))]), ClassTag.D)) for n in (2, 3, 4)]
+        assert sizes == [3, 22, 233]
+
+    def test_g_closure_fills_ranges_and_gs_closure_fills_blocks(self):
+        v = unit((0, 1), [(0, 1), (1, 2), (3, 3)])
+        assert closure(v, ClassTag.G) == unit((0, 1), [(a, b) for r in ((0, 1), (1, 2)) for a in r for b in r] + [(3, 3)])
+        assert closure(v, ClassTag.GS) == disjoint_squares_unit((0, 1), [[0, 1, 2], [3]])
+
+    @pytest.mark.parametrize("tag", [ClassTag.D, ClassTag.G, ClassTag.GS])
+    def test_refused_past_the_cap_before_building(self, tag):
+        # The square over 10 indices and a 10-element range has 10^10 sequences.
+        with pytest.raises(ValueError, match="over the enumeration cap"):
+            closure(unit(range(10), [tuple(range(10))]), tag)
+
+
+def test_d_units_that_are_not_g_split_an_injective_range():
+    """Each D unit over window 3, base 3 that is not G holds an injective
+    sequence and misses another injective sequence over the same range."""
+    not_g = 0
+    for v in enumerate_units((0, 1, 2), 3, 27, ClassTag.D):
+        if ClassTag.G in classify(v):
+            continue
+        not_g += 1
+        members = {f.values for f in v}
+        assert any(
+            len(set(f.values)) == 3 and any(p not in members for p in permutations(f.values)) for f in v
+        ), unit_to_dict(v)
+    assert not_g == 62
 
 
 class TestWindowSurgery:
