@@ -11,9 +11,11 @@ the evaluation JSON codec, and `FiniteAlgebra.mask`/`subset`.  The
 postulate and equation checkers share one law table.  One rule, `_cover`,
 picks the instances of every check: the laws' subsets and pairs of subsets,
 and the evaluations of `bounded_validity`.  A check visits all instances
-when there are at most a cap of them, else seeded samples, and reports
-`exhaustive` only in the first case.  Every check is a refuter over finite
-models, never a prover.
+when there are at most a cap of them, else seeded samples, at most
+MAX_UNITS, and reports `exhaustive` only in the first case.  The law
+checker packs all covered subsets, or pairs, side by side into lane masks
+(bitslicing) and evaluates each law once per index binding over all of
+them.  Every check is a refuter over finite models, never a prover.
 """
 
 from __future__ import annotations
@@ -392,85 +394,196 @@ class CheckReport:
 
 # --- postulate and equation laws -----------------------------------------
 
-# One row per law: (postulate name, equation name, quantifier shape,
-# predicate over masks).  A law that is both a cylindric postulate and one of
-# the seven unit equations is coded once and carries both names.
+class _Lanes:
+    """`count` instances of a law side by side over one algebra's carrier.
+
+    A lane mask packs one subset per instance, point-major: bits p*K to
+    p*K+K-1, point p's field, hold p's membership in each of the K
+    instances, where K is `count` rounded up to whole bytes.  Boolean
+    operations on lane masks act on every instance at once; `cyl_mask` ORs
+    the fields of the points of each cylinder class and writes the result
+    back to each of them, and `diag_mask` widens every diagonal point to K
+    ones.  The lanes past `count` repeat lane 0, so they hold no verdict of
+    their own, and `failing` leaves them out.
+    """
+
+    def __init__(self, alg: FiniteAlgebra, count: int):
+        self.alg = alg
+        self.count = count
+        self.width = max(1, (count + 7) // 8)  # bytes per field
+        self.size = len(alg.labels) * self.width
+        self.top = (1 << 8 * self.size) - 1
+        self._classes: dict[int, list[list[int]]] = {}
+        self._diags: dict[tuple[int, int], int] = {}
+
+    def pack(self, masks: list[int]) -> int:
+        """The lane mask whose instance l is `masks[l]`, for `count` masks."""
+        n, lanes = len(self.alg.labels), 8 * self.width
+        masks = masks + masks[:1] * (lanes - len(masks))
+        # Points are packed a slice at a time, so that the digit strings
+        # stay near a million characters; a small carrier takes one slice.
+        step = max(1, (1 << 20) // lanes)
+        out = 0
+        for low in range(0, n, step):
+            span = min(step, n - low)
+            keep, lead = (1 << span) - 1, 1 << span
+            # Row l is masks[l] on points low to low+span-1, highest first.
+            # Over the rows joined in reverse, every span-th digit from
+            # digit c makes the field of point low+span-1-c, highest lane
+            # first.
+            rows = "".join([bin(m >> low & keep | lead)[3:] for m in reversed(masks)])
+            out |= int("".join([rows[c::span] for c in range(span)]) or "0", 2) << low * lanes
+        return out
+
+    def _fields(self, x: int) -> list[int]:
+        w = self.width
+        data = x.to_bytes(self.size, "little")
+        return [int.from_bytes(data[s:s + w], "little") for s in range(0, self.size, w)]
+
+    def diag_mask(self, i: int, j: int) -> int:
+        d = self._diags.get((i, j))
+        if d is None:
+            ones, zeros = b"\xff" * self.width, bytes(self.width)
+            scalar = self.alg.diag_mask(i, j)
+            fields = b"".join(ones if scalar >> p & 1 else zeros for p in range(len(self.alg.labels)))
+            d = self._diags[(i, j)] = int.from_bytes(fields, "little")
+        return d
+
+    def cyl_mask(self, i: int, x: int) -> int:
+        classes = self._classes.get(i)
+        if classes is None:
+            by_block: dict[int, list[int]] = {}
+            for p, block in enumerate(self.alg._cyl_blocks(i)):
+                by_block.setdefault(block, []).append(p)
+            classes = self._classes[i] = list(by_block.values())
+        fields = self._fields(x)
+        out = [b""] * len(fields)
+        for points in classes:
+            acc = 0
+            for p in points:
+                acc |= fields[p]
+            field = acc.to_bytes(self.width, "little")
+            for p in points:
+                out[p] = field
+        return int.from_bytes(b"".join(out), "little")
+
+    def failing(self, x: int) -> list[int]:
+        """The instances whose subset in x is not empty."""
+        if not x:
+            return []
+        acc = 0
+        for field in self._fields(x):
+            acc |= field
+        return [lane for lane in bit_positions(acc) if lane < self.count]
+
+
+# One row per law: (postulate name, equation name, element variables, index
+# variables, violation mask).  The mask is zero iff the law holds; evaluated
+# on lane masks, its nonzero fields name the failing instances.  Index rules:
+# "i" binds i, "i<j" and "i!=j" pairs under that constraint, "ijk" triples
+# with k distinct from i and j.  A law that is both a cylindric postulate and
+# one of the seven unit equations is coded once and carries both names.
 _LAWS = (
-    ("CA0", None, "xy", lambda a, x, y: (
-        x | y == y | x and x & (a.top ^ x) == 0 and a.top ^ (x & y) == (a.top ^ x) | (a.top ^ y)
+    ("CA0", None, "xy", "", lambda a, x, y: (
+        ((x | y) ^ (y | x)) | (x & (a.top ^ x)) | ((a.top ^ (x & y)) ^ ((a.top ^ x) | (a.top ^ y)))
     )),
-    ("CA1", "Eq1", "i", lambda a, i: a.cyl_mask(i, 0) == 0),
-    ("CA2", "Eq2", "xi", lambda a, i, x: x & a.cyl_mask(i, x) == x),
-    ("CA3", "Eq3", "xyi", lambda a, i, x, y: (
-        a.cyl_mask(i, x & a.cyl_mask(i, y)) == a.cyl_mask(i, x) & a.cyl_mask(i, y)
+    ("CA1", "Eq1", "", "i", lambda a, i: a.cyl_mask(i, 0)),
+    ("CA2", "Eq2", "x", "i", lambda a, i, x: (x & a.cyl_mask(i, x)) ^ x),
+    ("CA3", "Eq3", "xy", "i", lambda a, i, x, y: (
+        a.cyl_mask(i, x & (cy := a.cyl_mask(i, y))) ^ (a.cyl_mask(i, x) & cy)
     )),
-    ("CA4", None, "x,i<j", lambda a, i, j, x: (
-        a.cyl_mask(i, a.cyl_mask(j, x)) == a.cyl_mask(j, a.cyl_mask(i, x))
+    ("CA4", None, "x", "i<j", lambda a, i, j, x: a.cyl_mask(i, a.cyl_mask(j, x)) ^ a.cyl_mask(j, a.cyl_mask(i, x))),
+    ("CA5", "Eq6", "", "i", lambda a, i: a.diag_mask(i, i) ^ a.top),
+    ("CA6", None, "", "ijk", lambda a, i, j, k: (
+        a.diag_mask(i, j) ^ a.cyl_mask(k, a.diag_mask(i, k) & a.diag_mask(k, j))
     )),
-    ("CA5", "Eq6", "i", lambda a, i: a.diag_mask(i, i) == a.top),
-    ("CA6", None, "ijk", lambda a, i, j, k: (
-        a.diag_mask(i, j) == a.cyl_mask(k, a.diag_mask(i, k) & a.diag_mask(k, j))
+    ("CA7", None, "x", "i!=j", lambda a, i, j, x: (
+        a.cyl_mask(i, a.diag_mask(i, j) & x) & a.cyl_mask(i, a.diag_mask(i, j) & (a.top ^ x))
     )),
-    ("CA7", None, "x,i!=j", lambda a, i, j, x: (
-        a.cyl_mask(i, a.diag_mask(i, j) & x) & a.cyl_mask(i, a.diag_mask(i, j) & (a.top ^ x)) == 0
-    )),
-    (None, "Eq4", "xyi", lambda a, i, x, y: a.cyl_mask(i, x | y) == a.cyl_mask(i, x) | a.cyl_mask(i, y)),
-    (None, "Eq5", "xi", lambda a, i, x: a.cyl_mask(i, (out := a.top ^ a.cyl_mask(i, x))) == out),
-    (None, "Eq7", "x,i!=j", lambda a, i, j, x: (
-        a.cyl_mask(i, (xd := x & a.diag_mask(i, j))) & a.diag_mask(i, j) == xd
+    (None, "Eq4", "xy", "i", lambda a, i, x, y: a.cyl_mask(i, x | y) ^ (a.cyl_mask(i, x) | a.cyl_mask(i, y))),
+    (None, "Eq5", "x", "i", lambda a, i, x: a.cyl_mask(i, (out := a.top ^ a.cyl_mask(i, x))) ^ out),
+    (None, "Eq7", "x", "i!=j", lambda a, i, j, x: (
+        (a.cyl_mask(i, (xd := x & a.diag_mask(i, j))) & a.diag_mask(i, j)) ^ xd
     )),
 )
-_CA_LAWS = [(ca, shape, law) for ca, _, shape, law in _LAWS if ca]
-_EQ_LAWS = sorted(((eq, shape, law) for _, eq, shape, law in _LAWS if eq), key=lambda row: row[0])
+_CA_LAWS = [(ca, elements, rule, law) for ca, _, elements, rule, law in _LAWS if ca]
+_EQ_LAWS = sorted(((eq, elements, rule, law) for _, eq, elements, rule, law in _LAWS if eq), key=lambda row: row[0])
 
 
-def _instances(shape: str, singles: list[int], pairs: list[tuple[int, int]], idx: tuple[int, ...]) -> Iterator[dict]:
-    """Bindings of a shape's variables, indices before elements."""
-    if shape == "i":
-        return ({"i": i} for i in idx)
-    if shape == "ijk":
-        return ({"i": i, "j": j, "k": k} for i in idx for j in idx for k in idx if k != i and k != j)
-    if shape == "xi":
-        return ({"i": i, "x": x} for x in singles for i in idx)
-    if shape == "x,i<j":
-        return ({"i": i, "j": j, "x": x} for x in singles for i in idx for j in idx if i < j)
-    if shape == "x,i!=j":
-        return ({"i": i, "j": j, "x": x} for x in singles for i in idx for j in idx if i != j)
-    if shape == "xy":
-        return ({"x": x, "y": y} for x, y in pairs)
-    return ({"i": i, "x": x, "y": y} for x, y in pairs for i in idx)  # "xyi"
+def _index_count(rule: str, w: int) -> int:
+    """How many bindings `_index_bindings` gives over w window indices."""
+    return {"": 1, "i": w, "i<j": w * (w - 1) // 2, "i!=j": w * (w - 1), "ijk": w * (w - 1) ** 2}[rule]
+
+
+def _index_bindings(rule: str, idx: tuple[int, ...]) -> list[dict]:
+    """The bindings of a rule's index variables, in nested-loop order."""
+    if rule == "i":
+        return [{"i": i} for i in idx]
+    if rule == "i<j":
+        return [{"i": i, "j": j} for i in idx for j in idx if i < j]
+    if rule == "i!=j":
+        return [{"i": i, "j": j} for i in idx for j in idx if i != j]
+    if rule == "ijk":
+        return [{"i": i, "j": j, "k": k} for i in idx for j in idx for k in idx if k != i and k != j]
+    return [{}]
 
 
 def _check_laws(alg: FiniteAlgebra, laws: list, samples: int, seed: int, what: str) -> CheckReport:
     """Check `laws` over the window and the subsets and pairs of subsets
-    that `_cover` picks; `what` names the laws in the report's note.  Raises
-    ValueError first if a law binds more than MAX_UNITS index tuples."""
+    that `_cover` picks; `what` names the laws in the report's note.
+
+    A law without element variables is checked once per index binding on
+    the algebra itself.  A law over x, or over x and y, is checked once per
+    index binding on lane masks (`_Lanes`) that hold every covered subset,
+    or pair, at once; its failures are listed as an instance loop would
+    list them, subset or pair first, then index binding.  Raises ValueError
+    first if `samples` is over MAX_UNITS or a law binds more than MAX_UNITS
+    index tuples."""
+    if samples > MAX_UNITS:
+        raise ValueError(f"samples must be at most {MAX_UNITS}, got {samples}")
     w = len(alg.indices)
-    bindings = {"ijk": w * (w - 1) ** 2, "x,i<j": w * (w - 1) // 2, "x,i!=j": w * (w - 1), "xy": 1}
-    for name, shape, _ in laws:
-        if (count := bindings.get(shape, w)) > MAX_UNITS:
+    for name, _, rule, _ in laws:
+        if (count := _index_count(rule, w)) > MAX_UNITS:
             raise ValueError(f"{name} binds {count} index tuples over {w} window indices, over the cap of {MAX_UNITS}")
     singles, every_single = _cover(alg.top + 1, 1, COVER_CAP, samples, f"subsets:{seed}")
     pairs, every_pair = _cover(alg.top + 1, 2, COVER_CAP, samples, f"pairs:{seed}")
-    singles, pairs = [x for x, in singles], list(pairs)
     report = CheckReport(exhaustive=every_single and every_pair)
     if not every_single:
         report.notes = f"{what} spot-checked on {samples} seeded subsets"
     elif not every_pair:
         report.notes = f"{what} checked on every subset and {samples} seeded pairs"
-    for name, shape, law in laws:
-        for binding in _instances(shape, singles, pairs, alg.indices):
-            report.count()
-            if not law(alg, **binding):
-                report.fail(name, **{
-                    var: sorted(str(e) for e in alg.subset(val)) if var in ("x", "y") else val
-                    for var, val in binding.items()
-                })
+    # Element variables -> (covered instances, their lane view, the lane
+    # mask of each variable).
+    families = {}
+    for elements, instances in (("x", list(singles)), ("xy", list(pairs))):
+        lanes = _Lanes(alg, len(instances))
+        masks = {v: lanes.pack([t[k] for t in instances]) for k, v in enumerate(elements)}
+        families[elements] = instances, lanes, masks
+    for name, elements, rule, law in laws:
+        bindings = _index_bindings(rule, alg.indices)
+        if not elements:
+            report.count(len(bindings))
+            for binding in bindings:
+                if law(alg, **binding):
+                    report.fail(name, **binding)
+            continue
+        instances, lanes, masks = families[elements]
+        report.count(len(instances) * len(bindings))
+        failed = sorted(
+            (lane, b) for b, binding in enumerate(bindings) for lane in lanes.failing(law(lanes, **binding, **masks))
+        )
+        for lane, b in failed:
+            report.fail(name, **bindings[b], **{
+                v: sorted(str(e) for e in alg.subset(m)) for v, m in zip(elements, instances[lane])
+            })
     return report
 
 
 def check_ca_axioms(alg: FiniteAlgebra, samples: int = 64, seed: int = 0) -> CheckReport:
-    """Check the cylindric postulates over the window and subsets of the carrier."""
+    """Check the cylindric postulates over the window and subsets of the
+    carrier: every subset and pair when there are at most COVER_CAP, else
+    `samples` seeded ones, at most MAX_UNITS.  Each postulate is evaluated
+    once per index binding over all covered subsets, or pairs, at once."""
     return _check_laws(alg, _CA_LAWS, samples, seed, "postulates")
 
 

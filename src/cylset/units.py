@@ -14,7 +14,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -214,18 +214,40 @@ def _spans(ranges: set[frozenset[int]], tag: ClassTag) -> set[frozenset[int]]:
     return blocks
 
 
-def _forced(tag: ClassTag, n: int, span: frozenset[int]) -> tuple[int, Iterator[tuple[int, ...]]]:
+def _product_past(factors: Iterable[int], cap: int) -> int:
+    """The product of `factors`, multiplied up only until it passes `cap`: the
+    exact product when it is at most `cap`, else a partial one above it."""
+    out = 1
+    for f in factors:
+        out *= f
+        if out > cap:
+            break
+    return out
+
+
+def _forced(tag: ClassTag, n: int, span: frozenset[int], cap: int) -> tuple[int, Iterator[tuple[int, ...]]]:
     """How many value tuples over n indices a member with range `span` forces
     into a D, G or Gs unit, in closed form, and those tuples: for G and Gs the
     full square over `span`, for D its non-injective tuples.  Diagonalizing f
     through a repeated value reaches every non-injective tuple over its range
     and never an injective one, so the D closure of f is f plus these.  A D
-    span is a range, so injective tuples exist only when it has n elements."""
+    span is a range, so injective tuples exist only when it has n elements.
+
+    The count is exact when it is at most `cap`, and otherwise only some
+    number above `cap`: no power or factorial is worked out further than
+    that comparison needs."""
     square = product(sorted(span), repeat=n)
     if tag is not ClassTag.D:
-        return len(span) ** n, square
-    injective = math.factorial(n) if len(span) == n else 0
-    return len(span) ** n - injective, (t for t in square if len(set(t)) < n)
+        return _product_past(repeat(len(span), n), cap), square
+    tuples = (t for t in square if len(set(t)) < n)
+    injective = 0
+    if len(span) == n:
+        injective = _product_past(range(1, n + 1), cap)
+        # n^n >= 2 n! for n >= 2, so the n^n - n! non-injective tuples
+        # number at least n!, which is then already past the cap.
+        if n >= 2 and injective > cap:
+            return injective, tuples
+    return _product_past(repeat(len(span), n), cap + injective) - injective, tuples
 
 
 def classify(v: Unit) -> frozenset[ClassTag]:
@@ -244,7 +266,7 @@ def classify(v: Unit) -> frozenset[ClassTag]:
     tags = {ClassTag.CRS}
     for tag in (ClassTag.D, ClassTag.G, ClassTag.GS):
         for span in _spans(ranges, tag):
-            count, forced = _forced(tag, len(v.window), span)
+            count, forced = _forced(tag, len(v.window), span, len(v))
             if count > len(v) or not all(t in members for t in forced):
                 return frozenset(tags)
         tags.add(tag)
@@ -255,7 +277,7 @@ def closure(v: Unit, tag: ClassTag) -> Unit:
     """The smallest `tag` unit holding v: v plus what `_forced` forces over
     each span.  Raises ValueError, before anything is built, when the counts
     add up past MAX_UNITS."""
-    forced = [_forced(tag, len(v.window), span) for span in _spans({f.range_values() for f in v}, tag)]
+    forced = [_forced(tag, len(v.window), span, MAX_UNITS) for span in _spans({f.range_values() for f in v}, tag)]
     if sum(count for count, _ in forced) > MAX_UNITS:
         raise ValueError(f"the {tag.value} closure forces more than {MAX_UNITS} sequences: over the enumeration cap")
     members = set(v.sequences)
@@ -355,16 +377,14 @@ def enumerate_units(
     if max_seqs < 0:
         raise ValueError(f"max_seqs must be at least 0, got {max_seqs}")
     w = tuple(sorted(window))
-    n = 1
-    for _ in w:
-        # Multiplied up, so a huge window or base is refused at the first
-        # power past the cap instead of after the whole power is computed.
-        n *= base_size
-        if n > MAX_UNITS:
-            raise ValueError(
-                f"the square over {len(w)} indices and base {base_size} has at least {n} sequences, "
-                f"over the enumeration cap of {MAX_UNITS}"
-            )
+    # A huge window or base is refused at the first power past the cap,
+    # before the whole power is computed.
+    n = _product_past(repeat(base_size, len(w)), MAX_UNITS)
+    if n > MAX_UNITS:
+        raise ValueError(
+            f"the square over {len(w)} indices and base {base_size} has at least {n} sequences, "
+            f"over the enumeration cap of {MAX_UNITS}"
+        )
     limit = min(max_seqs, n)
     if tag is ClassTag.CRS:
         count = 0

@@ -249,6 +249,10 @@ USAGE_ERRORS = [
      "unknown suite 'bogus'; pick from ['atom-census', 'equations', 'mapped-witness', "
      "'split-crs', 'split-diag', 'twin-system', 'zero-dim'] or 'all'"),
     (["witness", "--samples", "0"], "--samples must be at least 1, got 0"),
+    # Every sample is drawn and packed before any law is checked.
+    (["check-axioms", "--unit", "{unit}", "--samples", "65537"], "samples must be at most 65536, got 65537"),
+    (["check-eqs", "--unit", "{unit}", "--samples", "65537"], "samples must be at most 65536, got 65537"),
+    (["witness", "--samples", "1000000000"], "samples must be at most 65536, got 1000000000"),
     (["eval", "--unit", "{missing}", "--term", "x0"],
      "malformed unit file {missing}: [Errno 2] No such file or directory: '{missing}'"),
     # A target that cannot be evaluated is a usage error, not a failed split.

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cylset.semantics import (
     CheckReport,
@@ -337,6 +337,107 @@ class TestCoverage:
         # One empty unit, 4 one-sequence units (4 each), 6 two-sequence
         # units (16 each), 4 three-sequence units (16 samples each).
         assert (result.units_checked, result.evaluations_checked) == (15, 177)
+
+
+
+# The law checker as one loop over instances, each checked on the algebra
+# itself: the reference for the lane pass of `_check_laws`.
+REFERENCE_CA = [
+    ("CA0", "xy", lambda a, x, y: (
+        x | y == y | x and x & (a.top ^ x) == 0 and a.top ^ (x & y) == (a.top ^ x) | (a.top ^ y)
+    )),
+    ("CA1", "i", lambda a, i: a.cyl_mask(i, 0) == 0),
+    ("CA2", "xi", lambda a, i, x: x & a.cyl_mask(i, x) == x),
+    ("CA3", "xyi", lambda a, i, x, y: a.cyl_mask(i, x & a.cyl_mask(i, y)) == a.cyl_mask(i, x) & a.cyl_mask(i, y)),
+    ("CA4", "x,i<j", lambda a, i, j, x: a.cyl_mask(i, a.cyl_mask(j, x)) == a.cyl_mask(j, a.cyl_mask(i, x))),
+    ("CA5", "i", lambda a, i: a.diag_mask(i, i) == a.top),
+    ("CA6", "ijk", lambda a, i, j, k: a.diag_mask(i, j) == a.cyl_mask(k, a.diag_mask(i, k) & a.diag_mask(k, j))),
+    ("CA7", "x,i!=j", lambda a, i, j, x: (
+        a.cyl_mask(i, a.diag_mask(i, j) & x) & a.cyl_mask(i, a.diag_mask(i, j) & (a.top ^ x)) == 0
+    )),
+]
+REFERENCE_EQ = [
+    ("Eq1", "i", REFERENCE_CA[1][2]),
+    ("Eq2", "xi", REFERENCE_CA[2][2]),
+    ("Eq3", "xyi", REFERENCE_CA[3][2]),
+    ("Eq4", "xyi", lambda a, i, x, y: a.cyl_mask(i, x | y) == a.cyl_mask(i, x) | a.cyl_mask(i, y)),
+    ("Eq5", "xi", lambda a, i, x: a.cyl_mask(i, (out := a.top ^ a.cyl_mask(i, x))) == out),
+    ("Eq6", "i", REFERENCE_CA[5][2]),
+    ("Eq7", "x,i!=j", lambda a, i, j, x: a.cyl_mask(i, (xd := x & a.diag_mask(i, j))) & a.diag_mask(i, j) == xd),
+]
+
+
+def reference_check(alg, laws, samples, seed, what):
+    singles, every_single = _cover(alg.top + 1, 1, 4096, samples, f"subsets:{seed}")
+    pairs, every_pair = _cover(alg.top + 1, 2, 4096, samples, f"pairs:{seed}")
+    singles, pairs, idx = [x for x, in singles], list(pairs), alg.indices
+    report = CheckReport(exhaustive=every_single and every_pair)
+    if not every_single:
+        report.notes = f"{what} spot-checked on {samples} seeded subsets"
+    elif not every_pair:
+        report.notes = f"{what} checked on every subset and {samples} seeded pairs"
+    instances = {
+        "i": [{"i": i} for i in idx],
+        "ijk": [{"i": i, "j": j, "k": k} for i in idx for j in idx for k in idx if k != i and k != j],
+        "xi": [{"i": i, "x": x} for x in singles for i in idx],
+        "x,i<j": [{"i": i, "j": j, "x": x} for x in singles for i in idx for j in idx if i < j],
+        "x,i!=j": [{"i": i, "j": j, "x": x} for x in singles for i in idx for j in idx if i != j],
+        "xy": [{"x": x, "y": y} for x, y in pairs],
+        "xyi": [{"i": i, "x": x, "y": y} for x, y in pairs for i in idx],
+    }
+    for name, shape, law in laws:
+        for binding in instances[shape]:
+            report.count()
+            if not law(alg, **binding):
+                report.fail(name, **{
+                    var: sorted(str(e) for e in alg.subset(val)) if var in ("x", "y") else val
+                    for var, val in binding.items()
+                })
+    return report
+
+
+def _as_tuple(report):
+    failures = [(f.law, list(f.witness.items())) for f in report.failures]
+    return report.checked, report.exhaustive, report.notes, failures
+
+
+SQUARE_3 = full_square((0, 1, 2), (0, 1, 2)).sequences
+CA6_UNIT = unit((0, 1, 2), [(0, 0, 1)])
+
+
+class TestLanePass:
+    """The lane pass reports what the reference loop reports: the count,
+    coverage, note and every failure, in order."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        window=st.integers(0, 3),
+        picks=st.lists(st.integers(0, 26), max_size=10),
+        samples=st.integers(0, 40),
+        seed=st.integers(0, 3),
+    )
+    @example(window=2, picks=[0, 3, 4], samples=64, seed=0)  # CA4_UNIT
+    @example(window=3, picks=[1], samples=64, seed=0)  # CA6_UNIT
+    @example(window=2, picks=[], samples=64, seed=0)  # the empty unit
+    @example(window=0, picks=[0], samples=64, seed=0)  # the empty window's one sequence
+    @example(window=3, picks=list(range(13)), samples=21, seed=1)  # subsets and pairs sampled
+    def test_units_match_the_reference(self, window, picks, samples, seed):
+        v = unit(range(window), {SQUARE_3[p].values[:window] for p in picks})
+        alg = UnitAlgebra(v)
+        for checker, laws, what in ((check_ca_axioms, REFERENCE_CA, "postulates"), (None, REFERENCE_EQ, "equations")):
+            got = checker(alg, samples, seed) if checker else check_eq_laws(v, samples, seed)
+            assert _as_tuple(got) == _as_tuple(reference_check(alg, laws, samples, seed, what))
+
+    def test_examples_fail_where_expected(self):
+        assert {f.law for f in check_ca_axioms(UnitAlgebra(CA4_UNIT)).failures} == {"CA4"}
+        assert {f.law for f in check_ca_axioms(UnitAlgebra(CA6_UNIT)).failures} == {"CA6"}
+
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.integers(2, 4), samples=st.integers(0, 40), seed=st.integers(0, 3))
+    def test_mapped_algebras_match_the_reference(self, n, samples, seed):
+        alg = MappedUnitAlgebra(n)
+        got = check_ca_axioms(alg, samples, seed)
+        assert _as_tuple(got) == _as_tuple(reference_check(alg, REFERENCE_CA, samples, seed, "postulates"))
 
 
 class TestZeroDimensionalFixpoints:

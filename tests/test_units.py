@@ -1,4 +1,5 @@
 import json
+import math
 from itertools import combinations, permutations
 
 import pytest
@@ -8,6 +9,7 @@ from cylset.semantics import evaluate
 from cylset.terms import parse_term
 from cylset.units import (
     ClassTag,
+    _forced,
     Sequence,
     Unit,
     add_sequence,
@@ -229,6 +231,26 @@ class TestClosure:
         # The square over 10 indices and a 10-element range has 10^10 sequences.
         with pytest.raises(ValueError, match="over the enumeration cap"):
             closure(unit(range(10), [tuple(range(10))]), tag)
+
+
+def test_huge_injective_unit_is_decided_without_the_whole_power():
+    """Over 100,000 indices, |R|^n and n! run to hundreds of thousands of
+    digits; the verdicts need them only up to the unit's size or the cap."""
+    v = unit(range(100_000), [tuple(range(100_000))])
+    assert classify(v) == {ClassTag.CRS}
+    for tag in (ClassTag.D, ClassTag.G, ClassTag.GS):
+        with pytest.raises(ValueError, match=f"the {tag.value} closure forces more than 65536 sequences"):
+            closure(v, tag)
+
+
+@pytest.mark.parametrize("tag", [ClassTag.D, ClassTag.G])
+@pytest.mark.parametrize("n", range(6))
+def test_forced_count_is_exact_up_to_the_cap(tag, n):
+    for r in range(n + 2):
+        exact = r ** n - (math.factorial(n) if tag is ClassTag.D and r == n else 0)
+        for cap in range(exact + 2):
+            count, _ = _forced(tag, n, frozenset(range(r)), cap)
+            assert count == exact if exact <= cap else count > cap, (r, cap)
 
 
 def test_d_units_that_are_not_g_split_an_injective_range():
