@@ -249,10 +249,6 @@ USAGE_ERRORS = [
      "unknown suite 'bogus'; pick from ['atom-census', 'equations', 'mapped-witness', "
      "'split-crs', 'split-diag', 'twin-system', 'zero-dim'] or 'all'"),
     (["witness", "--samples", "0"], "--samples must be at least 1, got 0"),
-    # Every sample is drawn and packed before any law is checked.
-    (["check-axioms", "--unit", "{unit}", "--samples", "65537"], "samples must be at most 65536, got 65537"),
-    (["check-eqs", "--unit", "{unit}", "--samples", "65537"], "samples must be at most 65536, got 65537"),
-    (["witness", "--samples", "1000000000"], "samples must be at most 65536, got 1000000000"),
     (["eval", "--unit", "{missing}", "--term", "x0"],
      "malformed unit file {missing}: [Errno 2] No such file or directory: '{missing}'"),
     # A target that cannot be evaluated is a usage error, not a failed split.
@@ -272,6 +268,10 @@ USAGE_ERRORS = [
     # The square has one sequence, but CA6 binds W(W-1)^2 index tuples.
     (["check-axioms", "--class", "crs", "--window", "200", "--max-base", "1", "--max-seqs", "1"],
      "CA6 binds 7920200 index tuples over 200 window indices, over the cap of 65536"),
+    # Every sample is drawn and packed before any law is checked.
+    (["check-axioms", "--unit", "{unit}", "--samples", "65537"], "samples must be at most 65536, got 65537"),
+    (["check-eqs", "--unit", "{unit}", "--samples", "65537"], "samples must be at most 65536, got 65537"),
+    (["witness", "--samples", "1000000000"], "samples must be at most 65536, got 1000000000"),
 ]
 
 
