@@ -12,10 +12,12 @@ postulate and equation checkers share one law table.  One rule, `_cover`,
 picks the instances of every check: the laws' subsets and pairs of subsets,
 and the evaluations of `bounded_validity`.  A check visits all instances
 when there are at most a cap of them, else seeded samples, at most
-MAX_UNITS, and reports `exhaustive` only in the first case.  The law
-checker packs all covered subsets, or pairs, side by side into lane masks
-(bitslicing) and evaluates each law once per index binding over all of
-them.  Every check is a refuter over finite models, never a prover.
+MAX_UNITS, and reports `exhaustive` only in the first case.  Both the law
+checker and the validity search pack their covered instances side by side
+into lane masks (bitslicing), a chunk of at most `_LANE_BITS` bits at a
+time, and evaluate each law or term once per chunk over all of them, with
+`evaluate_masks` on the chunk's lane view.  Every check is a refuter over
+finite models, never a prover.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .terms import And, Cyl, Diag, Not, One, Or, Term, Var, Zero, index_set, variables
 from .units import MAX_UNITS, ClassTag, Sequence, Unit, bit_positions, enumerate_units, unit_to_dict
@@ -33,12 +35,14 @@ from .units import MAX_UNITS, ClassTag, Sequence, Unit, bit_positions, enumerate
 # Variable index -> subset of the carrier.
 Evaluation = dict[int, frozenset]
 
-# A term specialized to one algebra: variable masks (x0, x1, ...) -> mask.
-_MaskFn = Callable[[tuple[int, ...]], int]
-
 # The law checkers visit every instance when there are at most this many,
 # and seeded samples otherwise; SearchBounds caps evaluations here by default.
 COVER_CAP = 4096
+
+# The most bits one lane mask may hold.  The lane checks pack their instances
+# a chunk at a time, at least 8 lanes a chunk, so that memory stays bounded
+# whatever the number of instances.
+_LANE_BITS = 1 << 22
 
 
 class FiniteAlgebra:
@@ -141,12 +145,11 @@ class FiniteAlgebra:
         return out
 
     def diag_mask(self, i: int, j: int) -> int:
-        if i == j:
-            return self.top
         d = self._diags.get((i, j))
         if d is None:
+            # d_ii is the top, but only over the window.
             p, q = self._position(i), self._position(j)
-            d = sum(1 << k for k, c in enumerate(self._coords) if c[p] == c[q]) & ~self._pinned
+            d = self.top if i == j else sum(1 << k for k, c in enumerate(self._coords) if c[p] == c[q]) & ~self._pinned
             self._diags[(i, j)] = d
         return d
 
@@ -211,19 +214,12 @@ def _var(alg: FiniteAlgebra, t: Var, masks: Mapping[int, int]) -> int:
         raise ValueError(f"unassigned variable x{t.k}") from None
 
 
-def _diag(alg: FiniteAlgebra, t: Diag, masks: Mapping[int, int]) -> int:
-    if t.i == t.j:
-        # diag_mask gives the top for d_ii whatever i is, so check i here.
-        alg._position(t.i)
-    return alg.diag_mask(t.i, t.j)
-
-
 # Node type -> the step that evaluates a node of that type.
 _STEPS = {
     Var: _var,
     Zero: lambda alg, t, masks: 0,
     One: lambda alg, t, masks: alg.top,
-    Diag: _diag,
+    Diag: lambda alg, t, masks: alg.diag_mask(t.i, t.j),
     Not: lambda alg, t, masks: alg.top ^ evaluate_masks(alg, t.t, masks),
     And: lambda alg, t, masks: evaluate_masks(alg, t.t1, masks) & evaluate_masks(alg, t.t2, masks),
     Or: lambda alg, t, masks: evaluate_masks(alg, t.t1, masks) | evaluate_masks(alg, t.t2, masks),
@@ -231,55 +227,16 @@ _STEPS = {
 }
 
 
-def evaluate_masks(alg: FiniteAlgebra, t: Term, masks: Mapping[int, int]) -> int:
+def evaluate_masks(alg: FiniteAlgebra | _Lanes, t: Term, masks: Mapping[int, int]) -> int:
     """Mask of t's interpretation when variable k denotes `masks[k]`.  Raises
     ValueError naming the first off-window index or unassigned variable the
-    walk meets, and TypeError on anything that is not a term node."""
+    walk meets, and TypeError on anything that is not a term node.  `alg`
+    may be an algebra or a lane view of one: the walk reads only `top`,
+    `cyl_mask` and `diag_mask`."""
     step = _STEPS.get(type(t))
     if step is None:
         raise TypeError(f"not a term: {t!r}")
     return step(alg, t, masks)
-
-
-def _specialize(alg: FiniteAlgebra, t: Term) -> _MaskFn:
-    """`evaluate_masks(alg, t, masks)` as a function of `masks` alone.
-
-    One bottom-up walk marks each subterm closed (variable-free) or not.
-    Each maximal closed subterm is evaluated once, through `evaluate_masks`,
-    and enters as a constant; only the spine above the variables becomes
-    closures, so a call walks no closed subterm again."""
-    top, cyl = alg.top, alg.cyl_mask
-
-    def constant(t: Term) -> _MaskFn:
-        c = evaluate_masks(alg, t, {})
-        return lambda masks: c
-
-    def walk(t: Term) -> _MaskFn | None:
-        """The closure for t, or None when t is closed."""
-        kind = type(t)
-        if kind is Var:
-            k = t.k
-            return lambda masks: masks[k]
-        if kind is Not or kind is Cyl:
-            f = walk(t.t)
-            if f is None:
-                return None
-            if kind is Not:
-                return lambda masks: top ^ f(masks)
-            i = t.i
-            return lambda masks: cyl(i, f(masks))
-        if kind is And or kind is Or:
-            f1, f2 = walk(t.t1), walk(t.t2)
-            if f1 is None and f2 is None:
-                return None
-            f1, f2 = f1 or constant(t.t1), f2 or constant(t.t2)
-            if kind is And:
-                return lambda masks: f1(masks) & f2(masks)
-            return lambda masks: f1(masks) | f2(masks)
-        # Zero, One, Diag, and anything evaluate_masks will refuse.
-        return None
-
-    return walk(t) or constant(t)
 
 
 def _value(alg: FiniteAlgebra, t: Term, iota: Mapping[int, frozenset]) -> int:
@@ -395,7 +352,9 @@ class CheckReport:
 # --- postulate and equation laws -----------------------------------------
 
 class _Lanes:
-    """`count` instances of a law side by side over one algebra's carrier.
+    """`count` instances of a law or term side by side over one algebra's
+    carrier: a view with the `top`, `cyl_mask` and `diag_mask` that the law
+    table and `evaluate_masks` read.
 
     A lane mask packs one subset per instance, point-major: bits p*K to
     p*K+K-1, point p's field, hold p's membership in each of the K
@@ -418,22 +377,13 @@ class _Lanes:
 
     def pack(self, masks: list[int]) -> int:
         """The lane mask whose instance l is `masks[l]`, for `count` masks."""
-        n, lanes = len(self.alg.labels), 8 * self.width
-        masks = masks + masks[:1] * (lanes - len(masks))
-        # Points are packed a slice at a time, so that the digit strings
-        # stay near a million characters; a small carrier takes one slice.
-        step = max(1, (1 << 20) // lanes)
-        out = 0
-        for low in range(0, n, step):
-            span = min(step, n - low)
-            keep, lead = (1 << span) - 1, 1 << span
-            # Row l is masks[l] on points low to low+span-1, highest first.
-            # Over the rows joined in reverse, every span-th digit from
-            # digit c makes the field of point low+span-1-c, highest lane
-            # first.
-            rows = "".join([bin(m >> low & keep | lead)[3:] for m in reversed(masks)])
-            out |= int("".join([rows[c::span] for c in range(span)]) or "0", 2) << low * lanes
-        return out
+        n = len(self.alg.labels)
+        masks = masks + masks[:1] * (8 * self.width - len(masks))
+        # Row l is masks[l], highest point first.  Over the rows joined in
+        # reverse, every n-th digit from digit c makes the field of point
+        # n-1-c, highest lane first.
+        rows = "".join([bin(m | 1 << n)[3:] for m in reversed(masks)])
+        return int("".join([rows[c::n] for c in range(n)]) or "0", 2)
 
     def _fields(self, x: int) -> list[int]:
         w = self.width
@@ -475,6 +425,19 @@ class _Lanes:
         for field in self._fields(x):
             acc |= field
         return [lane for lane in bit_positions(acc) if lane < self.count]
+
+
+def _chunks(
+    alg: FiniteAlgebra, instances: list[tuple[int, ...]], names: Iterable
+) -> Iterator[tuple[int, _Lanes, dict]]:
+    """`instances`, tuples of masks, a chunk of lanes at a time, each lane
+    mask within `_LANE_BITS`: per chunk, the index of its first instance,
+    its lane view and the lane mask of each tuple slot, keyed by `names`."""
+    per = max(1, _LANE_BITS // (8 * max(1, len(alg.labels)))) * 8
+    for low in range(0, len(instances), per):
+        part = instances[low:low + per]
+        lanes = _Lanes(alg, len(part))
+        yield low, lanes, {v: lanes.pack([t[k] for t in part]) for k, v in enumerate(names)}
 
 
 # One row per law: (postulate name, equation name, element variables, index
@@ -534,11 +497,11 @@ def _check_laws(alg: FiniteAlgebra, laws: list, samples: int, seed: int, what: s
 
     A law without element variables is checked once per index binding on
     the algebra itself.  A law over x, or over x and y, is checked once per
-    index binding on lane masks (`_Lanes`) that hold every covered subset,
-    or pair, at once; its failures are listed as an instance loop would
-    list them, subset or pair first, then index binding.  Raises ValueError
-    first if `samples` is over MAX_UNITS or a law binds more than MAX_UNITS
-    index tuples."""
+    index binding and chunk (`_chunks`) on lane masks that hold the chunk's
+    covered subsets, or pairs, at once; its failures are listed as an
+    instance loop would list them, subset or pair first, then index
+    binding.  Raises ValueError first if `samples` is over MAX_UNITS or a
+    law binds more than MAX_UNITS index tuples."""
     if samples > MAX_UNITS:
         raise ValueError(f"samples must be at most {MAX_UNITS}, got {samples}")
     w = len(alg.indices)
@@ -552,29 +515,32 @@ def _check_laws(alg: FiniteAlgebra, laws: list, samples: int, seed: int, what: s
         report.notes = f"{what} spot-checked on {samples} seeded subsets"
     elif not every_pair:
         report.notes = f"{what} checked on every subset and {samples} seeded pairs"
-    # Element variables -> (covered instances, their lane view, the lane
-    # mask of each variable).
-    families = {}
-    for elements, instances in (("x", list(singles)), ("xy", list(pairs))):
-        lanes = _Lanes(alg, len(instances))
-        masks = {v: lanes.pack([t[k] for t in instances]) for k, v in enumerate(elements)}
-        families[elements] = instances, lanes, masks
-    for name, elements, rule, law in laws:
-        bindings = _index_bindings(rule, alg.indices)
+    families = {"x": list(singles), "xy": list(pairs)}
+    bindings = {name: _index_bindings(rule, alg.indices) for name, _, rule, _ in laws}
+    # Law name -> its failing (instance, binding) pairs, in that order.
+    failed: dict[str, list[tuple[int, int]]] = {name: [] for name, *_ in laws}
+    for elements, instances in families.items():
+        for low, lanes, masks in _chunks(alg, instances, elements):
+            for name, law_elements, _, law in laws:
+                if law_elements != elements:
+                    continue
+                failed[name] += sorted(
+                    (low + lane, b)
+                    for b, binding in enumerate(bindings[name])
+                    for lane in lanes.failing(law(lanes, **binding, **masks))
+                )
+    for name, elements, _, law in laws:
         if not elements:
-            report.count(len(bindings))
-            for binding in bindings:
+            report.count(len(bindings[name]))
+            for binding in bindings[name]:
                 if law(alg, **binding):
                     report.fail(name, **binding)
             continue
-        instances, lanes, masks = families[elements]
-        report.count(len(instances) * len(bindings))
-        failed = sorted(
-            (lane, b) for b, binding in enumerate(bindings) for lane in lanes.failing(law(lanes, **binding, **masks))
-        )
-        for lane, b in failed:
-            report.fail(name, **bindings[b], **{
-                v: sorted(str(e) for e in alg.subset(m)) for v, m in zip(elements, instances[lane])
+        instances = families[elements]
+        report.count(len(instances) * len(bindings[name]))
+        for instance, b in failed[name]:
+            report.fail(name, **bindings[name][b], **{
+                v: sorted(str(e) for e in alg.subset(m)) for v, m in zip(elements, instances[instance])
             })
     return report
 
@@ -631,7 +597,16 @@ def bounded_validity(
     when there are at most `max_eval_subsets` of them, else that many seeded
     tuples; `exhaustive` says whether every unit had all of its tuples
     checked.  Exhaustion within bounds is not a validity proof.
+
+    Each side is evaluated once per chunk of a unit's tuples (`_chunks`),
+    on lane masks that hold the whole chunk; the first chunk with a
+    separating tuple stops the search, and that tuple, the least, is
+    evaluated once more on the unit itself to name the least separating
+    point.  `evaluations_checked` counts the tuples up to and including it.
+    Raises ValueError if `max_eval_subsets` is over MAX_UNITS.
     """
+    if bounds.max_eval_subsets > MAX_UNITS:
+        raise ValueError(f"max_eval_subsets must be at most {MAX_UNITS}, got {bounds.max_eval_subsets}")
     if lhs == rhs:
         return ValidityResult(None, True, 0, 0, 0)
     window = tuple(range(bounds.window_size))
@@ -646,22 +621,24 @@ def bounded_validity(
         raise ValueError(f"unassigned variables {sorted(unassigned)}")
 
     units = list(enumerate_units(window, bounds.base_size, bounds.max_seqs, tag))
+    cap = bounds.max_eval_subsets
     n_evals = 0
     exhaustive = True
     for idx, v in enumerate(units):
         alg = UnitAlgebra(v)
-        left, right = _specialize(alg, lhs), _specialize(alg, rhs)
-        cap = bounds.max_eval_subsets
         evals, full = _cover(1 << len(v), m, cap, cap, f"validity:{seed}:{idx}")
+        evals = list(evals)
         exhaustive = exhaustive and full
-        for masks in evals:
-            n_evals += 1
-            diff = left(masks) ^ right(masks)
-            if diff:
+        for low, lanes, masks in _chunks(alg, evals, range(m)):
+            failing = lanes.failing(evaluate_masks(lanes, lhs, masks) ^ evaluate_masks(lanes, rhs, masks))
+            if failing:
+                first = low + failing[0]
+                masks = dict(enumerate(evals[first]))
+                diff = evaluate_masks(alg, lhs, masks) ^ evaluate_masks(alg, rhs, masks)
                 focus = v.sequences[(diff & -diff).bit_length() - 1]
-                iota = {k: alg.subset(mask) for k, mask in enumerate(masks)}
-                ce = Witness(v, focus, iota)
-                return ValidityResult(ce, exhaustive, idx + 1, n_evals, _nonconstant(units[:idx + 1]))
+                ce = Witness(v, focus, {k: alg.subset(mask) for k, mask in masks.items()})
+                return ValidityResult(ce, exhaustive, idx + 1, n_evals + first + 1, _nonconstant(units[:idx + 1]))
+        n_evals += len(evals)
     return ValidityResult(None, exhaustive, len(units), n_evals, _nonconstant(units))
 
 

@@ -14,8 +14,10 @@ the line's notes and its "exhaustive": false now state.
 
 from pathlib import Path
 
+import pytest
+
+from cylset import semantics
 from cylset.cli import main
-from cylset.units import save_unit, unit
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "replicate_all.jsonl"
@@ -28,20 +30,34 @@ def test_replicate_all_json_matches_golden(shared_replicate, capsys):
 
 # Postulate failures, in the order the checker lists them, are pinned byte
 # for byte by two files made with the one-instance-at-a-time checker.
+EXHAUSTIVE_ARGV = ["check-axioms", "--class", "crs", "--window", "3", "--max-base", "2", "--max-seqs", "3", "--json"]
+# unit13.json holds the 13 sequences over window 4 whose values, read as bits
+# lowest first, are 0 to 12.
+SAMPLED_ARGV = ["check-axioms", "--unit", str(DATA / "unit13.json"), "--samples", "50", "--json"]
 
 
 def test_exhaustive_postulate_failures_match_golden(capsys):
     """Every Crs unit over window 3, base 2, with at most 3 sequences:
     606 CA6 failures and 48 CA4 failures."""
-    argv = ["check-axioms", "--class", "crs", "--window", "3", "--max-base", "2", "--max-seqs", "3", "--json"]
-    assert main(argv) == 1
+    assert main(EXHAUSTIVE_ARGV) == 1
     assert capsys.readouterr().out == (DATA / "check_axioms_crs_window3.jsonl").read_text()
 
 
-def test_sampled_postulate_failures_match_golden(tmp_path, capsys):
+def test_sampled_postulate_failures_match_golden(capsys):
     """Thirteen sequences over window 4, so 50 seeded subsets and pairs:
     85 CA4 failures and 26 CA6 failures."""
-    path = tmp_path / "u13.json"
-    save_unit(unit((0, 1, 2, 3), [tuple(c >> k & 1 for k in range(4)) for c in range(13)]), str(path))
-    assert main(["check-axioms", "--unit", str(path), "--samples", "50", "--json"]) == 1
+    assert main(SAMPLED_ARGV) == 1
     assert capsys.readouterr().out == (DATA / "check_axioms_unit13_sampled.jsonl").read_text()
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (EXHAUSTIVE_ARGV, "check_axioms_crs_window3.jsonl"),
+    (SAMPLED_ARGV, "check_axioms_unit13_sampled.jsonl"),
+])
+def test_postulate_failures_match_golden_across_chunk_seams(argv, golden, monkeypatch, capsys):
+    """At 8 lanes a chunk, the 50 sampled subsets and pairs take 7 chunks
+    each, the last of 2 lanes, and a three-sequence unit's 64 pairs take 8;
+    the output is the same."""
+    monkeypatch.setattr(semantics, "_LANE_BITS", 1)
+    assert main(argv) == 1
+    assert capsys.readouterr().out == (DATA / golden).read_text()

@@ -1,10 +1,15 @@
 """Inputs outside the supported range fail with a clear error, not a crash."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 
+import cylset
 from cylset import constructions
 from cylset.cli import main
 from cylset.constructions import (
@@ -208,6 +213,15 @@ def test_bounded_validity_rejects_too_few_variables():
         bounded_validity(parse_term("x1"), parse_term("x0"), ClassTag.CRS, SearchBounds(2, 2, 2, 16), m=1)
 
 
+def test_bounded_validity_caps_evaluations_per_unit():
+    """A unit's evaluations are held in a list, so their count has the
+    ceiling that `--samples` has."""
+    with pytest.raises(ValueError, match=f"max_eval_subsets must be at most {MAX_UNITS}, got {MAX_UNITS + 1}"):
+        bounded_validity(parse_term("x0"), parse_term("x0 . 1"), ClassTag.CRS, SearchBounds(1, 1, 1, MAX_UNITS + 1))
+    result = bounded_validity(parse_term("x0"), parse_term("x0 . 1"), ClassTag.CRS, SearchBounds(1, 1, 1, MAX_UNITS))
+    assert not result.found and result.exhaustive
+
+
 class TestEnumerationCap:
     @pytest.mark.parametrize("command", ["check-axioms", "check-eqs"])
     def test_class_flag_exits_2_before_enumerating(self, command, capsys):
@@ -249,6 +263,38 @@ class TestClassifyBuildsNoSquareOverTheUnit:
         assert main(["classify", "--unit", str(path)]) == 0
         assert perf_counter() - start < 0.5
         assert capsys.readouterr().out == "Crs\n"
+
+
+# Runs `check-axioms` in a fresh interpreter and prints how far the run
+# raised the process's peak RSS over what importing the program took, in KiB.
+# It reads VmHWM, the peak of this process image alone: getrusage's
+# ru_maxrss would also count the RSS of the process that spawned it.
+PEAK_GROWTH = """
+import contextlib, io, re, sys
+def peak():
+    with open("/proc/self/status") as status:
+        return int(re.search(r"VmHWM:\\s*(\\d+)", status.read()).group(1))
+from cylset.cli import main
+imported = peak()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, peak() - imported)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the peak RSS from /proc")
+def test_samples_ceiling_run_stays_in_bounded_memory():
+    """At the `--samples` ceiling the lane masks are packed a bounded chunk
+    at a time: on the 257-point mapped algebra the run raises the peak RSS
+    by about 40 MiB, where packing every sample into one mask took about
+    68 MiB, and it takes about a second."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(cylset.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]))
+    argv = ["check-axioms", "--mapped", "4", "--samples", str(MAX_UNITS), "--json"]
+    start = perf_counter()
+    out = subprocess.run([sys.executable, "-c", PEAK_GROWTH, *argv], env=env, capture_output=True, text=True, check=True)
+    assert perf_counter() - start < 10
+    code, growth_kib = map(int, out.stdout.split())
+    assert code == 0 and growth_kib < 54 * 1024
 
 
 class TestLawBindingCap:

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cylset import semantics
 from cylset.semantics import (
     CheckReport,
     FiniteAlgebra,
@@ -10,8 +11,8 @@ from cylset.semantics import (
     P_PRIME,
     SearchBounds,
     UnitAlgebra,
+    _Lanes,
     _cover,
-    _specialize,
     bounded_validity,
     check_ca_axioms,
     check_eq_laws,
@@ -58,7 +59,8 @@ class TestDiagonal:
 
     def test_equal_indices_give_unit(self):
         assert SQ.subset(SQ.diag_mask(0, 0)) == SQ22.as_set()
-        assert SQ.subset(SQ.diag_mask(7, 7)) == SQ22.as_set()
+        assert SQ.subset(SQ.diag_mask(1, 1)) == SQ22.as_set()
+        assert MappedUnitAlgebra(2).diag_mask(1, 1) == MappedUnitAlgebra(2).top
 
     def test_empty_diagonal(self):
         assert UnitAlgebra(unit((0, 1), [(0, 1)])).diag_mask(0, 1) == 0
@@ -66,6 +68,10 @@ class TestDiagonal:
     def test_distinct_off_window_rejected(self):
         with pytest.raises(ValueError):
             SQ.diag_mask(0, 5)
+
+    def test_equal_off_window_rejected(self):
+        with pytest.raises(ValueError, match=r"off-window index 7: the window is \(0, 1\)"):
+            SQ.diag_mask(7, 7)
 
 
 class TestCylindrify:
@@ -116,6 +122,8 @@ class TestEvaluate:
             satisfies(SQ22, F00, {}, parse_term("d77"))
         with pytest.raises(ValueError, match="off-window"):
             evaluate_masks(MappedUnitAlgebra(2), parse_term("d77"), {})
+        with pytest.raises(ValueError, match=r"off-window index 7: the window is \(0, 1\)"):
+            evaluate_masks(_Lanes(MappedUnitAlgebra(2), 3), parse_term("d77"), {})
 
     @pytest.mark.parametrize(
         "text,message",
@@ -526,8 +534,9 @@ def reference_validity(lhs, rhs, tag, bounds, m, seed=0):
 
 
 class TestSpecializedSearch:
-    """`bounded_validity` evaluates each term through `_specialize`, which
-    folds the variable-free subterms once per unit."""
+    """`bounded_validity` evaluates each term once per chunk of a unit's
+    evaluations, on the lane view that holds them all, and finds what the
+    reference loop, one scalar evaluation at a time, finds."""
 
     @pytest.mark.parametrize("lhs,rhs,tag,bounds,m,seed,found,exhaustive", [
         # Crs separates the guards, over every evaluation.
@@ -547,21 +556,34 @@ class TestSpecializedSearch:
         assert (got, result.exhaustive, result.units_checked, result.evaluations_checked) == expected
         assert (result.found, result.exhaustive) == (found, exhaustive)
 
+    def test_failure_in_a_later_chunk(self, monkeypatch):
+        """At 8 lanes a chunk, the 16 evaluations of each two-sequence unit
+        take two chunks, and the first separating evaluation, the 17th of
+        the least counterexample unit, sits in its third."""
+        monkeypatch.setattr(semantics, "_LANE_BITS", 1)
+        lhs, rhs, bounds = parse_term("c0 c1 x0"), parse_term("c1 c0 x0"), SearchBounds(2, 2, 4, 64)
+        result = bounded_validity(lhs, rhs, ClassTag.CRS, bounds, m=2)
+        ce = result.counterexample
+        got = (ce.unit, ce.focus, ce.evaluation), result.exhaustive, result.units_checked, result.evaluations_checked
+        assert got == reference_validity(lhs, rhs, ClassTag.CRS, bounds, 2)
+        # 1 + 4 * 4 + 6 * 16 evaluations on the units before it.
+        assert result.evaluations_checked == 113 + 17
+
     def test_class_search_folds_the_guards(self, monkeypatch):
-        """On the class-search bounds each unit evaluates its two closed
-        guards once; the evaluations themselves call no cyl_mask."""
-        calls = []
-        cyl_mask = FiniteAlgebra.cyl_mask
+        """On the class-search bounds each of the 5 units evaluates each side
+        once, over all of its evaluations at once: one lane cylinder per
+        side and unit, and no scalar one."""
+        calls = {FiniteAlgebra: 0, _Lanes: 0}
+        for view in calls:
+            def counted(self, i, x, view=view, cyl_mask=view.cyl_mask):
+                calls[view] += 1
+                return cyl_mask(self, i, x)
 
-        def counted(self, i, x):
-            calls.append(i)
-            return cyl_mask(self, i, x)
-
-        monkeypatch.setattr(FiniteAlgebra, "cyl_mask", counted)
+            monkeypatch.setattr(view, "cyl_mask", counted)
         lhs, rhs = atom_term(2, (1, -1)), parse_term("x0 . -x1 . -c2 -d23")
         result = bounded_validity(lhs, rhs, ClassTag.D, SearchBounds(4, 2, 16, 4096), m=2, seed=1)
         assert not result.found and result.evaluations_checked == 4121
-        assert len(calls) <= 16
+        assert calls == {FiniteAlgebra: 0, _Lanes: 10}
 
 
 def term_trees(leaves, max_leaves: int):
@@ -581,24 +603,32 @@ OPEN_TERMS = term_trees(st.one_of(st.builds(Var, st.integers(0, 1)), CLOSED_TERM
 
 
 # A grid unit, a unit that is not a grid, and the mapped algebra, all over {0, 1}.
-SPECIALIZE_ALGEBRAS = {
+LANE_ALGEBRAS = {
     "grid": UnitAlgebra(full_square((0, 1), (0, 1, 2))),
     "non-grid": UnitAlgebra(CA4_UNIT),
     "mapped": MappedUnitAlgebra(2),
 }
+MASK_PAIRS = st.tuples(st.integers(0, 2**9), st.integers(0, 2**9))
 
 
-@pytest.mark.parametrize("name", sorted(SPECIALIZE_ALGEBRAS))
-@given(t=st.one_of(CLOSED_TERMS, OPEN_TERMS), raw=st.tuples(st.integers(0, 2**9), st.integers(0, 2**9)))
-@example(t=ZERO, raw=(1, 2))
-@example(t=ONE, raw=(0, 0))
-@example(t=Diag(1, 1), raw=(3, 0))
-@example(t=parse_term("-c0 -d01 . c1 d01"), raw=(5, 1))
-@example(t=parse_term("x1 . -c0 -d01 + c0 (d01 . -x0)"), raw=(6, 9))
-def test_specialize_agrees_with_evaluate_masks(name, t, raw):
-    alg = SPECIALIZE_ALGEBRAS[name]
-    masks = tuple(x & alg.top for x in raw)
-    assert _specialize(alg, t)(masks) == evaluate_masks(alg, t, masks)
+@pytest.mark.parametrize("name", sorted(LANE_ALGEBRAS))
+@given(t=st.one_of(CLOSED_TERMS, OPEN_TERMS), raw=st.lists(MASK_PAIRS, min_size=1, max_size=20))
+@example(t=ZERO, raw=[(1, 2)])
+@example(t=ONE, raw=[(0, 0)])
+@example(t=Diag(1, 1), raw=[(3, 0), (0, 3)])
+@example(t=parse_term("-c0 -d01 . c1 d01"), raw=[(5, 1)] * 8)
+@example(t=parse_term("x1 . -c0 -d01 + c0 (d01 . -x0)"), raw=[(6, 9)] + [(k, 3 * k) for k in range(12)])
+def test_lane_view_agrees_with_evaluate_masks(name, t, raw):
+    """Evaluated on a lane view of K instances, a term holds in lane l what
+    it evaluates to on the algebra under instance l."""
+    alg = LANE_ALGEBRAS[name]
+    instances = [tuple(x & alg.top for x in pair) for pair in raw]
+    lanes = _Lanes(alg, len(instances))
+    got = evaluate_masks(lanes, t, {k: lanes.pack([inst[k] for inst in instances]) for k in range(2)})
+    stride = 8 * lanes.width
+    assert [
+        sum((got >> p * stride + lane & 1) << p for p in range(len(alg.labels))) for lane in range(len(instances))
+    ] == [evaluate_masks(alg, t, dict(enumerate(inst))) for inst in instances]
 
 
 class TestEvaluationJson:
