@@ -50,14 +50,16 @@ class FiniteAlgebra:
 
     Bit k stands for `labels[k]`.  `coords[k]` is the value tuple over the
     window `indices` from which bit k's cylinders and diagonals are computed;
-    the bits in `pinned` belong to no d_ij with i != j.  Cylinder blocks and
-    diagonal masks are built on first use.
+    the bits in `pinned` belong to no d_ij with i != j.  Cylinder blocks,
+    fold plans and diagonal masks are built on first use.
 
     When the unpinned bits are the grid {0..b-1}^window in lexicographic
     order and the pinned bits follow them, each relabelled onto a grid cell
     (every `full_square(window, range(b))` unit and `MappedUnitAlgebra(n)`),
-    `cyl_mask` computes cylinders with O(b) shifts of the whole mask instead
-    of one step per cylinder block.  Any other carrier takes the block loop.
+    `cyl_mask` folds cylinders with 2(b-1) shifts of the whole mask
+    (`_fold`) instead of one step per cylinder block; lane views fold their
+    lane masks with the same routine.  Any other carrier takes the block
+    loop.
     """
 
     def __init__(self, labels: Iterable, indices: Iterable[int], coords: Iterable[tuple], pinned: int = 0):
@@ -68,7 +70,7 @@ class FiniteAlgebra:
         self._pinned = pinned
         self._bit = {e: k for k, e in enumerate(self.labels)}
         self._blocks: dict[int, list[int]] = {}
-        self._shifts: dict[int, tuple] = {}
+        self._plans: dict[int, tuple] = {}
         self._diags: dict[tuple[int, int], int] = {}
 
     def _position(self, i: int) -> int:
@@ -91,7 +93,7 @@ class FiniteAlgebra:
 
     @cached_property
     def _grid(self) -> tuple[int, int, tuple[tuple[int, int], ...]] | None:
-        """(b, cell mask, (pinned bit, its cell) pairs) for a grid carrier,
+        """(b, cell count, (pinned bit, its cell) pairs) for a grid carrier,
         else None.  A carrier that is not a grid almost always fails one of
         the first constant-time tests, before the cells are compared."""
         d = len(self.indices)
@@ -107,35 +109,22 @@ class FiniteAlgebra:
             if len(c) != d or not all(0 <= v < b for v in c):
                 return None
             pins.append((k, sum(v * b ** (d - 1 - p) for p, v in enumerate(c))))
-        return b, (1 << cells) - 1, tuple(pins)
+        return b, cells, tuple(pins)
 
-    def _shift_plan(self, i: int, b: int, cells: int) -> tuple[tuple[int, ...], int, int]:
-        """For index i: the fold shifts, the mask of cells whose i-coordinate
-        is 0, and the multiplier that spreads those cells along i."""
+    def _fold_plan(self, i: int, w: int) -> tuple:
+        """The `_fold` plan of index i on a grid carrier whose points are
+        w-bit fields: the shifts that step along i, the fields of the cells
+        whose i-coordinate is 0, each (pinned field, its cell's field) offset
+        pair, and one field of ones."""
+        b, cells, pins = self._grid
         s = b ** (len(self.indices) - 1 - self._position(i))
         # The i-coordinate is 0 on the first s cells of every run of s*b.
-        zero = cells // ((1 << s * b) - 1) * ((1 << s) - 1)
-        line = sum(1 << t * s for t in range(b))
-        plan = self._shifts[i] = (tuple(t * s for t in range(1, b)), zero, line)
-        return plan
+        zero = _widen(((1 << cells) - 1) // ((1 << s * b) - 1) * ((1 << s) - 1), cells, w)
+        return tuple(t * s * w for t in range(1, b)), zero, tuple((k * w, c * w) for k, c in pins), (1 << w) - 1
 
     def cyl_mask(self, i: int, x: int) -> int:
-        grid = self._grid
-        if grid is not None:
-            b, cells, pins = grid
-            shifts, zero, line = self._shifts.get(i) or self._shift_plan(i, b, cells)
-            g = x & cells
-            for k, c in pins:
-                if x >> k & 1:
-                    g |= 1 << c
-            folded = g
-            for t in shifts:
-                folded |= g >> t
-            out = (folded & zero) * line
-            for k, c in pins:
-                if out >> c & 1:
-                    out |= 1 << k
-            return out
+        if self._grid is not None:
+            return _fold(self._plans.get(i) or self._plans.setdefault(i, self._fold_plan(i, 1)), x)
         blocks = self._cyl_blocks(i)
         out = 0
         while x:
@@ -165,6 +154,36 @@ class FiniteAlgebra:
     def subset(self, m: int) -> frozenset:
         labels = self.labels
         return frozenset(labels[k] for k in bit_positions(m))
+
+
+def _widen(m: int, n: int, w: int) -> int:
+    """The mask whose point p is a w-bit field of ones where bit p of the
+    n-point mask m is set, else of zeros; w is 1 or a multiple of 8."""
+    if w == 1:
+        return m
+    ones, zeros = b"\xff" * (w // 8), bytes(w // 8)
+    return int.from_bytes(b"".join([ones if c == "1" else zeros for c in reversed(bin(m | 1 << n)[3:])]), "little")
+
+
+def _fold(plan: tuple, x: int) -> int:
+    """The cylinder of x along one index of a grid carrier, by the index's
+    `FiniteAlgebra._fold_plan`: OR every line onto its cell with coordinate
+    0, keep those cells and spread them back along the line, with pinned
+    fields read from and written to their cells."""
+    shifts, zero, pins, field = plan
+    for k, c in pins:
+        if f := x >> k & field:
+            x = (x ^ f << k) | f << c
+    out = x
+    for t in shifts:
+        out |= x >> t
+    out = line = out & zero
+    for t in shifts:
+        out |= line << t
+    for k, c in pins:
+        if f := out >> c & field:
+            out |= f << k
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -359,9 +378,11 @@ class _Lanes:
     A lane mask packs one subset per instance, point-major: bits p*K to
     p*K+K-1, point p's field, hold p's membership in each of the K
     instances, where K is `count` rounded up to whole bytes.  Boolean
-    operations on lane masks act on every instance at once; `cyl_mask` ORs
+    operations on lane masks act on every instance at once.  On a grid
+    carrier `cyl_mask` is the algebra's fold (`_fold`) with every shift and
+    mask widened from one bit a point to K bits; on any other carrier it ORs
     the fields of the points of each cylinder class and writes the result
-    back to each of them, and `diag_mask` widens every diagonal point to K
+    back to each of them.  `diag_mask` widens every diagonal point to K
     ones.  The lanes past `count` repeat lane 0, so they hold no verdict of
     their own, and `failing` leaves them out.
     """
@@ -373,6 +394,7 @@ class _Lanes:
         self.size = len(alg.labels) * self.width
         self.top = (1 << 8 * self.size) - 1
         self._classes: dict[int, list[list[int]]] = {}
+        self._plans: dict[int, tuple] = {}
         self._diags: dict[tuple[int, int], int] = {}
 
     def pack(self, masks: list[int]) -> int:
@@ -393,13 +415,18 @@ class _Lanes:
     def diag_mask(self, i: int, j: int) -> int:
         d = self._diags.get((i, j))
         if d is None:
-            ones, zeros = b"\xff" * self.width, bytes(self.width)
-            scalar = self.alg.diag_mask(i, j)
-            fields = b"".join(ones if scalar >> p & 1 else zeros for p in range(len(self.alg.labels)))
-            d = self._diags[(i, j)] = int.from_bytes(fields, "little")
+            d = self._diags[(i, j)] = _widen(self.alg.diag_mask(i, j), len(self.alg.labels), 8 * self.width)
         return d
 
     def cyl_mask(self, i: int, x: int) -> int:
+        if self.alg._grid is not None:
+            plan = self._plans.get(i) or self._plans.setdefault(i, self.alg._fold_plan(i, 8 * self.width))
+            return _fold(plan, x)
+        return self._class_cyl(i, x)
+
+    def _class_cyl(self, i: int, x: int) -> int:
+        """`cyl_mask` point by point: OR the fields of each cylinder class
+        and write the result back to each of its points."""
         classes = self._classes.get(i)
         if classes is None:
             by_block: dict[int, list[int]] = {}
@@ -529,6 +556,8 @@ def _check_laws(alg: FiniteAlgebra, laws: list, samples: int, seed: int, what: s
                     for b, binding in enumerate(bindings[name])
                     for lane in lanes.failing(law(lanes, **binding, **masks))
                 )
+            # Free this chunk's view and the masks it caches before the next is packed.
+            del lanes, masks
     for name, elements, _, law in laws:
         if not elements:
             report.count(len(bindings[name]))

@@ -3,9 +3,9 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from cylset.semantics import P_PRIME, FiniteAlgebra, MappedUnitAlgebra, UnitAlgebra
+from cylset.semantics import P_PRIME, FiniteAlgebra, MappedUnitAlgebra, UnitAlgebra, _Lanes
 from cylset.units import Unit, full_square, unit, unit_from_dict, unit_to_dict
 
 CA4_UNIT = unit((0, 1), [(0, 0), (1, 0), (1, 1)])
@@ -76,6 +76,23 @@ def test_grid_path_matches_block_loop(name, data):
             assert alg.cyl_mask(i, m) == block_cyl(alg, i, m)
 
 
+@pytest.mark.parametrize("name", sorted(GRID_ALGEBRAS))
+@settings(deadline=None)
+@given(data=st.data())
+def test_lane_fold_matches_per_point_loop(name, data):
+    """The fold with every shift and mask widened to the lane field, against
+    the per-point lane loop, with the pinned fields as drawn, set and
+    cleared.  CA2-CA4 and CA7 also hold under an identity cylinder, so the
+    law checks alone would not catch a wrong fold."""
+    alg = GRID_ALGEBRAS[name]
+    lanes = _Lanes(alg, data.draw(st.sampled_from((1, 8, 9, 13, 64))))
+    x = lanes.pack(data.draw(st.lists(st.integers(0, alg.top), min_size=lanes.count, max_size=lanes.count)))
+    pinned = lanes.pack([alg._pinned] * lanes.count)
+    for m in {x, x | pinned, x & ~pinned}:
+        for i in alg.indices:
+            assert lanes.cyl_mask(i, m) == lanes._class_cyl(i, m)
+
+
 def test_mapped_extra_point_joins_the_identity_line():
     alg = MappedUnitAlgebra(3)
     p_prime = alg.mask({P_PRIME})
@@ -106,14 +123,34 @@ def test_non_grid_unit_takes_block_path(name):
             )
 
 
+GRID_2X2 = tuple(product(range(2), repeat=2))
+# A grid carrier with its pinned point, relabelled onto (0, 1), listed first.
+PINNED_FIRST = FiniteAlgebra(("p",) + GRID_2X2, (0, 1), ((0, 1),) + GRID_2X2, pinned=1)
+
+
 def test_pinned_bit_not_last_takes_block_path():
-    grid = tuple(product(range(2), repeat=2))
-    labels = ("p",) + grid
-    alg = FiniteAlgebra(labels, (0, 1), ((0, 1),) + grid, pinned=1)
+    alg = PINNED_FIRST
     assert alg._grid is None
     # p shares the cylinders of (0, 1): c0{p} = {p, (0, 1), (1, 1)}.
     assert alg.subset(alg.cyl_mask(0, alg.mask({"p"}))) == {"p", (0, 1), (1, 1)}
     assert alg.subset(alg.cyl_mask(1, alg.mask({(0, 0)}))) == {"p", (0, 0), (0, 1)}
+
+
+@pytest.mark.parametrize("name", sorted(NON_GRID_UNITS) + ["pinned-first"])
+def test_non_grid_lanes_take_per_point_loop(name, monkeypatch):
+    alg = PINNED_FIRST if name == "pinned-first" else UnitAlgebra(NON_GRID_UNITS[name])
+    calls = []
+
+    def counted(self, i, x, class_cyl=_Lanes._class_cyl):
+        calls.append(i)
+        return class_cyl(self, i, x)
+
+    monkeypatch.setattr(_Lanes, "_class_cyl", counted)
+    lanes = _Lanes(alg, 9)
+    x = lanes.pack([m % (alg.top + 1) for m in range(0, 27, 3)])
+    for i in alg.indices:
+        lanes.cyl_mask(i, x)
+    assert calls == list(alg.indices)
 
 
 def test_unit_algebra_cache_is_bounded():

@@ -447,6 +447,30 @@ class TestLanePass:
         got = check_ca_axioms(alg, samples, seed)
         assert _as_tuple(got) == _as_tuple(reference_check(alg, REFERENCE_CA, samples, seed, "postulates"))
 
+    def test_grid_lane_cylinders_fold_without_splitting_fields(self, monkeypatch):
+        """On the mapped algebra every lane cylinder is a whole-mask fold, so
+        no lane mask is split into per-point fields inside `cyl_mask`; a
+        unit that is not a grid still takes the per-point loop."""
+        inside, splits = [], []
+
+        def cyl_mask(self, i, x, cyl_mask=_Lanes.cyl_mask):
+            inside.append(i)
+            try:
+                return cyl_mask(self, i, x)
+            finally:
+                inside.pop()
+
+        def fields(self, x, fields=_Lanes._fields):
+            if inside:
+                splits.append(inside[-1])
+            return fields(self, x)
+
+        monkeypatch.setattr(_Lanes, "cyl_mask", cyl_mask)
+        monkeypatch.setattr(_Lanes, "_fields", fields)
+        report = check_ca_axioms(MappedUnitAlgebra(4), 1000, seed=1)
+        assert report.ok and report.checked == 27044 and not splits
+        assert {f.law for f in check_ca_axioms(UnitAlgebra(CA4_UNIT)).failures} == {"CA4"} and splits
+
 
 class TestZeroDimensionalFixpoints:
     def test_atom_terms_fixed_under_every_cylinder_on_d_units(self):
