@@ -614,6 +614,20 @@ def _gs2_units(max_base: int) -> list[Unit]:
     return units
 
 
+def _cylinder_table(alg: FiniteAlgebra, i: int) -> list[int]:
+    """c_i m for every mask m of the algebra, indexed by m.  Cylindrification
+    is additive, so only the one-point masks call `cyl_mask`; any other m is
+    c_i of its lowest bit OR c_i of the rest, both already in the table."""
+    table = [0] * (alg.top + 1)
+    for m in range(1, alg.top + 1):
+        low = m & -m
+        if m == low:
+            table[m] = alg.cyl_mask(i, m)
+        else:
+            table[m] = table[low] | table[m ^ low]
+    return table
+
+
 def _twin_pairs(alg: FiniteAlgebra) -> tuple[int, list[tuple[int, int]]]:
     """The number of nonzero x passing both diagonal bounds, and every mask
     pair (x, y) satisfying the twin system, in ascending order.
@@ -621,22 +635,24 @@ def _twin_pairs(alg: FiniteAlgebra) -> tuple[int, list[tuple[int, int]]]:
     The diagonal bounds read only c0 x and c1 x, and every y in the system
     lies below y* = -x . c0 x . c1 x.  Cylindrification is monotone, so x has
     a twin iff x != 0, both bounds hold and c_i y* = c_i x for i in {0,1};
-    only then are the submasks of y* walked for the twins themselves.
+    only then are the submasks of y* walked for the twins themselves.  The
+    cylinders are read from one table per index, built once per algebra.
     """
     d01 = alg.diag_mask(0, 1)
+    c0, c1 = _cylinder_table(alg, 0), _cylinder_table(alg, 1)
     bounded = 0
     pairs: list[tuple[int, int]] = []
     for x in range(1, alg.top + 1):
-        c0x, c1x = alg.cyl_mask(0, x), alg.cyl_mask(1, x)
-        if alg.cyl_mask(0, d01 & c1x) & c1x & ~d01 or alg.cyl_mask(1, d01 & c0x) & c0x & ~d01:
+        c0x, c1x = c0[x], c1[x]
+        if c0[d01 & c1x] & c1x & ~d01 or c1[d01 & c0x] & c0x & ~d01:
             continue
         bounded += 1
         top = c0x & c1x & ~x
-        if alg.cyl_mask(0, top) != c0x or alg.cyl_mask(1, top) != c1x:
+        if c0[top] != c0x or c1[top] != c1x:
             continue
         twins, y = [], top
         while y:
-            if alg.cyl_mask(0, y) == c0x and alg.cyl_mask(1, y) == c1x:
+            if c0[y] == c0x and c1[y] == c1x:
                 twins.append(y)
             y = (y - 1) & top
         pairs.extend((x, y) for y in reversed(twins))

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from cylset.constructions import (
+    _cylinder_table,
     _gs2_units,
     _twin_pairs,
     certificate_from_dict,
@@ -438,6 +439,12 @@ class TestRefuteTwins:
         assert report.ok
         assert report.checked == 4 + 256 + 16
         assert "; 8 nonzero x pass" in report.notes
+
+    @pytest.mark.parametrize("name", sorted(TWIN_ALGEBRAS))
+    def test_cylinder_table_matches_cyl_mask(self, name):
+        alg = TWIN_ALGEBRAS[name]
+        for i in (0, 1):
+            assert _cylinder_table(alg, i) == [alg.cyl_mask(i, m) for m in range(alg.top + 1)]
 
     @pytest.mark.parametrize("name", sorted(TWIN_ALGEBRAS))
     def test_pairs_match_brute_force(self, name, brute_twins):
