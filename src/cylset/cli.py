@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, unit=True, term=True, assign=True)
     p.add_argument("--mode", choices=("diag", "crs"), default="diag")
     p.add_argument("--focus", type=int, default=None, help="focus sequence position (default: least satisfying)")
-    p.add_argument("--pivot", type=int, choices=(0, 1), default=None, help="force the outer cylindrification pivot (diag mode)")
+    p.add_argument("--pivot", type=int, choices=(0, 1), default=0, help="the outer cylindrification pivot (diag mode)")
     p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("verify", help="re-check a certificate from the JSON that split --json prints")

@@ -236,10 +236,6 @@ def zero_dim_check(
 
 # --- atom splitting over diagonal-closed classes ----------------------------
 
-def _escape_candidates(v: Unit, f: Sequence, pivot: int) -> list[Sequence]:
-    return [h for h in v if eqv_i(h, f, pivot) and h[0] != h[1]]
-
-
 def _extended(
     v: Unit, iota: Evaluation, ext: list[tuple[int, int]]
 ) -> tuple[Unit, dict[Sequence, Sequence], Evaluation]:
@@ -256,45 +252,36 @@ def _extended(
 
 
 def split_atom_diag(
-    v: Unit, f: Sequence, iota: Evaluation, tau: Term, pivot: int | None = None
+    v: Unit, f: Sequence, iota: Evaluation, tau: Term, pivot: int = 0
 ) -> SplitCertificate:
     """Split tau . c0 -d01 into two nonzero halves by adjoining one point.
 
-    Picks the two smallest indices outside the term's index set plus {0,1};
+    Picks the two smallest indices i, j outside Gamma = ind(tau) | {0,1};
     missing ones are materialised as constant columns so the branching
     sequence lands on the diagonal there (the pair-equal branch), while
-    pre-existing columns may branch either way.  The pivot argument forces
-    which of coordinates 0/1 carries the outer cylindrification; by default
-    pivot 0 is tried first and always suffices.
+    pre-existing columns may branch either way.  The branching sequence g
+    is the least escape of the focus along the pivot: the least member of
+    v with g ==_pivot f and g0 != g1.  The focus satisfies c0 -d01, so pivot
+    0, the default, always has one.
+
+    Any escape serves.  The fresh i, j lie outside Gamma, so every point
+    that agrees with f off Gamma lies inside the branch region (d_ij or
+    -d_ij), and the new point lies outside it.  Restricting the evaluation
+    to that region and adjoining the new point therefore leave every
+    subterm of the target unchanged at those points; this is the
+    restrict-adjoin invariance that `check_split_invariance` replays.
+    Raises RuntimeError if the certificate fails verification, a bug.
     """
+    if pivot not in (0, 1):
+        raise ValueError(f"pivot must be 0 or 1, got {pivot}")
     target = And(tau, escape_term(0, 1))
     if not satisfies(v, f, iota, target):
         raise ValueError("focus must satisfy tau . c0 -d01 in the unit")
-    gamma = index_set(tau) | {0, 1}
-    i, j = fresh_naturals(gamma, 2)
-    pivots = (0, 1) if pivot is None else (pivot,)
-    for p in pivots:
-        for g in _escape_candidates(v, f, p):
-            cert = _diag_certificate(v, f, iota, target, gamma, i, j, p, g)
-            if cert is not None:
-                return cert
-    raise ValueError(
-        f"no splitting certificate: focus admits no c{pivots[0]}-escape from d01"
-    )
-
-
-def _diag_certificate(
-    v: Unit,
-    f: Sequence,
-    iota: Evaluation,
-    target: Term,
-    gamma: frozenset[int],
-    i: int,
-    j: int,
-    p: int,
-    g: Sequence,
-) -> SplitCertificate | None:
-    ext = [(k, g[1 - p]) for k in (i, j) if k not in v.window]
+    g = next((h for h in v if eqv_i(h, f, pivot) and h[0] != h[1]), None)
+    if g is None:
+        raise ValueError(f"no splitting certificate: focus admits no c{pivot}-escape from d01")
+    i, j = fresh_naturals(index_set(tau) | {0, 1}, 2)
+    ext = [(k, g[1 - pivot]) for k in (i, j) if k not in v.window]
     v1, moved, iota1 = _extended(v, iota, ext)
     f1, g1 = moved[f], moved[g]
     domain = sorted(set(iota1) | {0})
@@ -304,7 +291,7 @@ def _diag_certificate(
         sign = -1
         inside = frozenset(h for h in v1 if h[i] == h[j])
         # g1[0] != g1[1], so one of them escapes g1[j]; prefer the pivot side.
-        side = p if g1[p] != g1[j] else 1 - p
+        side = pivot if g1[pivot] != g1[j] else 1 - pivot
         new_point = g1.update(i, g1[side])
     else:
         branch = "pair-distinct"
@@ -318,15 +305,17 @@ def _diag_certificate(
     eval2: Evaluation = {k: eval1[k] | {new_point} for k in domain}
     cert = SplitCertificate(
         original=target,
-        splitter=splitter_term(i, j, sign, p),
+        splitter=splitter_term(i, j, sign, pivot),
         fresh=(i, j),
         branch=branch,
-        pivot=p,
+        pivot=pivot,
         negative=Witness(v2, f1, eval1),
         positive=Witness(v2, f1, eval2),
         source=Witness(v1, g1, iota1),
     )
-    return cert if verify_certificate(cert) else None
+    if not verify_certificate(cert):
+        raise RuntimeError("adjoin-a-point split failed verification; this is a bug")
+    return cert
 
 
 # --- splitting arbitrary nonzero terms over arbitrary units -----------------

@@ -134,12 +134,14 @@ class FiniteAlgebra:
         return out
 
     def diag_mask(self, i: int, j: int) -> int:
-        d = self._diags.get((i, j))
+        """d_ij, cached once for d_ij and d_ji alike."""
+        key = (i, j) if i <= j else (j, i)
+        d = self._diags.get(key)
         if d is None:
             # d_ii is the top, but only over the window.
             p, q = self._position(i), self._position(j)
             d = self.top if i == j else sum(1 << k for k, c in enumerate(self._coords) if c[p] == c[q]) & ~self._pinned
-            self._diags[(i, j)] = d
+            self._diags[key] = d
         return d
 
     def mask(self, x: Iterable) -> int:
@@ -413,9 +415,10 @@ class _Lanes:
         return [int.from_bytes(data[s:s + w], "little") for s in range(0, self.size, w)]
 
     def diag_mask(self, i: int, j: int) -> int:
-        d = self._diags.get((i, j))
+        key = (i, j) if i <= j else (j, i)
+        d = self._diags.get(key)
         if d is None:
-            d = self._diags[(i, j)] = _widen(self.alg.diag_mask(i, j), len(self.alg.labels), 8 * self.width)
+            d = self._diags[key] = _widen(self.alg.diag_mask(i, j), len(self.alg.labels), 8 * self.width)
         return d
 
     def cyl_mask(self, i: int, x: int) -> int:
@@ -522,13 +525,12 @@ def _check_laws(alg: FiniteAlgebra, laws: list, samples: int, seed: int, what: s
     """Check `laws` over the window and the subsets and pairs of subsets
     that `_cover` picks; `what` names the laws in the report's note.
 
-    A law without element variables is checked once per index binding on
-    the algebra itself.  A law over x, or over x and y, is checked once per
-    index binding and chunk (`_chunks`) on lane masks that hold the chunk's
-    covered subsets, or pairs, at once; its failures are listed as an
-    instance loop would list them, subset or pair first, then index
-    binding.  Raises ValueError first if `samples` is over MAX_UNITS or a
-    law binds more than MAX_UNITS index tuples."""
+    Each law is checked once per index binding and chunk (`_chunks`) on
+    lane masks that hold the chunk's covered subsets, or pairs, at once; a
+    law without element variables has one instance, the empty tuple.  Its
+    failures are listed as an instance loop would list them, subset or pair
+    first, then index binding.  Raises ValueError first if `samples` is
+    over MAX_UNITS or a law binds more than MAX_UNITS index tuples."""
     if samples > MAX_UNITS:
         raise ValueError(f"samples must be at most {MAX_UNITS}, got {samples}")
     w = len(alg.indices)
@@ -542,7 +544,8 @@ def _check_laws(alg: FiniteAlgebra, laws: list, samples: int, seed: int, what: s
         report.notes = f"{what} spot-checked on {samples} seeded subsets"
     elif not every_pair:
         report.notes = f"{what} checked on every subset and {samples} seeded pairs"
-    families = {"x": list(singles), "xy": list(pairs)}
+    # The index-only laws run as a family of one empty instance.
+    families = {"": [()], "x": list(singles), "xy": list(pairs)}
     bindings = {name: _index_bindings(rule, alg.indices) for name, _, rule, _ in laws}
     # Law name -> its failing (instance, binding) pairs, in that order.
     failed: dict[str, list[tuple[int, int]]] = {name: [] for name, *_ in laws}
@@ -559,12 +562,6 @@ def _check_laws(alg: FiniteAlgebra, laws: list, samples: int, seed: int, what: s
             # Free this chunk's view and the masks it caches before the next is packed.
             del lanes, masks
     for name, elements, _, law in laws:
-        if not elements:
-            report.count(len(bindings[name]))
-            for binding in bindings[name]:
-                if law(alg, **binding):
-                    report.fail(name, **binding)
-            continue
         instances = families[elements]
         report.count(len(instances) * len(bindings[name]))
         for instance, b in failed[name]:

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from cylset import constructions
 from cylset.constructions import (
     _cylinder_table,
     _gs2_units,
@@ -28,14 +29,17 @@ from cylset.semantics import (
     MappedUnitAlgebra,
     SearchBounds,
     UnitAlgebra,
+    evaluate,
     evaluate_masks,
     evaluation_from_dict,
     satisfies,
 )
 from cylset.terms import (
+    And,
     Var,
     all_choice_functions,
     atom_term,
+    escape_term,
     guarded_term,
     guarded_twin_term,
     index_set,
@@ -46,7 +50,9 @@ from cylset.terms import (
 from cylset.units import (
     ClassTag,
     closure,
+    enumerate_units,
     eqv_gamma,
+    eqv_i,
     full_square,
     seq,
     unit,
@@ -190,6 +196,37 @@ class TestSplitAtomDiag:
         assert verify_certificate(cert)
         # The adjoined-point evaluation must still feed x0 for the splitter.
         assert 0 in cert.positive.evaluation
+
+    def test_every_focus_splits_on_both_pivots(self):
+        """Every focus of x0 . c0 -d01, x0 the whole unit, over window {0,1},
+        base 3, and window {0,1,2,3}, base 2, <= 3 sequences each, splits on
+        each pivot that has an escape, and both branches fire on both
+        pivots: each certificate verifies and replays."""
+        target = And(Var(0), escape_term(0, 1))
+        seen = set()
+        for window, b in (((0, 1), 3), ((0, 1, 2, 3), 2)):
+            for v in enumerate_units(window, b, 3):
+                iota = {0: v.as_set()}
+                for f in evaluate(target, v, iota):
+                    for p in (0, 1):
+                        if not any(eqv_i(h, f, p) and h[0] != h[1] for h in v):
+                            with pytest.raises(ValueError, match=f"c{p}-escape"):
+                                split_atom_diag(v, f, iota, Var(0), pivot=p)
+                            continue
+                        cert = split_atom_diag(v, f, iota, Var(0), pivot=p)
+                        assert cert.pivot == p and verify_certificate(cert)
+                        assert check_split_invariance(cert).ok
+                        seen.add((p, cert.branch))
+        assert seen == {(p, b) for p in (0, 1) for b in ("pair-equal", "pair-distinct")}
+
+    def test_failed_verification_is_raised(self, monkeypatch):
+        monkeypatch.setattr(constructions, "verify_certificate", lambda cert: False)
+        with pytest.raises(RuntimeError, match="this is a bug"):
+            split_atom_diag(SQ22, seq((0, 1), (0, 1)), {0: SQ22.as_set()}, Var(0))
+
+    def test_pivot_outside_zero_one_rejected(self):
+        with pytest.raises(ValueError, match="pivot must be 0 or 1, got 2"):
+            split_atom_diag(SQ22, seq((0, 1), (0, 1)), {0: SQ22.as_set()}, Var(0), pivot=2)
 
 
 class TestSplitAnyCrs:

@@ -12,12 +12,14 @@ guard swap cannot fail) to window 4, base 3, all 81 sequences: 19 units,
 the line's notes and its "exhaustive": false now state.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from cylset import semantics
 from cylset.cli import main
+from cylset.constructions import certificate_to_dict, diag_split_corpus, split_atom_diag
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "replicate_all.jsonl"
@@ -26,6 +28,18 @@ GOLDEN = DATA / "replicate_all.jsonl"
 def test_replicate_all_json_matches_golden(shared_replicate, capsys):
     assert main(["replicate", "--suite", "all", "--json"]) == 0
     assert capsys.readouterr().out == GOLDEN.read_text()
+
+
+def test_split_diag_corpus_certificates_match_golden():
+    """The certificate of every `diag_split_corpus` instance, one JSON line
+    each with sorted keys.  The file was written while the builder still
+    tried pivots and escapes until one verified, so it pins that building
+    from the least escape alone gives the same certificates."""
+    lines = [
+        json.dumps(certificate_to_dict(split_atom_diag(*w, term)), sort_keys=True) + "\n"
+        for w, term in diag_split_corpus()
+    ]
+    assert "".join(lines) == (DATA / "split_diag_corpus.jsonl").read_text()
 
 
 # Postulate failures, in the order the checker lists them, are pinned byte

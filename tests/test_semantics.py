@@ -73,6 +73,19 @@ class TestDiagonal:
         with pytest.raises(ValueError, match=r"off-window index 7: the window is \(0, 1\)"):
             SQ.diag_mask(7, 7)
 
+    @pytest.mark.parametrize("view", [
+        # A fresh algebra, not one that the cache shares with other tests.
+        lambda: UnitAlgebra.__wrapped__(full_square((0, 1, 2), (0, 1, 2))),
+        lambda: MappedUnitAlgebra(3),
+        lambda: _Lanes(MappedUnitAlgebra(3), 20),
+    ], ids=["unit", "mapped", "lanes"])
+    def test_reversed_pair_reads_the_same_cached_diagonal(self, view):
+        """d_ij = d_ji, so both orders share one cache entry and one int."""
+        a = view()
+        for i, j in ((0, 1), (2, 0), (1, 2)):
+            assert a.diag_mask(j, i) is a.diag_mask(i, j)
+        assert len(a._diags) == 3
+
 
 class TestCylindrify:
     def test_square_example(self):
@@ -446,6 +459,17 @@ class TestLanePass:
         alg = MappedUnitAlgebra(n)
         got = check_ca_axioms(alg, samples, seed)
         assert _as_tuple(got) == _as_tuple(reference_check(alg, REFERENCE_CA, samples, seed, "postulates"))
+
+    def test_index_only_laws_run_on_lane_views(self, monkeypatch):
+        """CA1, CA5 and CA6 read no element, yet they too are evaluated on a
+        lane view of one instance, never on the algebra itself."""
+
+        def scalar(self, *args):
+            raise AssertionError("a law was evaluated on the algebra")
+
+        monkeypatch.setattr(FiniteAlgebra, "cyl_mask", scalar)
+        report = check_ca_axioms(UnitAlgebra(CA6_UNIT))
+        assert {f.law for f in report.failures} == {"CA6"}
 
     def test_grid_lane_cylinders_fold_without_splitting_fields(self, monkeypatch):
         """On the mapped algebra every lane cylinder is a whole-mask fold, so
