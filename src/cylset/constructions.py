@@ -117,8 +117,19 @@ def certificate_to_dict(cert: SplitCertificate) -> dict:
     }
 
 
+def _branch_splitter(fresh: tuple[int, int], branch: str, pivot: int) -> Term | None:
+    """The splitter that the construction of `branch` makes from `fresh` and `pivot`, or None."""
+    i, j = fresh
+    try:
+        if branch == "fresh-base":
+            return Diag(i, j) if pivot == 0 else None
+        return splitter_term(i, j, {"pair-equal": -1, "pair-distinct": 1}[branch], pivot)
+    except (KeyError, ValueError):
+        return None
+
+
 def certificate_from_dict(data: dict) -> SplitCertificate:
-    """Decode certificate JSON; a missing or malformed field raises ValueError naming it."""
+    """Decode certificate JSON; a missing, malformed or inconsistent field raises ValueError naming it."""
 
     def get(d: dict, name: str, decode: Callable = lambda x: x, where: str = ""):
         try:
@@ -145,8 +156,8 @@ def certificate_from_dict(data: dict) -> SplitCertificate:
         original=get(data, "original", term),
         splitter=get(data, "splitter", term),
         fresh=get(data, "fresh", lambda f: int_list(f, 2)),
-        branch=data.get("branch", ""),
-        pivot=data.get("pivot", 0),
+        branch=get(data, "branch"),
+        pivot=get(data, "pivot"),
         negative=half("negative"),
         positive=half("positive"),
     )
@@ -154,6 +165,9 @@ def certificate_from_dict(data: dict) -> SplitCertificate:
         raise ValueError("certificate field branch: expected a string")
     if type(cert.pivot) is not int:
         raise ValueError("certificate field pivot: expected an integer")
+    if _branch_splitter(cert.fresh, cert.branch, cert.pivot) != cert.splitter:
+        raise ValueError("certificate fields fresh, branch and pivot do not rebuild its splitter: "
+                         f"{list(cert.fresh)}, {cert.branch!r}, {cert.pivot}")
     return cert
 
 
@@ -288,14 +302,12 @@ def split_atom_diag(
 
     if g1[i] == g1[j]:
         branch = "pair-equal"
-        sign = -1
         inside = frozenset(h for h in v1 if h[i] == h[j])
         # g1[0] != g1[1], so one of them escapes g1[j]; prefer the pivot side.
         side = pivot if g1[pivot] != g1[j] else 1 - pivot
         new_point = g1.update(i, g1[side])
     else:
         branch = "pair-distinct"
-        sign = 1
         inside = frozenset(h for h in v1 if h[i] != h[j])
         new_point = g1.update(i, g1[j])
 
@@ -305,7 +317,7 @@ def split_atom_diag(
     eval2: Evaluation = {k: eval1[k] | {new_point} for k in domain}
     cert = SplitCertificate(
         original=target,
-        splitter=splitter_term(i, j, sign, pivot),
+        splitter=_branch_splitter((i, j), branch, pivot),
         fresh=(i, j),
         branch=branch,
         pivot=pivot,
@@ -346,7 +358,7 @@ def split_any_crs(v: Unit, f: Sequence, iota: Evaluation, tau: Term) -> SplitCer
     }
     cert = SplitCertificate(
         original=tau,
-        splitter=Diag(i, j),
+        splitter=_branch_splitter((i, j), "fresh-base", 0),
         fresh=(i, j),
         branch="fresh-base",
         pivot=0,

@@ -14,14 +14,16 @@ and the evaluations of `bounded_validity`.  A check visits all instances
 when there are at most a cap of them, else seeded samples, at most
 MAX_UNITS, and reports `exhaustive` only in the first case.  Both the law
 checker and the validity search pack their covered instances side by side
-into lane masks (bitslicing), a chunk of at most `_LANE_BITS` bits at a
-time, and evaluate each law or term once per chunk over all of them, with
-`evaluate_masks` on the chunk's lane view.  Every check is a refuter over
-finite models, never a prover.
+(bitslicing) into the masks of a lane view, `FiniteAlgebra.lanes(count)`,
+an algebra whose lane l holds instance l, a chunk of at most `_LANE_BITS`
+bits a mask at a time, and evaluate each law or term once per chunk over
+all of them with `evaluate_masks`.  Every check is a refuter over finite
+models, never a prover.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 import re
 from dataclasses import dataclass, field
@@ -39,57 +41,83 @@ Evaluation = dict[int, frozenset]
 # and seeded samples otherwise; SearchBounds caps evaluations here by default.
 COVER_CAP = 4096
 
-# The most bits one lane mask may hold.  The lane checks pack their instances
-# a chunk at a time, at least 8 lanes a chunk, so that memory stays bounded
-# whatever the number of instances.
-_LANE_BITS = 1 << 22
+# The most bits one lane mask may hold, so that memory stays bounded whatever
+# the number of instances.  A 32 KiB mask stays in the caches and in the
+# allocator's heap; at 2^22 bits each operation faulted in fresh pages.
+_LANE_BITS = 1 << 18
 
 
 class FiniteAlgebra:
-    """Power-set algebra over a finite carrier, subsets as int bitmasks.
+    """Power-set algebra over a finite carrier, subsets as int bitmasks, or
+    a lane view of one that holds `count` subsets side by side.
 
     Bit k stands for `labels[k]`.  `coords[k]` is the value tuple over the
     window `indices` from which bit k's cylinders and diagonals are computed;
-    the bits in `pinned` belong to no d_ij with i != j.  Cylinder blocks,
-    fold plans and diagonal masks are built on first use.
+    the bits in `pinned` belong to no d_ij with i != j.  In `lanes(count)`,
+    lane l is bits l*stride to l*stride+n-1, for n points and `stride` =
+    8*(n//8 + 1), so every lane has a clear bit above its points.  The
+    algebra is the one-lane view.  Boolean operations act on every lane at
+    once, `top`, `cyl_mask` and `diag_mask` lane by lane, and `mask` and
+    `subset` on one lane.  Views, plans and diagonals are built on first use.
 
     When the unpinned bits are the grid {0..b-1}^window in lexicographic
     order and the pinned bits follow them, each relabelled onto a grid cell
     (every `full_square(window, range(b))` unit and `MappedUnitAlgebra(n)`),
     `cyl_mask` folds cylinders with 2(b-1) shifts of the whole mask
-    (`_fold`) instead of one step per cylinder block; lane views fold their
-    lane masks with the same routine.  Any other carrier takes the block
-    loop.
+    (`_fold`), for one lane or many.  Any other carrier loops over its
+    cylinder classes: their masks on one lane, byte columns on more.
     """
 
     def __init__(self, labels: Iterable, indices: Iterable[int], coords: Iterable[tuple], pinned: int = 0):
         self.labels = tuple(labels)
         self.indices = tuple(indices)
+        self.count = 1
+        self.stride = 8 * (len(self.labels) // 8 + 1)
         self.top = (1 << len(self.labels)) - 1
         self._coords = tuple(coords)
         self._pinned = pinned
         self._bit = {e: k for k, e in enumerate(self.labels)}
-        self._blocks: dict[int, list[int]] = {}
-        self._plans: dict[int, tuple] = {}
+        self._classes: dict[int, list[int]] = {}  # shared with every view
+        self._plans: dict[int, object] = {}
         self._diags: dict[tuple[int, int], int] = {}
+        self._views: dict[int, FiniteAlgebra] = {}
+
+    def lanes(self, count: int) -> FiniteAlgebra:
+        """The view with `count` lanes; it shares the cylinder classes and
+        caches its own plans and diagonals."""
+        if count not in self._views:
+            view = self._views[count] = copy.copy(self)
+            view.count, view._plans, view._diags, view._views = count, {}, {}, {}
+            view.top = view.each((1 << len(self.labels)) - 1)
+        return self._views[count]
+
+    def each(self, m: int) -> int:
+        """The mask that holds the one-lane mask m in every lane."""
+        return int.from_bytes(m.to_bytes(self.stride // 8, "little") * self.count, "little")
+
+    def pack(self, masks: list[int]) -> int:
+        """The mask whose lane l holds `masks[l]`, for `count` one-lane masks."""
+        w = self.stride // 8
+        return int.from_bytes(b"".join([m.to_bytes(w, "little") for m in masks]), "little")
+
+    def lane(self, x: int, k: int) -> int:
+        """The one-lane mask that lane k of x holds."""
+        return x >> k * self.stride & (1 << len(self.labels)) - 1
+
+    def failing(self, x: int) -> list[int]:
+        """The lanes of x that are not empty, in order.  Adding `top` carries
+        into a lane's clear bit n exactly when the lane is not empty."""
+        if not x:
+            return []
+        w = self.stride // 8
+        carries = ((x + self.top) & ~self.top).to_bytes(w * self.count, "little")
+        return [k for k, byte in enumerate(carries[len(self.labels) // 8::w]) if byte]
 
     def _position(self, i: int) -> int:
         try:
             return self.indices.index(i)
         except ValueError:
             raise ValueError(f"off-window index {i}: the window is {self.indices}") from None
-
-    def _cyl_blocks(self, i: int) -> list[int]:
-        """Per bit, the mask of the bits that agree with it off coordinate i."""
-        blocks = self._blocks.get(i)
-        if blocks is None:
-            p = self._position(i)
-            keys = [c[:p] + c[p + 1:] for c in self._coords]
-            classes: dict[tuple, int] = {}
-            for k, key in enumerate(keys):
-                classes[key] = classes.get(key, 0) | 1 << k
-            blocks = self._blocks[i] = [classes[key] for key in keys]
-        return blocks
 
     @cached_property
     def _grid(self) -> tuple[int, int, tuple[tuple[int, int], ...]] | None:
@@ -98,7 +126,7 @@ class FiniteAlgebra:
         the first constant-time tests, before the cells are compared."""
         d = len(self.indices)
         cells = len(self._coords) - self._pinned.bit_count()
-        if not d or not cells or self._pinned != self.top ^ ((1 << cells) - 1):
+        if not d or not cells or self._pinned != (1 << len(self._coords)) - (1 << cells):
             return None
         b = self._coords[cells - 1][-1] + 1
         if b ** d != cells or self._coords[:cells] != tuple(product(range(b), repeat=d)):
@@ -111,37 +139,68 @@ class FiniteAlgebra:
             pins.append((k, sum(v * b ** (d - 1 - p) for p, v in enumerate(c))))
         return b, cells, tuple(pins)
 
-    def _fold_plan(self, i: int, w: int) -> tuple:
-        """The `_fold` plan of index i on a grid carrier whose points are
-        w-bit fields: the shifts that step along i, the fields of the cells
-        whose i-coordinate is 0, each (pinned field, its cell's field) offset
-        pair, and one field of ones."""
-        b, cells, pins = self._grid
-        s = b ** (len(self.indices) - 1 - self._position(i))
-        # The i-coordinate is 0 on the first s cells of every run of s*b.
-        zero = _widen(((1 << cells) - 1) // ((1 << s * b) - 1) * ((1 << s) - 1), cells, w)
-        return tuple(t * s * w for t in range(1, b)), zero, tuple((k * w, c * w) for k, c in pins), (1 << w) - 1
+    def _cyl_plan(self, i: int) -> object:
+        """What `cyl_mask` reads for index i, in every lane: on a grid, the
+        shifts along i, the cells whose i-coordinate is 0 and the pinned bits'
+        masks, cells and distances; else the class masks, split on views."""
+        if self._grid is not None:
+            b, cells, pins = self._grid
+            s = b ** (len(self.indices) - 1 - self._position(i))
+            # The i-coordinate is 0 on the first s cells of every run of s*b.
+            zero = self.each(((1 << cells) - 1) // ((1 << s * b) - 1) * ((1 << s) - 1))
+            pins = tuple((self.each(1 << k), self.each(1 << c), k - c) for k, c in pins)
+            return tuple(t * s for t in range(1, b)), zero, pins
+        classes = self._classes.get(i)
+        if classes is None:
+            # One mask per class of the points that agree off coordinate i.
+            p = self._position(i)
+            by_key: dict[tuple, int] = {}
+            for k, c in enumerate(self._coords):
+                key = c[:p] + c[p + 1:]
+                by_key[key] = by_key.get(key, 0) | 1 << k
+            classes = self._classes[i] = list(by_key.values())
+        if self.count == 1:
+            return classes
+        # On more lanes, the classes of one shape (offsets of points from the
+        # least) fold together if at least max(8, bytes a lane) share it, as
+        # that costs less than the column loop, which takes the rest.
+        shapes: dict[tuple, list[int]] = {}
+        for block in classes:
+            points = bit_positions(block)
+            shapes.setdefault(tuple(k - points[0] for k in points[1:]), []).append(block)
+        folds, rest = [], []
+        for offsets, blocks in shapes.items():
+            if len(blocks) >= max(8, self.stride // 8):
+                folds.append((offsets, self.each(sum(block & -block for block in blocks)), ()))
+            else:
+                rest += [[divmod(k, 8) for k in bit_positions(block)] for block in blocks]
+        return folds, rest
 
     def cyl_mask(self, i: int, x: int) -> int:
+        plan = self._plans.get(i) or self._plans.setdefault(i, self._cyl_plan(i))
         if self._grid is not None:
-            return _fold(self._plans.get(i) or self._plans.setdefault(i, self._fold_plan(i, 1)), x)
-        blocks = self._cyl_blocks(i)
+            return _fold(plan, x)
+        if self.count > 1:
+            folds, rest = plan
+            out = _columns(rest, x, self.stride // 8, self.count) if rest else 0
+            for fold in folds:
+                out |= _fold(fold, x)
+            return out
         out = 0
-        while x:
-            block = blocks[(x & -x).bit_length() - 1]
-            out |= block
-            x &= ~block
+        for block in plan:
+            if x & block:
+                out |= block
         return out
 
     def diag_mask(self, i: int, j: int) -> int:
-        """d_ij, cached once for d_ij and d_ji alike."""
+        """d_ij in every lane, cached once for d_ij and d_ji alike."""
         key = (i, j) if i <= j else (j, i)
         d = self._diags.get(key)
         if d is None:
             # d_ii is the top, but only over the window.
             p, q = self._position(i), self._position(j)
-            d = self.top if i == j else sum(1 << k for k, c in enumerate(self._coords) if c[p] == c[q]) & ~self._pinned
-            self._diags[key] = d
+            d = self._diags[key] = self.top if i == j else self.each(
+                sum(1 << k for k, c in enumerate(self._coords) if c[p] == c[q]) & ~self._pinned)
         return d
 
     def mask(self, x: Iterable) -> int:
@@ -158,42 +217,56 @@ class FiniteAlgebra:
         return frozenset(labels[k] for k in bit_positions(m))
 
 
-def _widen(m: int, n: int, w: int) -> int:
-    """The mask whose point p is a w-bit field of ones where bit p of the
-    n-point mask m is set, else of zeros; w is 1 or a multiple of 8."""
-    if w == 1:
-        return m
-    ones, zeros = b"\xff" * (w // 8), bytes(w // 8)
-    return int.from_bytes(b"".join([ones if c == "1" else zeros for c in reversed(bin(m | 1 << n)[3:])]), "little")
-
-
 def _fold(plan: tuple, x: int) -> int:
-    """The cylinder of x along one index of a grid carrier, by the index's
-    `FiniteAlgebra._fold_plan`: OR every line onto its cell with coordinate
-    0, keep those cells and spread them back along the line, with pinned
-    fields read from and written to their cells."""
-    shifts, zero, pins, field = plan
-    for k, c in pins:
-        if f := x >> k & field:
-            x = (x ^ f << k) | f << c
+    """The cylinder of x by a fold of `FiniteAlgebra._cyl_plan`: OR each class
+    onto its least point with right shifts, keep those points and spread them
+    back with left shifts; pinned bits are read from and written to cells.
+    On a lane view a right shift carries bits into the lane below, but above
+    its least points, as the stride exceeds the cell count: on a grid onto
+    its last (b-1)*s cells, whose coordinate is never 0, or past them."""
+    shifts, zero, pins = plan
+    for pin, cell, d in pins:
+        if f := x & pin:
+            x = x ^ f | f >> d
     out = x
     for t in shifts:
         out |= x >> t
     out = line = out & zero
     for t in shifts:
         out |= line << t
-    for k, c in pins:
-        if f := out >> c & field:
-            out |= f << k
+    for pin, cell, d in pins:
+        if f := out & cell:
+            out |= f << d
     return out
+
+
+def _columns(plan: list, x: int, w: int, count: int) -> int:
+    """The cylinder of x over the classes in `plan` on a `count`-lane view of
+    w-byte lanes: column j holds byte j of every lane.  Per class, OR its
+    points' bits into bit 0 of each lane's byte, and write that back."""
+    data = x.to_bytes(w * count, "little")
+    columns = [int.from_bytes(data[j::w], "little") for j in range(w)]
+    ones = int.from_bytes(b"\x01" * count, "little")
+    written = [0] * w
+    for points in plan:
+        acc = 0
+        for j, bit in points:
+            acc |= columns[j] >> bit
+        acc &= ones
+        for j, bit in points:
+            written[j] |= acc << bit
+    out = bytearray(w * count)
+    for j, column in enumerate(written):
+        out[j::w] = column.to_bytes(count, "little")
+    return int.from_bytes(out, "little")
 
 
 @lru_cache(maxsize=8)
 def UnitAlgebra(v: Unit) -> FiniteAlgebra:
     """The power-set algebra over a unit; bit k is `v.sequences[k]`.
 
-    Equal units share one algebra, and with it the cylinder blocks and
-    diagonal masks it builds on first use, from a cache of the last eight
+    Equal units share one algebra, and with it the cylinder classes, views
+    and diagonal masks it builds on first use, from a cache of the last eight
     distinct units.  Callers must not mutate it."""
     return FiniteAlgebra(v.sequences, v.window, (f.values for f in v))
 
@@ -248,12 +321,11 @@ _STEPS = {
 }
 
 
-def evaluate_masks(alg: FiniteAlgebra | _Lanes, t: Term, masks: Mapping[int, int]) -> int:
+def evaluate_masks(alg: FiniteAlgebra, t: Term, masks: Mapping[int, int]) -> int:
     """Mask of t's interpretation when variable k denotes `masks[k]`.  Raises
     ValueError naming the first off-window index or unassigned variable the
-    walk meets, and TypeError on anything that is not a term node.  `alg`
-    may be an algebra or a lane view of one: the walk reads only `top`,
-    `cyl_mask` and `diag_mask`."""
+    walk meets, and TypeError on anything that is not a term node.  On a
+    lane view each lane holds the term under that lane's masks."""
     step = _STEPS.get(type(t))
     if step is None:
         raise TypeError(f"not a term: {t!r}")
@@ -372,107 +444,22 @@ class CheckReport:
 
 # --- postulate and equation laws -----------------------------------------
 
-class _Lanes:
-    """`count` instances of a law or term side by side over one algebra's
-    carrier: a view with the `top`, `cyl_mask` and `diag_mask` that the law
-    table and `evaluate_masks` read.
-
-    A lane mask packs one subset per instance, point-major: bits p*K to
-    p*K+K-1, point p's field, hold p's membership in each of the K
-    instances, where K is `count` rounded up to whole bytes.  Boolean
-    operations on lane masks act on every instance at once.  On a grid
-    carrier `cyl_mask` is the algebra's fold (`_fold`) with every shift and
-    mask widened from one bit a point to K bits; on any other carrier it ORs
-    the fields of the points of each cylinder class and writes the result
-    back to each of them.  `diag_mask` widens every diagonal point to K
-    ones.  The lanes past `count` repeat lane 0, so they hold no verdict of
-    their own, and `failing` leaves them out.
-    """
-
-    def __init__(self, alg: FiniteAlgebra, count: int):
-        self.alg = alg
-        self.count = count
-        self.width = max(1, (count + 7) // 8)  # bytes per field
-        self.size = len(alg.labels) * self.width
-        self.top = (1 << 8 * self.size) - 1
-        self._classes: dict[int, list[list[int]]] = {}
-        self._plans: dict[int, tuple] = {}
-        self._diags: dict[tuple[int, int], int] = {}
-
-    def pack(self, masks: list[int]) -> int:
-        """The lane mask whose instance l is `masks[l]`, for `count` masks."""
-        n = len(self.alg.labels)
-        masks = masks + masks[:1] * (8 * self.width - len(masks))
-        # Row l is masks[l], highest point first.  Over the rows joined in
-        # reverse, every n-th digit from digit c makes the field of point
-        # n-1-c, highest lane first.
-        rows = "".join([bin(m | 1 << n)[3:] for m in reversed(masks)])
-        return int("".join([rows[c::n] for c in range(n)]) or "0", 2)
-
-    def _fields(self, x: int) -> list[int]:
-        w = self.width
-        data = x.to_bytes(self.size, "little")
-        return [int.from_bytes(data[s:s + w], "little") for s in range(0, self.size, w)]
-
-    def diag_mask(self, i: int, j: int) -> int:
-        key = (i, j) if i <= j else (j, i)
-        d = self._diags.get(key)
-        if d is None:
-            d = self._diags[key] = _widen(self.alg.diag_mask(i, j), len(self.alg.labels), 8 * self.width)
-        return d
-
-    def cyl_mask(self, i: int, x: int) -> int:
-        if self.alg._grid is not None:
-            plan = self._plans.get(i) or self._plans.setdefault(i, self.alg._fold_plan(i, 8 * self.width))
-            return _fold(plan, x)
-        return self._class_cyl(i, x)
-
-    def _class_cyl(self, i: int, x: int) -> int:
-        """`cyl_mask` point by point: OR the fields of each cylinder class
-        and write the result back to each of its points."""
-        classes = self._classes.get(i)
-        if classes is None:
-            by_block: dict[int, list[int]] = {}
-            for p, block in enumerate(self.alg._cyl_blocks(i)):
-                by_block.setdefault(block, []).append(p)
-            classes = self._classes[i] = list(by_block.values())
-        fields = self._fields(x)
-        out = [b""] * len(fields)
-        for points in classes:
-            acc = 0
-            for p in points:
-                acc |= fields[p]
-            field = acc.to_bytes(self.width, "little")
-            for p in points:
-                out[p] = field
-        return int.from_bytes(b"".join(out), "little")
-
-    def failing(self, x: int) -> list[int]:
-        """The instances whose subset in x is not empty."""
-        if not x:
-            return []
-        acc = 0
-        for field in self._fields(x):
-            acc |= field
-        return [lane for lane in bit_positions(acc) if lane < self.count]
-
-
 def _chunks(
     alg: FiniteAlgebra, instances: list[tuple[int, ...]], names: Iterable
-) -> Iterator[tuple[int, _Lanes, dict]]:
+) -> Iterator[tuple[int, FiniteAlgebra, dict]]:
     """`instances`, tuples of masks, a chunk of lanes at a time, each lane
     mask within `_LANE_BITS`: per chunk, the index of its first instance,
     its lane view and the lane mask of each tuple slot, keyed by `names`."""
-    per = max(1, _LANE_BITS // (8 * max(1, len(alg.labels)))) * 8
+    per = max(1, _LANE_BITS // alg.stride)
     for low in range(0, len(instances), per):
         part = instances[low:low + per]
-        lanes = _Lanes(alg, len(part))
+        lanes = alg.lanes(len(part))
         yield low, lanes, {v: lanes.pack([t[k] for t in part]) for k, v in enumerate(names)}
 
 
 # One row per law: (postulate name, equation name, element variables, index
 # variables, violation mask).  The mask is zero iff the law holds; evaluated
-# on lane masks, its nonzero fields name the failing instances.  Index rules:
+# on lane masks, its nonzero lanes name the failing instances.  Index rules:
 # "i" binds i, "i<j" and "i!=j" pairs under that constraint, "ijk" triples
 # with k distinct from i and j.  A law that is both a cylindric postulate and
 # one of the seven unit equations is coded once and carries both names.
@@ -559,8 +546,6 @@ def _check_laws(alg: FiniteAlgebra, laws: list, samples: int, seed: int, what: s
                     for b, binding in enumerate(bindings[name])
                     for lane in lanes.failing(law(lanes, **binding, **masks))
                 )
-            # Free this chunk's view and the masks it caches before the next is packed.
-            del lanes, masks
     for name, elements, _, law in laws:
         instances = families[elements]
         report.count(len(instances) * len(bindings[name]))
@@ -626,9 +611,9 @@ def bounded_validity(
 
     Each side is evaluated once per chunk of a unit's tuples (`_chunks`),
     on lane masks that hold the whole chunk; the first chunk with a
-    separating tuple stops the search, and that tuple, the least, is
-    evaluated once more on the unit itself to name the least separating
-    point.  `evaluations_checked` counts the tuples up to and including it.
+    separating tuple stops the search, and the lane of that tuple, the
+    least, names the least separating point.  `evaluations_checked` counts
+    the tuples up to and including it.
     Raises ValueError if `max_eval_subsets` is over MAX_UNITS.
     """
     if bounds.max_eval_subsets > MAX_UNITS:
@@ -656,13 +641,13 @@ def bounded_validity(
         evals = list(evals)
         exhaustive = exhaustive and full
         for low, lanes, masks in _chunks(alg, evals, range(m)):
-            failing = lanes.failing(evaluate_masks(lanes, lhs, masks) ^ evaluate_masks(lanes, rhs, masks))
+            diff = evaluate_masks(lanes, lhs, masks) ^ evaluate_masks(lanes, rhs, masks)
+            failing = lanes.failing(diff)
             if failing:
                 first = low + failing[0]
-                masks = dict(enumerate(evals[first]))
-                diff = evaluate_masks(alg, lhs, masks) ^ evaluate_masks(alg, rhs, masks)
+                diff = lanes.lane(diff, failing[0])
                 focus = v.sequences[(diff & -diff).bit_length() - 1]
-                ce = Witness(v, focus, {k: alg.subset(mask) for k, mask in masks.items()})
+                ce = Witness(v, focus, {k: alg.subset(mask) for k, mask in enumerate(evals[first])})
                 return ValidityResult(ce, exhaustive, idx + 1, n_evals + first + 1, _nonconstant(units[:idx + 1]))
         n_evals += len(evals)
     return ValidityResult(None, exhaustive, len(units), n_evals, _nonconstant(units))

@@ -5,7 +5,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cylset.semantics import P_PRIME, FiniteAlgebra, MappedUnitAlgebra, UnitAlgebra, _Lanes
+from cylset import semantics
+from cylset.semantics import P_PRIME, FiniteAlgebra, MappedUnitAlgebra, UnitAlgebra
 from cylset.units import Unit, full_square, unit, unit_from_dict, unit_to_dict
 
 CA4_UNIT = unit((0, 1), [(0, 0), (1, 0), (1, 1)])
@@ -46,7 +47,8 @@ def test_mask_ops_match_set_ops():
         assert alg.diag_mask(1, 1) == alg.top == (1 << len(v)) - 1
 
 
-# The shift path of `cyl_mask` against the per-block loop over `_cyl_blocks`.
+# The shift path of `cyl_mask` against a loop over cylinder blocks built from
+# the coordinates by definition.
 GRID_ALGEBRAS = {f"mapped-{n}": MappedUnitAlgebra(n) for n in (2, 3, 4)}
 GRID_ALGEBRAS.update(
     (f"square-w{w}-b{b}", UnitAlgebra(full_square(range(w), range(b))))
@@ -56,12 +58,12 @@ GRID_ALGEBRAS.update(
 
 
 def block_cyl(alg, i, x):
-    blocks = alg._cyl_blocks(i)
-    out = 0
-    for k in range(x.bit_length()):
-        if x >> k & 1:
-            out |= blocks[k]
-    return out
+    """c_i x on one lane: the union of the blocks, the points that agree off
+    coordinate i, of the points of x."""
+    p = alg.indices.index(i)
+    keys = [c[:p] + c[p + 1:] for c in alg._coords]
+    met = {keys[k] for k in range(len(keys)) if x >> k & 1}
+    return sum(1 << k for k, key in enumerate(keys) if key in met)
 
 
 @pytest.mark.parametrize("name", sorted(GRID_ALGEBRAS))
@@ -80,17 +82,18 @@ def test_grid_path_matches_block_loop(name, data):
 @settings(deadline=None)
 @given(data=st.data())
 def test_lane_fold_matches_per_point_loop(name, data):
-    """The fold with every shift and mask widened to the lane field, against
-    the per-point lane loop, with the pinned fields as drawn, set and
-    cleared.  CA2-CA4 and CA7 also hold under an identity cylinder, so the
-    law checks alone would not catch a wrong fold."""
+    """The fold of a lane view, every lane at once, against the per-point
+    block loop lane by lane, with the pinned bits as drawn, set and cleared.
+    CA2-CA4 and CA7 also hold under an identity cylinder, so the law checks
+    alone would not catch a wrong fold."""
     alg = GRID_ALGEBRAS[name]
-    lanes = _Lanes(alg, data.draw(st.sampled_from((1, 8, 9, 13, 64))))
-    x = lanes.pack(data.draw(st.lists(st.integers(0, alg.top), min_size=lanes.count, max_size=lanes.count)))
-    pinned = lanes.pack([alg._pinned] * lanes.count)
-    for m in {x, x | pinned, x & ~pinned}:
+    lanes = alg.lanes(data.draw(st.sampled_from((1, 8, 9, 13, 64))))
+    drawn = data.draw(st.lists(st.integers(0, alg.top), min_size=lanes.count, max_size=lanes.count))
+    for masks in {tuple(drawn), tuple(m | alg._pinned for m in drawn), tuple(m & ~alg._pinned for m in drawn)}:
+        x = lanes.pack(list(masks))
         for i in alg.indices:
-            assert lanes.cyl_mask(i, m) == lanes._class_cyl(i, m)
+            got = lanes.cyl_mask(i, x)
+            assert [lanes.lane(got, k) for k in range(lanes.count)] == [block_cyl(alg, i, m) for m in masks]
 
 
 def test_mapped_extra_point_joins_the_identity_line():
@@ -138,19 +141,27 @@ def test_pinned_bit_not_last_takes_block_path():
 
 @pytest.mark.parametrize("name", sorted(NON_GRID_UNITS) + ["pinned-first"])
 def test_non_grid_lanes_take_per_point_loop(name, monkeypatch):
+    """A view of a carrier that is not a grid ORs its cylinder classes point
+    by point over byte columns, once per cylinder, and never folds."""
     alg = PINNED_FIRST if name == "pinned-first" else UnitAlgebra(NON_GRID_UNITS[name])
     calls = []
 
-    def counted(self, i, x, class_cyl=_Lanes._class_cyl):
-        calls.append(i)
-        return class_cyl(self, i, x)
+    def counted(plan, x, w, count, columns=semantics._columns):
+        calls.append(count)
+        return columns(plan, x, w, count)
 
-    monkeypatch.setattr(_Lanes, "_class_cyl", counted)
-    lanes = _Lanes(alg, 9)
-    x = lanes.pack([m % (alg.top + 1) for m in range(0, 27, 3)])
+    def fold(plan, x):
+        raise AssertionError("a carrier that is not a grid was folded")
+
+    monkeypatch.setattr(semantics, "_columns", counted)
+    monkeypatch.setattr(semantics, "_fold", fold)
+    lanes = alg.lanes(9)
+    masks = [m % (alg.top + 1) for m in range(0, 27, 3)]
+    x = lanes.pack(masks)
     for i in alg.indices:
-        lanes.cyl_mask(i, x)
-    assert calls == list(alg.indices)
+        got = lanes.cyl_mask(i, x)
+        assert [lanes.lane(got, k) for k in range(9)] == [block_cyl(alg, i, m) for m in masks]
+    assert calls == [9] * len(alg.indices)
 
 
 def test_unit_algebra_cache_is_bounded():
@@ -177,3 +188,75 @@ def test_reused_unit_algebra_matches_a_fresh_one(v):
             assert reused.diag_mask(i, j) == fresh.diag_mask(i, j)
         for m in range(fresh.top + 1):
             assert reused.cyl_mask(i, m) == fresh.cyl_mask(i, m)
+
+
+SQ5 = full_square(range(5), range(2))
+# The base-2 square over window 5 without its first sequence: 31 points, whose
+# cylinder classes along each index are 15 pairs of one shape and one point.
+SQUARE5_MINUS_FIRST = UnitAlgebra(Unit(SQ5.window, SQ5.sequences[1:]))
+
+
+def test_common_shapes_fold_on_non_grid_views(monkeypatch):
+    """On a view of a carrier that is not a grid, the 15 pairs of each index,
+    one shape, fold with whole-mask shifts, and the lone point takes the
+    column loop."""
+    calls = []
+
+    def fold(plan, x, fold=semantics._fold):
+        calls.append("fold")
+        return fold(plan, x)
+
+    def columns(plan, x, w, count, columns=semantics._columns):
+        calls.append(len(plan))
+        return columns(plan, x, w, count)
+
+    monkeypatch.setattr(semantics, "_fold", fold)
+    monkeypatch.setattr(semantics, "_columns", columns)
+    alg = SQUARE5_MINUS_FIRST
+    lanes = alg.lanes(9)
+    masks = [(m * 0x9E3779B1) & alg.top for m in range(9)]
+    x = lanes.pack(masks)
+    for i in alg.indices:
+        got = lanes.cyl_mask(i, x)
+        assert [lanes.lane(got, k) for k in range(9)] == [block_cyl(alg, i, m) for m in masks]
+    assert calls == [1, "fold"] * len(alg.indices)
+
+
+VIEW_ALGEBRAS = dict(
+    GRID_ALGEBRAS,
+    **{name: UnitAlgebra(v) for name, v in NON_GRID_UNITS.items()},
+    **{"pinned-first": PINNED_FIRST, "square5-minus-first": SQUARE5_MINUS_FIRST},
+)
+
+
+@pytest.mark.parametrize("name", sorted(VIEW_ALGEBRAS))
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_lane_view_matches_the_definition(name, data):
+    """On a view of K lanes, each lane of a cylinder is the cylinder of that
+    lane by definition, no bit outside `top` is set, `failing` lists exactly
+    the lanes that are not empty, and each lane of a diagonal is the
+    algebra's diagonal.  Each drawn lane is also checked between neighbour
+    lanes that are `top`, so that a carry into or out of a lane shows."""
+    alg = VIEW_ALGEBRAS[name]
+    count = data.draw(st.sampled_from((1, 2, 7, 8, 9, 13, 64)))
+    lanes = alg.lanes(count)
+    drawn = data.draw(st.lists(st.integers(0, alg.top), min_size=count, max_size=count))
+    pick = data.draw(st.integers(0, count - 1))
+    between_tops = [alg.top] * pick + drawn[pick:pick + 1] + [alg.top] * (count - pick - 1)
+    stride = 8 * (len(alg.labels) // 8 + 1)
+    for masks in (drawn, between_tops):
+        x = lanes.pack(masks)
+        assert x == sum(m << k * stride for k, m in enumerate(masks))
+        assert [lanes.lane(x, k) for k in range(count)] == masks
+        assert lanes.failing(x) == [k for k, m in enumerate(masks) if m]
+        for i in alg.indices:
+            got = lanes.cyl_mask(i, x)
+            assert got & ~lanes.top == 0
+            assert [lanes.lane(got, k) for k in range(count)] == [block_cyl(alg, i, m) for m in masks]
+            assert lanes.failing(got) == [k for k, m in enumerate(masks) if m]
+    for i in alg.indices:
+        for j in alg.indices:
+            d = lanes.diag_mask(i, j)
+            assert d & ~lanes.top == 0
+            assert [lanes.lane(d, k) for k in range(count)] == [alg.diag_mask(i, j)] * count

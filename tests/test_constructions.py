@@ -277,6 +277,15 @@ class TestCertificates:
         loaded = certificate_from_dict(data)
         assert verify_certificate(loaded)
 
+    @pytest.mark.parametrize("pivot", [0, 1])
+    def test_json_round_trip_keeps_the_pivot(self, pivot):
+        f = seq((0, 1), (0, 1))
+        cert = split_atom_diag(SQ22, f, {0: SQ22.as_set()}, Var(0), pivot=pivot)
+        loaded = certificate_from_dict(json.loads(json.dumps(certificate_to_dict(cert))))
+        assert (loaded.splitter, loaded.fresh, loaded.branch, loaded.pivot) == (
+            cert.splitter, cert.fresh, cert.branch, pivot
+        )
+
     def test_decoded_diag_certificate_cannot_replay(self):
         # Certificate JSON does not carry the `source` witness.
         cert = split_atom_diag(SQ22, seq((0, 1), (0, 1)), {0: SQ22.as_set()}, Var(0))

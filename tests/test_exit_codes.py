@@ -214,6 +214,28 @@ def test_certificate_decoder_names_field(files, path, value, capsys):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("changes,deleted,message", [
+    ({"pivot": 7, "branch": "nonsense"}, (), "fields fresh, branch and pivot"),
+    ({"pivot": 1}, (), "fields fresh, branch and pivot"),
+    ({"branch": "pair-distinct"}, (), "fields fresh, branch and pivot"),
+    ({"fresh": [5, 9]}, (), "fields fresh, branch and pivot"),
+    ({"branch": "fresh-base"}, (), "fields fresh, branch and pivot"),
+    ({}, ("branch", "pivot"), "lacks the field branch"),
+], ids=["pivot-7-nonsense", "pivot-1", "pair-distinct", "fresh-5-9", "fresh-base", "no-branch-or-pivot"])
+def test_certificate_fields_must_rebuild_the_splitter(files, changes, deleted, message, capsys):
+    """The certificate is a pair-equal split with pivot 0 on fresh indices
+    2 and 3.  Each edit leaves the splitter as it was, so the fields no
+    longer name how it was built, and the certificate is refused."""
+    cert = files["cert"]
+    assert (cert["fresh"], cert["branch"], cert["pivot"]) == ([2, 3], "pair-equal", 0)
+    edited = {k: v for k, v in cert.items() if k not in deleted} | changes
+    with pytest.raises(ValueError, match=message):
+        certificate_from_dict(edited)
+    assert main(["verify", "--cert", _write(files["scratch"], edited)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def test_unsorted_window_exits_2(files, capsys):
     # Sorting [1, 0] would put each value on the other index.
     path = _write(files["scratch"], {"window": [1, 0], "sequences": [[5, 7]]})

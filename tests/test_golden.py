@@ -72,6 +72,8 @@ def test_postulate_failures_match_golden_across_chunk_seams(argv, golden, monkey
     """At 8 lanes a chunk, the 50 sampled subsets and pairs take 7 chunks
     each, the last of 2 lanes, and a three-sequence unit's 64 pairs take 8;
     the output is the same."""
-    monkeypatch.setattr(semantics, "_LANE_BITS", 1)
+    # A lane is 8 bits wide on units of at most 7 sequences, 16 on unit13.
+    stride = 16 if argv == SAMPLED_ARGV else 8
+    monkeypatch.setattr(semantics, "_LANE_BITS", 8 * stride)
     assert main(argv) == 1
     assert capsys.readouterr().out == (DATA / golden).read_text()

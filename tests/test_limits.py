@@ -286,8 +286,8 @@ print(code, peak() - imported)
 def test_samples_ceiling_run_stays_in_bounded_memory():
     """At the `--samples` ceiling the lane masks are packed a bounded chunk
     at a time: on the 257-point mapped algebra the run raises the peak RSS
-    by about 40 MiB, where packing every sample into one mask took about
-    68 MiB, and it takes about a second."""
+    by about 21 MiB, where packing every sample into one mask took about
+    68 MiB, and it takes under a second."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(cylset.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]))
     argv = ["check-axioms", "--mapped", "4", "--samples", str(MAX_UNITS), "--json"]
     start = perf_counter()

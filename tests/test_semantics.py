@@ -11,7 +11,6 @@ from cylset.semantics import (
     P_PRIME,
     SearchBounds,
     UnitAlgebra,
-    _Lanes,
     _cover,
     bounded_validity,
     check_ca_axioms,
@@ -77,7 +76,7 @@ class TestDiagonal:
         # A fresh algebra, not one that the cache shares with other tests.
         lambda: UnitAlgebra.__wrapped__(full_square((0, 1, 2), (0, 1, 2))),
         lambda: MappedUnitAlgebra(3),
-        lambda: _Lanes(MappedUnitAlgebra(3), 20),
+        lambda: MappedUnitAlgebra(3).lanes(20),
     ], ids=["unit", "mapped", "lanes"])
     def test_reversed_pair_reads_the_same_cached_diagonal(self, view):
         """d_ij = d_ji, so both orders share one cache entry and one int."""
@@ -136,7 +135,7 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="off-window"):
             evaluate_masks(MappedUnitAlgebra(2), parse_term("d77"), {})
         with pytest.raises(ValueError, match=r"off-window index 7: the window is \(0, 1\)"):
-            evaluate_masks(_Lanes(MappedUnitAlgebra(2), 3), parse_term("d77"), {})
+            evaluate_masks(MappedUnitAlgebra(2).lanes(3), parse_term("d77"), {})
 
     @pytest.mark.parametrize(
         "text,message",
@@ -463,34 +462,28 @@ class TestLanePass:
     def test_index_only_laws_run_on_lane_views(self, monkeypatch):
         """CA1, CA5 and CA6 read no element, yet they too are evaluated on a
         lane view of one instance, never on the algebra itself."""
+        alg = UnitAlgebra(CA6_UNIT)
 
-        def scalar(self, *args):
-            raise AssertionError("a law was evaluated on the algebra")
+        def cyl_mask(self, i, x, cyl_mask=FiniteAlgebra.cyl_mask):
+            if self is alg:
+                raise AssertionError("a law was evaluated on the algebra")
+            return cyl_mask(self, i, x)
 
-        monkeypatch.setattr(FiniteAlgebra, "cyl_mask", scalar)
-        report = check_ca_axioms(UnitAlgebra(CA6_UNIT))
+        monkeypatch.setattr(FiniteAlgebra, "cyl_mask", cyl_mask)
+        report = check_ca_axioms(alg)
         assert {f.law for f in report.failures} == {"CA6"}
 
     def test_grid_lane_cylinders_fold_without_splitting_fields(self, monkeypatch):
         """On the mapped algebra every lane cylinder is a whole-mask fold, so
-        no lane mask is split into per-point fields inside `cyl_mask`; a
-        unit that is not a grid still takes the per-point loop."""
-        inside, splits = [], []
+        no lane mask is split into byte columns inside `cyl_mask`; a unit
+        that is not a grid still takes the column loop."""
+        splits = []
 
-        def cyl_mask(self, i, x, cyl_mask=_Lanes.cyl_mask):
-            inside.append(i)
-            try:
-                return cyl_mask(self, i, x)
-            finally:
-                inside.pop()
+        def columns(plan, x, w, count, columns=semantics._columns):
+            splits.append(count)
+            return columns(plan, x, w, count)
 
-        def fields(self, x, fields=_Lanes._fields):
-            if inside:
-                splits.append(inside[-1])
-            return fields(self, x)
-
-        monkeypatch.setattr(_Lanes, "cyl_mask", cyl_mask)
-        monkeypatch.setattr(_Lanes, "_fields", fields)
+        monkeypatch.setattr(semantics, "_columns", columns)
         report = check_ca_axioms(MappedUnitAlgebra(4), 1000, seed=1)
         assert report.ok and report.checked == 27044 and not splits
         assert {f.law for f in check_ca_axioms(UnitAlgebra(CA4_UNIT)).failures} == {"CA4"} and splits
@@ -608,7 +601,8 @@ class TestSpecializedSearch:
         """At 8 lanes a chunk, the 16 evaluations of each two-sequence unit
         take two chunks, and the first separating evaluation, the 17th of
         the least counterexample unit, sits in its third."""
-        monkeypatch.setattr(semantics, "_LANE_BITS", 1)
+        # Units of at most 4 sequences have a stride of 8 bits.
+        monkeypatch.setattr(semantics, "_LANE_BITS", 8 * 8)
         lhs, rhs, bounds = parse_term("c0 c1 x0"), parse_term("c1 c0 x0"), SearchBounds(2, 2, 4, 64)
         result = bounded_validity(lhs, rhs, ClassTag.CRS, bounds, m=2)
         ce = result.counterexample
@@ -620,18 +614,24 @@ class TestSpecializedSearch:
     def test_class_search_folds_the_guards(self, monkeypatch):
         """On the class-search bounds each of the 5 units evaluates each side
         once, over all of its evaluations at once: one lane cylinder per
-        side and unit, and no scalar one."""
-        calls = {FiniteAlgebra: 0, _Lanes: 0}
-        for view in calls:
-            def counted(self, i, x, view=view, cyl_mask=view.cyl_mask):
-                calls[view] += 1
-                return cyl_mask(self, i, x)
+        side and unit, and none on an algebra itself."""
+        views = []
+        calls = {"algebra": 0, "view": 0}
 
-            monkeypatch.setattr(view, "cyl_mask", counted)
+        def lanes(self, count, lanes=FiniteAlgebra.lanes):
+            views.append(lanes(self, count))
+            return views[-1]
+
+        def cyl_mask(self, i, x, cyl_mask=FiniteAlgebra.cyl_mask):
+            calls["view" if any(self is v for v in views) else "algebra"] += 1
+            return cyl_mask(self, i, x)
+
+        monkeypatch.setattr(FiniteAlgebra, "lanes", lanes)
+        monkeypatch.setattr(FiniteAlgebra, "cyl_mask", cyl_mask)
         lhs, rhs = atom_term(2, (1, -1)), parse_term("x0 . -x1 . -c2 -d23")
         result = bounded_validity(lhs, rhs, ClassTag.D, SearchBounds(4, 2, 16, 4096), m=2, seed=1)
         assert not result.found and result.evaluations_checked == 4121
-        assert calls == {FiniteAlgebra: 0, _Lanes: 10}
+        assert calls == {"algebra": 0, "view": 10} and len(views) == 5
 
 
 def term_trees(leaves, max_leaves: int):
@@ -671,12 +671,12 @@ def test_lane_view_agrees_with_evaluate_masks(name, t, raw):
     it evaluates to on the algebra under instance l."""
     alg = LANE_ALGEBRAS[name]
     instances = [tuple(x & alg.top for x in pair) for pair in raw]
-    lanes = _Lanes(alg, len(instances))
+    lanes = alg.lanes(len(instances))
     got = evaluate_masks(lanes, t, {k: lanes.pack([inst[k] for inst in instances]) for k in range(2)})
-    stride = 8 * lanes.width
-    assert [
-        sum((got >> p * stride + lane & 1) << p for p in range(len(alg.labels))) for lane in range(len(instances))
-    ] == [evaluate_masks(alg, t, dict(enumerate(inst))) for inst in instances]
+    assert got & ~lanes.top == 0
+    assert [lanes.lane(got, lane) for lane in range(len(instances))] == [
+        evaluate_masks(alg, t, dict(enumerate(inst))) for inst in instances
+    ]
 
 
 class TestEvaluationJson:
