@@ -27,7 +27,7 @@ import copy
 import random
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Mapping
 
@@ -60,12 +60,14 @@ class FiniteAlgebra:
     once, `top`, `cyl_mask` and `diag_mask` lane by lane, and `mask` and
     `subset` on one lane.  Views, plans and diagonals are built on first use.
 
-    When the unpinned bits are the grid {0..b-1}^window in lexicographic
-    order and the pinned bits follow them, each relabelled onto a grid cell
-    (every `full_square(window, range(b))` unit and `MappedUnitAlgebra(n)`),
-    `cyl_mask` folds cylinders with 2(b-1) shifts of the whole mask
-    (`_fold`), for one lane or many.  Any other carrier loops over its
-    cylinder classes: their masks on one lane, byte columns on more.
+    `cyl_mask` takes one plan per index, whatever the carrier.  An alias, a
+    point whose value tuple repeats an earlier point's (p' of
+    `MappedUnitAlgebra`), joins that point's cylinders.  The classes of the
+    other points along i are grouped by shape, the offsets of their points
+    from the least: a shape shared by at least max(8, bytes a lane) classes
+    folds with a few shifts of the whole mask (`_fold`), for one lane or
+    many, and the other classes are ORed class by class, by their masks on
+    one lane and by byte columns on more (`_columns`).
     """
 
     def __init__(self, labels: Iterable, indices: Iterable[int], coords: Iterable[tuple], pinned: int = 0):
@@ -77,8 +79,8 @@ class FiniteAlgebra:
         self._coords = tuple(coords)
         self._pinned = pinned
         self._bit = {e: k for k, e in enumerate(self.labels)}
-        self._classes: dict[int, list[int]] = {}  # shared with every view
-        self._plans: dict[int, object] = {}
+        self._classes: dict[int, tuple] = {}  # shared with every view
+        self._plans: dict[int, tuple] = {}
         self._diags: dict[tuple[int, int], int] = {}
         self._views: dict[int, FiniteAlgebra] = {}
 
@@ -119,77 +121,62 @@ class FiniteAlgebra:
         except ValueError:
             raise ValueError(f"off-window index {i}: the window is {self.indices}") from None
 
-    @cached_property
-    def _grid(self) -> tuple[int, int, tuple[tuple[int, int], ...]] | None:
-        """(b, cell count, (pinned bit, its cell) pairs) for a grid carrier,
-        else None.  A carrier that is not a grid almost always fails one of
-        the first constant-time tests, before the cells are compared."""
-        d = len(self.indices)
-        cells = len(self._coords) - self._pinned.bit_count()
-        if not d or not cells or self._pinned != (1 << len(self._coords)) - (1 << cells):
-            return None
-        b = self._coords[cells - 1][-1] + 1
-        if b ** d != cells or self._coords[:cells] != tuple(product(range(b), repeat=d)):
-            return None
-        pins = []
-        for k in range(cells, len(self._coords)):
-            c = self._coords[k]
-            if len(c) != d or not all(0 <= v < b for v in c):
-                return None
-            pins.append((k, sum(v * b ** (d - 1 - p) for p, v in enumerate(c))))
-        return b, cells, tuple(pins)
-
-    def _cyl_plan(self, i: int) -> object:
-        """What `cyl_mask` reads for index i, in every lane: on a grid, the
-        shifts along i, the cells whose i-coordinate is 0 and the pinned bits'
-        masks, cells and distances; else the class masks, split on views."""
-        if self._grid is not None:
-            b, cells, pins = self._grid
-            s = b ** (len(self.indices) - 1 - self._position(i))
-            # The i-coordinate is 0 on the first s cells of every run of s*b.
-            zero = self.each(((1 << cells) - 1) // ((1 << s * b) - 1) * ((1 << s) - 1))
-            pins = tuple((self.each(1 << k), self.each(1 << c), k - c) for k, c in pins)
-            return tuple(t * s for t in range(1, b)), zero, pins
-        classes = self._classes.get(i)
-        if classes is None:
-            # One mask per class of the points that agree off coordinate i.
+    def _cyl_plan(self, i: int) -> tuple:
+        """What `cyl_mask` reads for index i, in every lane: each alias's
+        mask, its first point's mask and their distance; each common shape's
+        offsets and least points; and the other classes, as masks on one
+        lane and as (byte, bit) points on more."""
+        table = self._classes.get(i)
+        if table is None:
             p = self._position(i)
+            first: dict[tuple, int] = {}
             by_key: dict[tuple, int] = {}
+            aliases = []
             for k, c in enumerate(self._coords):
-                key = c[:p] + c[p + 1:]
-                by_key[key] = by_key.get(key, 0) | 1 << k
-            classes = self._classes[i] = list(by_key.values())
-        if self.count == 1:
-            return classes
-        # On more lanes, the classes of one shape (offsets of points from the
-        # least) fold together if at least max(8, bytes a lane) share it, as
-        # that costs less than the column loop, which takes the rest.
-        shapes: dict[tuple, list[int]] = {}
-        for block in classes:
-            points = bit_positions(block)
-            shapes.setdefault(tuple(k - points[0] for k in points[1:]), []).append(block)
+                f = first.setdefault(c, k)
+                if f != k:
+                    aliases.append((k, f))
+                else:
+                    key = c[:p] + c[p + 1:]
+                    by_key[key] = by_key.get(key, 0) | 1 << k
+            # Shape -> least points, where a shape is a class mask moved down
+            # to bit 0 from its least point.
+            shapes: dict[int, list[int]] = {}
+            for block in by_key.values():
+                k = (block & -block).bit_length() - 1
+                shapes.setdefault(block >> k, []).append(k)
+            table = self._classes[i] = aliases, shapes
+        aliases, shapes = table
+        # A fold costs a few whole-mask shifts, a class of the rest a few
+        # steps of its own, so a shape folds once enough classes share it.
         folds, rest = [], []
-        for offsets, blocks in shapes.items():
-            if len(blocks) >= max(8, self.stride // 8):
-                folds.append((offsets, self.each(sum(block & -block for block in blocks)), ()))
+        for shape, least in shapes.items():
+            if len(least) >= max(8, self.stride // 8):
+                folds.append((bit_positions(shape)[1:], self.each(sum(1 << k for k in least))))
+            elif self.count == 1:
+                rest += [shape << k for k in least]
             else:
-                rest += [[divmod(k, 8) for k in bit_positions(block)] for block in blocks]
-        return folds, rest
+                offsets = bit_positions(shape)
+                rest += [[divmod(k + t, 8) for t in offsets] for k in least]
+        return tuple((self.each(1 << k), self.each(1 << f), k - f) for k, f in aliases), folds, rest
 
     def cyl_mask(self, i: int, x: int) -> int:
-        plan = self._plans.get(i) or self._plans.setdefault(i, self._cyl_plan(i))
-        if self._grid is not None:
-            return _fold(plan, x)
+        aliases, folds, rest = self._plans.get(i) or self._plans.setdefault(i, self._cyl_plan(i))
+        for alias, _, d in aliases:
+            if f := x & alias:
+                x |= f >> d
         if self.count > 1:
-            folds, rest = plan
             out = _columns(rest, x, self.stride // 8, self.count) if rest else 0
-            for fold in folds:
-                out |= _fold(fold, x)
-            return out
-        out = 0
-        for block in plan:
-            if x & block:
-                out |= block
+        else:
+            out = 0
+            for block in rest:
+                if x & block:
+                    out |= block
+        for offsets, least in folds:
+            out |= _fold(offsets, least, x)
+        for _, first, d in aliases:
+            if f := out & first:
+                out |= f << d
         return out
 
     def diag_mask(self, i: int, j: int) -> int:
@@ -217,26 +204,20 @@ class FiniteAlgebra:
         return frozenset(labels[k] for k in bit_positions(m))
 
 
-def _fold(plan: tuple, x: int) -> int:
-    """The cylinder of x by a fold of `FiniteAlgebra._cyl_plan`: OR each class
-    onto its least point with right shifts, keep those points and spread them
-    back with left shifts; pinned bits are read from and written to cells.
-    On a lane view a right shift carries bits into the lane below, but above
-    its least points, as the stride exceeds the cell count: on a grid onto
-    its last (b-1)*s cells, whose coordinate is never 0, or past them."""
-    shifts, zero, pins = plan
-    for pin, cell, d in pins:
-        if f := x & pin:
-            x = x ^ f | f >> d
+def _fold(offsets: tuple[int, ...], least: int, x: int) -> int:
+    """The cylinder of x over the classes whose least points are the bits of
+    `least` and whose other points lie `offsets` above them: OR each class
+    onto its least point with right shifts, keep those points and spread
+    them back with left shifts.  Only class points reach a least point, so
+    bits of other points are ignored.  On a lane view a right shift carries
+    bits of a lane into the lane below, but above its least points, as the
+    stride exceeds the point count."""
     out = x
-    for t in shifts:
+    for t in offsets:
         out |= x >> t
-    out = line = out & zero
-    for t in shifts:
+    out = line = out & least
+    for t in offsets:
         out |= line << t
-    for pin, cell, d in pins:
-        if f := out & cell:
-            out |= f << d
     return out
 
 
@@ -546,13 +527,20 @@ def _check_laws(alg: FiniteAlgebra, laws: list, samples: int, seed: int, what: s
                     for b, binding in enumerate(bindings[name])
                     for lane in lanes.failing(law(lanes, **binding, **masks))
                 )
+    # A subset that fails many laws and bindings is rendered once; each
+    # failure still gets lists of its own.
+    rendered: dict[int, list[str]] = {}
+
+    def render(m: int) -> list[str]:
+        if m not in rendered:
+            rendered[m] = sorted(str(e) for e in alg.subset(m))
+        return list(rendered[m])
+
     for name, elements, _, law in laws:
         instances = families[elements]
         report.count(len(instances) * len(bindings[name]))
         for instance, b in failed[name]:
-            report.fail(name, **bindings[name][b], **{
-                v: sorted(str(e) for e in alg.subset(m)) for v, m in zip(elements, instances[instance])
-            })
+            report.fail(name, **bindings[name][b], **{v: render(m) for v, m in zip(elements, instances[instance])})
     return report
 
 

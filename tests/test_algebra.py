@@ -47,7 +47,7 @@ def test_mask_ops_match_set_ops():
         assert alg.diag_mask(1, 1) == alg.top == (1 << len(v)) - 1
 
 
-# The shift path of `cyl_mask` against a loop over cylinder blocks built from
+# `cyl_mask` on grid carriers against a loop over cylinder blocks built from
 # the coordinates by definition.
 GRID_ALGEBRAS = {f"mapped-{n}": MappedUnitAlgebra(n) for n in (2, 3, 4)}
 GRID_ALGEBRAS.update(
@@ -70,7 +70,6 @@ def block_cyl(alg, i, x):
 @given(data=st.data())
 def test_grid_path_matches_block_loop(name, data):
     alg = GRID_ALGEBRAS[name]
-    assert alg._grid is not None
     x = data.draw(st.integers(min_value=0, max_value=alg.top))
     pinned = alg._pinned
     for m in {x, x | pinned, x & ~pinned}:
@@ -82,8 +81,9 @@ def test_grid_path_matches_block_loop(name, data):
 @settings(deadline=None)
 @given(data=st.data())
 def test_lane_fold_matches_per_point_loop(name, data):
-    """The fold of a lane view, every lane at once, against the per-point
-    block loop lane by lane, with the pinned bits as drawn, set and cleared.
+    """A lane view's cylinders on a grid, folded or per class, every lane
+    at once, against the per-point block loop lane by lane, with the pinned
+    bits as drawn, set and cleared.
     CA2-CA4 and CA7 also hold under an identity cylinder, so the law checks
     alone would not catch a wrong fold."""
     alg = GRID_ALGEBRAS[name]
@@ -117,7 +117,6 @@ NON_GRID_UNITS = {
 def test_non_grid_unit_takes_block_path(name):
     v = NON_GRID_UNITS[name]
     alg = UnitAlgebra(v)
-    assert alg._grid is None
     for m in range(0, alg.top + 1, 7):
         x = alg.subset(m)
         for i in v.window:
@@ -133,7 +132,6 @@ PINNED_FIRST = FiniteAlgebra(("p",) + GRID_2X2, (0, 1), ((0, 1),) + GRID_2X2, pi
 
 def test_pinned_bit_not_last_takes_block_path():
     alg = PINNED_FIRST
-    assert alg._grid is None
     # p shares the cylinders of (0, 1): c0{p} = {p, (0, 1), (1, 1)}.
     assert alg.subset(alg.cyl_mask(0, alg.mask({"p"}))) == {"p", (0, 1), (1, 1)}
     assert alg.subset(alg.cyl_mask(1, alg.mask({(0, 0)}))) == {"p", (0, 0), (0, 1)}
@@ -141,8 +139,9 @@ def test_pinned_bit_not_last_takes_block_path():
 
 @pytest.mark.parametrize("name", sorted(NON_GRID_UNITS) + ["pinned-first"])
 def test_non_grid_lanes_take_per_point_loop(name, monkeypatch):
-    """A view of a carrier that is not a grid ORs its cylinder classes point
-    by point over byte columns, once per cylinder, and never folds."""
+    """A view of a small carrier that is not a grid, where fewer than 8
+    classes share each shape, ORs its cylinder classes point by point over
+    byte columns, once per cylinder, and never folds."""
     alg = PINNED_FIRST if name == "pinned-first" else UnitAlgebra(NON_GRID_UNITS[name])
     calls = []
 
@@ -150,8 +149,8 @@ def test_non_grid_lanes_take_per_point_loop(name, monkeypatch):
         calls.append(count)
         return columns(plan, x, w, count)
 
-    def fold(plan, x):
-        raise AssertionError("a carrier that is not a grid was folded")
+    def fold(offsets, least, x):
+        raise AssertionError("a shape of fewer than 8 classes was folded")
 
     monkeypatch.setattr(semantics, "_columns", counted)
     monkeypatch.setattr(semantics, "_fold", fold)
@@ -162,6 +161,41 @@ def test_non_grid_lanes_take_per_point_loop(name, monkeypatch):
         got = lanes.cyl_mask(i, x)
         assert [lanes.lane(got, k) for k in range(9)] == [block_cyl(alg, i, m) for m in masks]
     assert calls == [9] * len(alg.indices)
+
+
+@st.composite
+def carriers(draw) -> FiniteAlgebra:
+    """A carrier of at most 90 value tuples over a window of 1 to 3 indices
+    and a base of 1 to 4, with repeats anywhere: half of them a grid in
+    order with a few cells dropped and repeated, where many classes share a
+    shape, the others tuples in any order."""
+    d, base = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    grid = list(product(range(base), repeat=d))
+    if draw(st.booleans()):
+        dropped = draw(st.sets(st.sampled_from(grid), max_size=3))
+        coords = [c for c in grid if c not in dropped]
+        for c in draw(st.lists(st.sampled_from(grid), max_size=min(6, 90 - len(coords)))):
+            coords.insert(draw(st.integers(0, len(coords))), c)
+    else:
+        coords = draw(st.lists(st.sampled_from(grid), max_size=90))
+    return FiniteAlgebra(range(len(coords)), range(d), coords)
+
+
+@settings(deadline=None, max_examples=500)
+@given(alg=carriers(), data=st.data())
+def test_cylinders_on_arbitrary_carriers(alg, data):
+    """Cylinders on carriers of any value tuples, so that an alias need not
+    be last, one point may have several and shapes fall on both sides of
+    the fold threshold, against the definition on every lane, with no bit
+    above `top`."""
+    count = data.draw(st.sampled_from((1, 2, 9, 64)))
+    lanes = alg.lanes(count)
+    masks = data.draw(st.lists(st.integers(0, alg.top), min_size=count, max_size=count))
+    x = lanes.pack(masks)
+    for i in alg.indices:
+        got = lanes.cyl_mask(i, x)
+        assert got & ~lanes.top == 0
+        assert [lanes.lane(got, k) for k in range(count)] == [block_cyl(alg, i, m) for m in masks]
 
 
 def test_unit_algebra_cache_is_bounded():
@@ -202,9 +236,9 @@ def test_common_shapes_fold_on_non_grid_views(monkeypatch):
     column loop."""
     calls = []
 
-    def fold(plan, x, fold=semantics._fold):
+    def fold(offsets, least, x, fold=semantics._fold):
         calls.append("fold")
-        return fold(plan, x)
+        return fold(offsets, least, x)
 
     def columns(plan, x, w, count, columns=semantics._columns):
         calls.append(len(plan))

@@ -452,6 +452,16 @@ class TestLanePass:
         assert {f.law for f in check_ca_axioms(UnitAlgebra(CA4_UNIT)).failures} == {"CA4"}
         assert {f.law for f in check_ca_axioms(UnitAlgebra(CA6_UNIT)).failures} == {"CA6"}
 
+    def test_failures_of_one_instance_hold_their_own_lists(self):
+        """The window-3 base-2 square without its first sequence fails CA4
+        twice on {(0,0,1)}; changing one failure's witness leaves the other's
+        as it was."""
+        v = unit((0, 1, 2), [f.values for f in full_square((0, 1, 2), (0, 1)).sequences[1:]])
+        failures = [f for f in check_ca_axioms(UnitAlgebra(v)).failures if f.witness.get("x") == ["(0,0,1)"]]
+        assert len(failures) == 2
+        failures[0].witness["x"].append("changed")
+        assert failures[1].witness["x"] == ["(0,0,1)"]
+
     @settings(max_examples=12, deadline=None)
     @given(n=st.integers(2, 4), samples=st.integers(0, 40), seed=st.integers(0, 3))
     def test_mapped_algebras_match_the_reference(self, n, samples, seed):
