@@ -171,7 +171,7 @@ def certificate_from_dict(data: dict) -> SplitCertificate:
     return cert
 
 
-# --- singleton witnesses and the atom census -------------------------------
+# --- singleton witnesses and atom separation ------------------------------
 
 def singleton_witness(m: int, q: Iterable[int]) -> Witness:
     """One-sequence unit whose constant sequence satisfies atom_term(m, q)."""
@@ -235,7 +235,8 @@ def zero_dim_check(
         exhaustive=result.exhaustive,
         notes=f"{tag.value}-tagged units, window {bounds.window_size}, "
         f"base {bounds.base_size}, <= {bounds.max_seqs} sequences: "
-        f"{result.units_checked} searched, {result.nonconstant_units} with a non-constant sequence; "
+        f"{result.units_checked} searched, {result.nonconstant_units} with a non-constant sequence, "
+        f"{result.non_g_units} not G; "
         "exhaustion within bounds is not a validity proof",
     )
     if result.found:
@@ -532,13 +533,10 @@ def mapped_witness(n: int, ca_samples: int = 200, seed: int = 0) -> tuple[Finite
     a = alg.mask((alg.identity,))
     iota = {0: a}
 
-    def shown(m: int) -> list[str]:
-        return sorted(map(str, alg.subset(m)))
-
     report.count()
     twin_val = evaluate_masks(alg, twin_term(), iota)
     if twin_val != alg.mask((P_PRIME,)):
-        report.fail("twin-value", expected="{p'}", got=shown(twin_val))
+        report.fail("twin-value", expected="{p'}", got=alg.render(twin_val))
     twins = twin_system_holds(alg, a, twin_val)
     for i, equal in enumerate(twins.cylinders_equal):
         report.count()
@@ -555,7 +553,7 @@ def mapped_witness(n: int, ca_samples: int = 200, seed: int = 0) -> tuple[Finite
     report.count()
     tau_val = evaluate_masks(alg, guarded_term(), iota)
     if tau_val != a:
-        report.fail("guarded-value", expected=shown(a), got=shown(tau_val))
+        report.fail("guarded-value", expected=alg.render(a), got=alg.render(tau_val))
     for i in range(2, n):
         for j in range(i + 1, n):
             report.count()
@@ -691,8 +689,8 @@ def refute_twins_in_gs2(max_base: int, workers: int = 1) -> CheckReport:
             report.fail(
                 "twin-system-held-in-gs2",
                 unit=unit_to_dict(v),
-                x=sorted(map(str, alg.subset(xm))),
-                y=sorted(map(str, alg.subset(ym))),
+                x=alg.render(xm),
+                y=alg.render(ym),
             )
     report.notes = (
         f"disjoint-square units with base <= {max_base}; "
@@ -703,7 +701,7 @@ def refute_twins_in_gs2(max_base: int, workers: int = 1) -> CheckReport:
 
 # --- replication suites -------------------------------------------------
 
-def suite_atom_census() -> CheckReport:
+def suite_separation() -> CheckReport:
     report = CheckReport()
     for m in (1, 2, 3):
         report.merge(separation_suite(m))
@@ -780,7 +778,7 @@ def suite_equations() -> CheckReport:
 
 
 REPLICATION_SUITES: dict[str, Callable[..., CheckReport]] = {
-    "atom-census": lambda **kw: suite_atom_census(),
+    "separation": lambda **kw: suite_separation(),
     "zero-dim": lambda **kw: suite_zero_dim(seed=kw.get("seed", 0)),
     "split-diag": lambda **kw: suite_split_diag(),
     "split-crs": lambda **kw: suite_split_crs(),

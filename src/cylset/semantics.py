@@ -2,8 +2,8 @@
 
 One class, `FiniteAlgebra`, serves both carrier shapes: the power set of a
 unit's sequences (`UnitAlgebra`), and the mapped algebra whose carrier is the
-full square over a finite window plus one extra point relabelled onto the
-identity sequence (`MappedUnitAlgebra`).  Subsets are Python-int bitmasks
+full square over a finite window with the identity sequence listed twice,
+once under the label p' (`MappedUnitAlgebra`).  Subsets are Python-int bitmasks
 over a fixed carrier order, and `evaluate_masks`, `cyl_mask`, `diag_mask`
 and the checkers take and return masks.  Frozensets of sequences appear
 only where units and evaluations enter or leave: `evaluate`, `satisfies`,
@@ -32,7 +32,7 @@ from itertools import product
 from typing import Iterable, Iterator, Mapping
 
 from .terms import And, Cyl, Diag, Not, One, Or, Term, Var, Zero, index_set, variables
-from .units import MAX_UNITS, ClassTag, Sequence, Unit, bit_positions, enumerate_units, unit_to_dict
+from .units import MAX_UNITS, ClassTag, Sequence, Unit, bit_positions, classify, enumerate_units, unit_to_dict
 
 # Variable index -> subset of the carrier.
 Evaluation = dict[int, frozenset]
@@ -52,9 +52,9 @@ class FiniteAlgebra:
     a lane view of one that holds `count` subsets side by side.
 
     Bit k stands for `labels[k]`.  `coords[k]` is the value tuple over the
-    window `indices` from which bit k's cylinders and diagonals are computed;
-    the bits in `pinned` belong to no d_ij with i != j.  In `lanes(count)`,
-    lane l is bits l*stride to l*stride+n-1, for n points and `stride` =
+    window `indices` from which bit k's cylinders and diagonals are computed,
+    so labels with one tuple share them.  In `lanes(count)`, lane l is
+    bits l*stride to l*stride+n-1, for n points and `stride` =
     8*(n//8 + 1), so every lane has a clear bit above its points.  The
     algebra is the one-lane view.  Boolean operations act on every lane at
     once, `top`, `cyl_mask` and `diag_mask` lane by lane, and `mask` and
@@ -70,14 +70,13 @@ class FiniteAlgebra:
     one lane and by byte columns on more (`_columns`).
     """
 
-    def __init__(self, labels: Iterable, indices: Iterable[int], coords: Iterable[tuple], pinned: int = 0):
+    def __init__(self, labels: Iterable, indices: Iterable[int], coords: Iterable[tuple]):
         self.labels = tuple(labels)
         self.indices = tuple(indices)
         self.count = 1
         self.stride = 8 * (len(self.labels) // 8 + 1)
         self.top = (1 << len(self.labels)) - 1
         self._coords = tuple(coords)
-        self._pinned = pinned
         self._bit = {e: k for k, e in enumerate(self.labels)}
         self._classes: dict[int, tuple] = {}  # shared with every view
         self._plans: dict[int, tuple] = {}
@@ -187,7 +186,7 @@ class FiniteAlgebra:
             # d_ii is the top, but only over the window.
             p, q = self._position(i), self._position(j)
             d = self._diags[key] = self.top if i == j else self.each(
-                sum(1 << k for k, c in enumerate(self._coords) if c[p] == c[q]) & ~self._pinned)
+                sum(1 << k for k, c in enumerate(self._coords) if c[p] == c[q]))
         return d
 
     def mask(self, x: Iterable) -> int:
@@ -202,6 +201,10 @@ class FiniteAlgebra:
     def subset(self, m: int) -> frozenset:
         labels = self.labels
         return frozenset(labels[k] for k in bit_positions(m))
+
+    def render(self, m: int) -> list[str]:
+        """The labels in m as sorted strings, as reports show a subset."""
+        return sorted(str(self.labels[k]) for k in bit_positions(m))
 
 
 def _fold(offsets: tuple[int, ...], least: int, x: int) -> int:
@@ -252,32 +255,28 @@ def UnitAlgebra(v: Unit) -> FiniteAlgebra:
     return FiniteAlgebra(v.sequences, v.window, (f.values for f in v))
 
 
-class _ExtraPoint:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "p'"
+# The label of the mapped algebra's extra point; no grid label is a string.
+P_PRIME = "p'"
 
 
-P_PRIME = _ExtraPoint()
-
-
+@lru_cache(maxsize=None)
 def MappedUnitAlgebra(n: int) -> FiniteAlgebra:
-    """Full square over window {0..n-1} plus an extra point sharing the
-    identity sequence's cylinders, for 2 <= n <= 4.
+    """Full square over window {0..n-1} with the identity sequence listed
+    twice, once under the label P_PRIME, for 2 <= n <= 4.
 
     The carrier is the n^n grid of value tuples in lexicographic order with
-    p' last; `identity` is set on the returned algebra.  The extra point p'
-    is relabelled onto the identity sequence when cylinders are computed,
-    yet it belongs to no diagonal d_ij with i != j.  The result
+    p' last; `identity` is set on the returned algebra.  p' has the identity
+    as its coordinates, so it shares the identity's cylinders and, as the
+    identity does, lies on every d_ii and on no d_ij with i != j.  The result
     satisfies the cylindric postulates while containing a nonzero element
-    disjoint from every diagonal over indices >= 2.
+    disjoint from every diagonal over indices >= 2.  Each n has one shared
+    algebra, built on first use; callers must not mutate it.
     """
     if not 2 <= n <= 4:
         raise ValueError(f"mapped algebra supports 2 <= n <= 4, got {n}")
     grid = tuple(product(range(n), repeat=n))
     identity = tuple(range(n))
-    alg = FiniteAlgebra(grid + (P_PRIME,), identity, grid + (identity,), pinned=1 << len(grid))
+    alg = FiniteAlgebra(grid + (P_PRIME,), identity, grid + (identity,))
     alg.identity = identity
     return alg
 
@@ -529,18 +528,13 @@ def _check_laws(alg: FiniteAlgebra, laws: list, samples: int, seed: int, what: s
                 )
     # A subset that fails many laws and bindings is rendered once; each
     # failure still gets lists of its own.
-    rendered: dict[int, list[str]] = {}
-
-    def render(m: int) -> list[str]:
-        if m not in rendered:
-            rendered[m] = sorted(str(e) for e in alg.subset(m))
-        return list(rendered[m])
-
+    render = lru_cache(maxsize=None)(alg.render)
     for name, elements, _, law in laws:
         instances = families[elements]
         report.count(len(instances) * len(bindings[name]))
         for instance, b in failed[name]:
-            report.fail(name, **bindings[name][b], **{v: render(m) for v, m in zip(elements, instances[instance])})
+            subsets = {v: list(render(m)) for v, m in zip(elements, instances[instance])}
+            report.fail(name, **bindings[name][b], **subsets)
     return report
 
 
@@ -573,8 +567,10 @@ class ValidityResult:
     exhaustive: bool
     units_checked: int
     evaluations_checked: int
-    # How many of the units checked hold a sequence that is not constant.
+    # How many of the units checked hold a sequence that is not constant,
+    # and how many are not G.
     nonconstant_units: int
+    non_g_units: int
 
     @property
     def found(self) -> bool:
@@ -607,7 +603,7 @@ def bounded_validity(
     if bounds.max_eval_subsets > MAX_UNITS:
         raise ValueError(f"max_eval_subsets must be at most {MAX_UNITS}, got {bounds.max_eval_subsets}")
     if lhs == rhs:
-        return ValidityResult(None, True, 0, 0, 0)
+        return ValidityResult(None, True, 0, 0, 0, 0)
     window = tuple(range(bounds.window_size))
     outside = (index_set(lhs) | index_set(rhs)) - set(window)
     if outside:
@@ -636,10 +632,12 @@ def bounded_validity(
                 diff = lanes.lane(diff, failing[0])
                 focus = v.sequences[(diff & -diff).bit_length() - 1]
                 ce = Witness(v, focus, {k: alg.subset(mask) for k, mask in enumerate(evals[first])})
-                return ValidityResult(ce, exhaustive, idx + 1, n_evals + first + 1, _nonconstant(units[:idx + 1]))
+                return ValidityResult(ce, exhaustive, idx + 1, n_evals + first + 1, *_ground(units[:idx + 1]))
         n_evals += len(evals)
-    return ValidityResult(None, exhaustive, len(units), n_evals, _nonconstant(units))
+    return ValidityResult(None, exhaustive, len(units), n_evals, *_ground(units))
 
 
-def _nonconstant(units: list[Unit]) -> int:
-    return sum(any(len(f.range_values()) > 1 for f in v) for v in units)
+def _ground(units: list[Unit]) -> tuple[int, int]:
+    """How many of `units` hold a non-constant sequence, and how many are not G."""
+    return (sum(any(len(f.range_values()) > 1 for f in v) for v in units),
+            sum(ClassTag.G not in classify(v) for v in units))

@@ -57,6 +57,13 @@ GRID_ALGEBRAS.update(
 )
 
 
+def alias_bits(alg):
+    """The points whose value tuple repeats an earlier point's, as p' of the
+    mapped algebra repeats the identity's."""
+    first = {}
+    return sum(1 << k for k, c in enumerate(alg._coords) if first.setdefault(c, k) != k)
+
+
 def block_cyl(alg, i, x):
     """c_i x on one lane: the union of the blocks, the points that agree off
     coordinate i, of the points of x."""
@@ -71,8 +78,8 @@ def block_cyl(alg, i, x):
 def test_grid_path_matches_block_loop(name, data):
     alg = GRID_ALGEBRAS[name]
     x = data.draw(st.integers(min_value=0, max_value=alg.top))
-    pinned = alg._pinned
-    for m in {x, x | pinned, x & ~pinned}:
+    alias = alias_bits(alg)
+    for m in {x, x | alias, x & ~alias}:
         for i in alg.indices:
             assert alg.cyl_mask(i, m) == block_cyl(alg, i, m)
 
@@ -82,14 +89,15 @@ def test_grid_path_matches_block_loop(name, data):
 @given(data=st.data())
 def test_lane_fold_matches_per_point_loop(name, data):
     """A lane view's cylinders on a grid, folded or per class, every lane
-    at once, against the per-point block loop lane by lane, with the pinned
+    at once, against the per-point block loop lane by lane, with the alias
     bits as drawn, set and cleared.
     CA2-CA4 and CA7 also hold under an identity cylinder, so the law checks
     alone would not catch a wrong fold."""
     alg = GRID_ALGEBRAS[name]
     lanes = alg.lanes(data.draw(st.sampled_from((1, 8, 9, 13, 64))))
     drawn = data.draw(st.lists(st.integers(0, alg.top), min_size=lanes.count, max_size=lanes.count))
-    for masks in {tuple(drawn), tuple(m | alg._pinned for m in drawn), tuple(m & ~alg._pinned for m in drawn)}:
+    alias = alias_bits(alg)
+    for masks in {tuple(drawn), tuple(m | alias for m in drawn), tuple(m & ~alias for m in drawn)}:
         x = lanes.pack(list(masks))
         for i in alg.indices:
             got = lanes.cyl_mask(i, x)
@@ -102,6 +110,24 @@ def test_mapped_extra_point_joins_the_identity_line():
     for i in alg.indices:
         line = alg.cyl_mask(i, alg.mask({alg.identity}))
         assert line & p_prime and alg.cyl_mask(i, p_prime) == line
+
+
+@pytest.mark.parametrize("count", [1, 9], ids=["algebra", "lanes-9"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_extra_point_is_the_identity_under_another_label(n, count):
+    """p' has the identity's coordinates, so, in every lane, both lie on each
+    d_ii and on no d_ij with i != j, and both have the same cylinders.  Each
+    n has one mapped algebra."""
+    assert MappedUnitAlgebra(n) is MappedUnitAlgebra(n)
+    alg = MappedUnitAlgebra(n)
+    view = alg.lanes(count)
+    p_prime, identity = view.each(alg.mask({P_PRIME})), view.each(alg.mask({alg.identity}))
+    for i in alg.indices:
+        for j in alg.indices:
+            on = view.diag_mask(i, j)
+            expected = (p_prime | identity) if i == j else 0
+            assert on & (p_prime | identity) == expected
+        assert view.cyl_mask(i, p_prime) == view.cyl_mask(i, identity)
 
 
 SQ33 = full_square((0, 1), range(3))
@@ -126,8 +152,9 @@ def test_non_grid_unit_takes_block_path(name):
 
 
 GRID_2X2 = tuple(product(range(2), repeat=2))
-# A grid carrier with its pinned point, relabelled onto (0, 1), listed first.
-PINNED_FIRST = FiniteAlgebra(("p",) + GRID_2X2, (0, 1), ((0, 1),) + GRID_2X2, pinned=1)
+# A grid carrier with an extra point p at the coordinates of (0, 1), listed
+# first, so that the grid point (0, 1) is the alias.
+PINNED_FIRST = FiniteAlgebra(("p",) + GRID_2X2, (0, 1), ((0, 1),) + GRID_2X2)
 
 
 def test_pinned_bit_not_last_takes_block_path():

@@ -246,9 +246,9 @@ class TestRefuteTwinsCommand:
 
 class TestReplicateCommand:
     def test_single_suite(self, capsys):
-        assert main(["replicate", "--suite", "atom-census"]) == 0
+        assert main(["replicate", "--suite", "separation"]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("atom-census: PASS")
+        assert out.startswith("separation: PASS")
 
     def test_all_suites(self, shared_replicate, capsys):
         assert main(["replicate"]) == 0

@@ -534,10 +534,10 @@ def test_unused_workers_argument_matches_benchmark_calls():
 
 class TestReplicate:
     def test_single_suite(self):
-        results = replicate("atom-census")
+        results = replicate("separation")
         assert len(results) == 1
         name, report = results[0]
-        assert name == "atom-census" and report.ok
+        assert name == "separation" and report.ok
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
@@ -547,7 +547,7 @@ class TestReplicate:
         from cylset.constructions import REPLICATION_SUITES
 
         assert set(REPLICATION_SUITES) == {
-            "atom-census",
+            "separation",
             "zero-dim",
             "split-diag",
             "split-crs",

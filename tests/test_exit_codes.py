@@ -268,7 +268,7 @@ USAGE_ERRORS = [
      "malformed unit file {missing}: [Errno 2] No such file or directory: '{missing}'"),
     (["witness", "--n", "7"], "mapped algebra supports 2 <= n <= 4, got 7"),
     (["replicate", "--suite", "bogus"],
-     "unknown suite 'bogus'; pick from ['atom-census', 'equations', 'mapped-witness', "
+     "unknown suite 'bogus'; pick from ['equations', 'mapped-witness', 'separation', "
      "'split-crs', 'split-diag', 'twin-system', 'zero-dim'] or 'all'"),
     (["witness", "--samples", "0"], "--samples must be at least 1, got 0"),
     (["eval", "--unit", "{missing}", "--term", "x0"],

@@ -9,7 +9,10 @@ The zero-dim line changed once more when its D search moved from base 2,
 <= 4 sequences (3 nonempty D units, all of constant sequences, where the
 guard swap cannot fail) to window 4, base 3, all 81 sequences: 19 units,
 11 of them holding a non-constant sequence, and sampled evaluations, which
-the line's notes and its "exhaustive": false now state.
+the line's notes and its "exhaustive": false now state.  Those notes now
+also count the units that are not G (0 of the 19), and the first line's
+suite, which runs `separation_suite`, is named `separation` (it was
+`atom-census`).
 """
 
 import json

@@ -75,8 +75,8 @@ class TestDiagonal:
     @pytest.mark.parametrize("view", [
         # A fresh algebra, not one that the cache shares with other tests.
         lambda: UnitAlgebra.__wrapped__(full_square((0, 1, 2), (0, 1, 2))),
-        lambda: MappedUnitAlgebra(3),
-        lambda: MappedUnitAlgebra(3).lanes(20),
+        lambda: MappedUnitAlgebra.__wrapped__(3),
+        lambda: MappedUnitAlgebra.__wrapped__(3).lanes(20),
     ], ids=["unit", "mapped", "lanes"])
     def test_reversed_pair_reads_the_same_cached_diagonal(self, view):
         """d_ij = d_ji, so both orders share one cache entry and one int."""
@@ -546,10 +546,10 @@ class TestBoundedValidity:
         # Over base 2 a D unit is constant points plus, at most, the full square.
         assert bounded_validity(lhs, rhs, ClassTag.D, self.BOUNDS).nonconstant_units == 0
         square = bounded_validity(lhs, rhs, ClassTag.D, SearchBounds(4, 2, 16, 16))
-        assert (square.units_checked, square.nonconstant_units) == (5, 1)
+        assert (square.units_checked, square.nonconstant_units, square.non_g_units) == (5, 1, 0)
         # A counterexample stops the count at the unit that holds it.
         crs = bounded_validity(lhs, rhs, ClassTag.CRS, self.BOUNDS)
-        assert (crs.units_checked, crs.nonconstant_units) == (3, 1)
+        assert (crs.units_checked, crs.nonconstant_units, crs.non_g_units) == (3, 1, 1)
 
     def test_identical_sides_exhaust_immediately(self):
         t = parse_term("c0 x0")
