@@ -124,10 +124,19 @@ def _check_class(args, check) -> CheckReport:
     return report
 
 
+def _one_source(args, command: str, **flags: str) -> None:
+    """Refuse a check command given more than one of its source flags (dest
+    -> flag), of which it would read only one."""
+    given = [flag for dest, flag in flags.items() if getattr(args, dest) is not None]
+    if len(given) > 1:
+        raise ValueError(f"{command} takes only one of {', '.join(flags.values())}; got {', '.join(given)}")
+
+
 def _cmd_check_axioms(args) -> int:
     def check(alg) -> CheckReport:
         return semantics.check_ca_axioms(alg, samples=args.samples, seed=args.seed)
 
+    _one_source(args, "check-axioms", unit="--unit", mapped="--mapped", cls="--class")
     if args.mapped is not None:
         report = check(semantics.MappedUnitAlgebra(args.mapped))
     elif args.unit:
@@ -140,6 +149,7 @@ def _cmd_check_axioms(args) -> int:
 
 
 def _cmd_check_eqs(args) -> int:
+    _one_source(args, "check-eqs", unit="--unit", cls="--class")
     if args.unit:
         report = semantics.check_eq_laws(_load_unit(args.unit), samples=args.samples, seed=args.seed)
     elif args.cls:

@@ -58,16 +58,16 @@ class FiniteAlgebra:
     8*(n//8 + 1), so every lane has a clear bit above its points.  The
     algebra is the one-lane view.  Boolean operations act on every lane at
     once, `top`, `cyl_mask` and `diag_mask` lane by lane, and `mask` and
-    `subset` on one lane.  Views, plans and diagonals are built on first use.
+    `subset` on one lane.  Each call of `lanes` makes a new view, which the
+    algebra does not keep; plans and diagonals are built on first use.
 
-    `cyl_mask` takes one plan per index, whatever the carrier.  An alias, a
-    point whose value tuple repeats an earlier point's (p' of
-    `MappedUnitAlgebra`), joins that point's cylinders.  The classes of the
-    other points along i are grouped by shape, the offsets of their points
-    from the least: a shape shared by at least max(8, bytes a lane) classes
-    folds with a few shifts of the whole mask (`_fold`), for one lane or
-    many, and the other classes are ORed class by class, by their masks on
-    one lane and by byte columns on more (`_columns`).
+    `cyl_mask` takes one plan per index, whatever the carrier and the lane
+    count.  An alias, a point whose value tuple repeats an earlier point's
+    (p' of `MappedUnitAlgebra`), joins that point's line before the
+    cylinder and copies its bit after.  The classes of the other points
+    along i are grouped by shape, the offsets of their points from the
+    least, and each shape folds with a few shifts of the whole mask
+    (`_fold`).
     """
 
     def __init__(self, labels: Iterable, indices: Iterable[int], coords: Iterable[tuple]):
@@ -81,16 +81,15 @@ class FiniteAlgebra:
         self._classes: dict[int, tuple] = {}  # shared with every view
         self._plans: dict[int, tuple] = {}
         self._diags: dict[tuple[int, int], int] = {}
-        self._views: dict[int, FiniteAlgebra] = {}
 
     def lanes(self, count: int) -> FiniteAlgebra:
-        """The view with `count` lanes; it shares the cylinder classes and
-        caches its own plans and diagonals."""
-        if count not in self._views:
-            view = self._views[count] = copy.copy(self)
-            view.count, view._plans, view._diags, view._views = count, {}, {}, {}
-            view.top = view.each((1 << len(self.labels)) - 1)
-        return self._views[count]
+        """A new view with `count` lanes; it shares the cylinder classes and
+        caches its own plans and diagonals, and the algebra keeps no
+        reference to it."""
+        view = copy.copy(self)
+        view.count, view._plans, view._diags = count, {}, {}
+        view.top = view.each((1 << len(self.labels)) - 1)
+        return view
 
     def each(self, m: int) -> int:
         """The mask that holds the one-lane mask m in every lane."""
@@ -122,9 +121,9 @@ class FiniteAlgebra:
 
     def _cyl_plan(self, i: int) -> tuple:
         """What `cyl_mask` reads for index i, in every lane: each alias's
-        mask, its first point's mask and their distance; each common shape's
-        offsets and least points; and the other classes, as masks on one
-        lane and as (byte, bit) points on more."""
+        mask, its first point's mask and their distance, and each class
+        shape's offsets and least points.  The shapes are found once per
+        algebra and shared with its views."""
         table = self._classes.get(i)
         if table is None:
             p = self._position(i)
@@ -138,39 +137,24 @@ class FiniteAlgebra:
                 else:
                     key = c[:p] + c[p + 1:]
                     by_key[key] = by_key.get(key, 0) | 1 << k
-            # Shape -> least points, where a shape is a class mask moved down
-            # to bit 0 from its least point.
-            shapes: dict[int, list[int]] = {}
+            # Shape, a class mask moved down to bit 0 from its least point ->
+            # the least points of the classes of that shape.
+            shapes: dict[int, int] = {}
             for block in by_key.values():
-                k = (block & -block).bit_length() - 1
-                shapes.setdefault(block >> k, []).append(k)
-            table = self._classes[i] = aliases, shapes
-        aliases, shapes = table
-        # A fold costs a few whole-mask shifts, a class of the rest a few
-        # steps of its own, so a shape folds once enough classes share it.
-        folds, rest = [], []
-        for shape, least in shapes.items():
-            if len(least) >= max(8, self.stride // 8):
-                folds.append((bit_positions(shape)[1:], self.each(sum(1 << k for k in least))))
-            elif self.count == 1:
-                rest += [shape << k for k in least]
-            else:
-                offsets = bit_positions(shape)
-                rest += [[divmod(k + t, 8) for t in offsets] for k in least]
-        return tuple((self.each(1 << k), self.each(1 << f), k - f) for k, f in aliases), folds, rest
+                low = block & -block
+                shape = block // low
+                shapes[shape] = shapes.get(shape, 0) | low
+            table = self._classes[i] = aliases, [(bit_positions(shape)[1:], least) for shape, least in shapes.items()]
+        aliases, folds = table
+        return (tuple((self.each(1 << k), self.each(1 << f), k - f) for k, f in aliases),
+                [(offsets, self.each(least)) for offsets, least in folds])
 
     def cyl_mask(self, i: int, x: int) -> int:
-        aliases, folds, rest = self._plans.get(i) or self._plans.setdefault(i, self._cyl_plan(i))
+        aliases, folds = self._plans.get(i) or self._plans.setdefault(i, self._cyl_plan(i))
         for alias, _, d in aliases:
             if f := x & alias:
                 x |= f >> d
-        if self.count > 1:
-            out = _columns(rest, x, self.stride // 8, self.count) if rest else 0
-        else:
-            out = 0
-            for block in rest:
-                if x & block:
-                    out |= block
+        out = 0
         for offsets, least in folds:
             out |= _fold(offsets, least, x)
         for _, first, d in aliases:
@@ -214,7 +198,8 @@ def _fold(offsets: tuple[int, ...], least: int, x: int) -> int:
     them back with left shifts.  Only class points reach a least point, so
     bits of other points are ignored.  On a lane view a right shift carries
     bits of a lane into the lane below, but above its least points, as the
-    stride exceeds the point count."""
+    stride exceeds the point count, and a left shift of a least point by an
+    offset of its class stays inside its lane."""
     out = x
     for t in offsets:
         out |= x >> t
@@ -224,32 +209,11 @@ def _fold(offsets: tuple[int, ...], least: int, x: int) -> int:
     return out
 
 
-def _columns(plan: list, x: int, w: int, count: int) -> int:
-    """The cylinder of x over the classes in `plan` on a `count`-lane view of
-    w-byte lanes: column j holds byte j of every lane.  Per class, OR its
-    points' bits into bit 0 of each lane's byte, and write that back."""
-    data = x.to_bytes(w * count, "little")
-    columns = [int.from_bytes(data[j::w], "little") for j in range(w)]
-    ones = int.from_bytes(b"\x01" * count, "little")
-    written = [0] * w
-    for points in plan:
-        acc = 0
-        for j, bit in points:
-            acc |= columns[j] >> bit
-        acc &= ones
-        for j, bit in points:
-            written[j] |= acc << bit
-    out = bytearray(w * count)
-    for j, column in enumerate(written):
-        out[j::w] = column.to_bytes(count, "little")
-    return int.from_bytes(out, "little")
-
-
 @lru_cache(maxsize=8)
 def UnitAlgebra(v: Unit) -> FiniteAlgebra:
     """The power-set algebra over a unit; bit k is `v.sequences[k]`.
 
-    Equal units share one algebra, and with it the cylinder classes, views
+    Equal units share one algebra, and with it the cylinder classes, plans
     and diagonal masks it builds on first use, from a cache of the last eight
     distinct units.  Callers must not mutate it."""
     return FiniteAlgebra(v.sequences, v.window, (f.values for f in v))
@@ -425,15 +389,18 @@ class CheckReport:
 # --- postulate and equation laws -----------------------------------------
 
 def _chunks(
-    alg: FiniteAlgebra, instances: list[tuple[int, ...]], names: Iterable
+    alg: FiniteAlgebra, instances: list[tuple[int, ...]], names: Iterable, views: dict[int, FiniteAlgebra]
 ) -> Iterator[tuple[int, FiniteAlgebra, dict]]:
     """`instances`, tuples of masks, a chunk of lanes at a time, each lane
     mask within `_LANE_BITS`: per chunk, the index of its first instance,
-    its lane view and the lane mask of each tuple slot, keyed by `names`."""
+    its lane view and the lane mask of each tuple slot, keyed by `names`.
+    The views are kept in the caller's `views` by lane count, so the full
+    chunks share one view, a last, partial chunk has its own, and calls
+    that share `views` share them too."""
     per = max(1, _LANE_BITS // alg.stride)
     for low in range(0, len(instances), per):
         part = instances[low:low + per]
-        lanes = alg.lanes(len(part))
+        lanes = views.get(len(part)) or views.setdefault(len(part), alg.lanes(len(part)))
         yield low, lanes, {v: lanes.pack([t[k] for t in part]) for k, v in enumerate(names)}
 
 
@@ -516,8 +483,11 @@ def _check_laws(alg: FiniteAlgebra, laws: list, samples: int, seed: int, what: s
     bindings = {name: _index_bindings(rule, alg.indices) for name, _, rule, _ in laws}
     # Law name -> its failing (instance, binding) pairs, in that order.
     failed: dict[str, list[tuple[int, int]]] = {name: [] for name, *_ in laws}
+    # Sampled subsets and pairs come in chunks of one size, so their
+    # families share the views and the plans and diagonals built on them.
+    views: dict[int, FiniteAlgebra] = {}
     for elements, instances in families.items():
-        for low, lanes, masks in _chunks(alg, instances, elements):
+        for low, lanes, masks in _chunks(alg, instances, elements, views):
             for name, law_elements, _, law in laws:
                 if law_elements != elements:
                     continue
@@ -624,7 +594,7 @@ def bounded_validity(
         evals, full = _cover(1 << len(v), m, cap, cap, f"validity:{seed}:{idx}")
         evals = list(evals)
         exhaustive = exhaustive and full
-        for low, lanes, masks in _chunks(alg, evals, range(m)):
+        for low, lanes, masks in _chunks(alg, evals, range(m), {}):
             diff = evaluate_masks(lanes, lhs, masks) ^ evaluate_masks(lanes, rhs, masks)
             failing = lanes.failing(diff)
             if failing:

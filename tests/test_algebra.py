@@ -1,5 +1,7 @@
 """The bitmask carrier order and the mask operations of `FiniteAlgebra`."""
 
+import gc
+import weakref
 from itertools import product
 
 import pytest
@@ -88,9 +90,9 @@ def test_grid_path_matches_block_loop(name, data):
 @settings(deadline=None)
 @given(data=st.data())
 def test_lane_fold_matches_per_point_loop(name, data):
-    """A lane view's cylinders on a grid, folded or per class, every lane
-    at once, against the per-point block loop lane by lane, with the alias
-    bits as drawn, set and cleared.
+    """A lane view's cylinders on a grid, every lane at once, against the
+    per-point block loop lane by lane, with the alias bits as drawn, set
+    and cleared.
     CA2-CA4 and CA7 also hold under an identity cylinder, so the law checks
     alone would not catch a wrong fold."""
     alg = GRID_ALGEBRAS[name]
@@ -164,32 +166,6 @@ def test_pinned_bit_not_last_takes_block_path():
     assert alg.subset(alg.cyl_mask(1, alg.mask({(0, 0)}))) == {"p", (0, 0), (0, 1)}
 
 
-@pytest.mark.parametrize("name", sorted(NON_GRID_UNITS) + ["pinned-first"])
-def test_non_grid_lanes_take_per_point_loop(name, monkeypatch):
-    """A view of a small carrier that is not a grid, where fewer than 8
-    classes share each shape, ORs its cylinder classes point by point over
-    byte columns, once per cylinder, and never folds."""
-    alg = PINNED_FIRST if name == "pinned-first" else UnitAlgebra(NON_GRID_UNITS[name])
-    calls = []
-
-    def counted(plan, x, w, count, columns=semantics._columns):
-        calls.append(count)
-        return columns(plan, x, w, count)
-
-    def fold(offsets, least, x):
-        raise AssertionError("a shape of fewer than 8 classes was folded")
-
-    monkeypatch.setattr(semantics, "_columns", counted)
-    monkeypatch.setattr(semantics, "_fold", fold)
-    lanes = alg.lanes(9)
-    masks = [m % (alg.top + 1) for m in range(0, 27, 3)]
-    x = lanes.pack(masks)
-    for i in alg.indices:
-        got = lanes.cyl_mask(i, x)
-        assert [lanes.lane(got, k) for k in range(9)] == [block_cyl(alg, i, m) for m in masks]
-    assert calls == [9] * len(alg.indices)
-
-
 @st.composite
 def carriers(draw) -> FiniteAlgebra:
     """A carrier of at most 90 value tuples over a window of 1 to 3 indices
@@ -212,8 +188,8 @@ def carriers(draw) -> FiniteAlgebra:
 @given(alg=carriers(), data=st.data())
 def test_cylinders_on_arbitrary_carriers(alg, data):
     """Cylinders on carriers of any value tuples, so that an alias need not
-    be last, one point may have several and shapes fall on both sides of
-    the fold threshold, against the definition on every lane, with no bit
+    be last, one point may have several and a shape may be shared by one
+    class or by many, against the definition on every lane, with no bit
     above `top`."""
     count = data.draw(st.sampled_from((1, 2, 9, 64)))
     lanes = alg.lanes(count)
@@ -257,32 +233,6 @@ SQ5 = full_square(range(5), range(2))
 SQUARE5_MINUS_FIRST = UnitAlgebra(Unit(SQ5.window, SQ5.sequences[1:]))
 
 
-def test_common_shapes_fold_on_non_grid_views(monkeypatch):
-    """On a view of a carrier that is not a grid, the 15 pairs of each index,
-    one shape, fold with whole-mask shifts, and the lone point takes the
-    column loop."""
-    calls = []
-
-    def fold(offsets, least, x, fold=semantics._fold):
-        calls.append("fold")
-        return fold(offsets, least, x)
-
-    def columns(plan, x, w, count, columns=semantics._columns):
-        calls.append(len(plan))
-        return columns(plan, x, w, count)
-
-    monkeypatch.setattr(semantics, "_fold", fold)
-    monkeypatch.setattr(semantics, "_columns", columns)
-    alg = SQUARE5_MINUS_FIRST
-    lanes = alg.lanes(9)
-    masks = [(m * 0x9E3779B1) & alg.top for m in range(9)]
-    x = lanes.pack(masks)
-    for i in alg.indices:
-        got = lanes.cyl_mask(i, x)
-        assert [lanes.lane(got, k) for k in range(9)] == [block_cyl(alg, i, m) for m in masks]
-    assert calls == [1, "fold"] * len(alg.indices)
-
-
 VIEW_ALGEBRAS = dict(
     GRID_ALGEBRAS,
     **{name: UnitAlgebra(v) for name, v in NON_GRID_UNITS.items()},
@@ -321,3 +271,58 @@ def test_lane_view_matches_the_definition(name, data):
             d = lanes.diag_mask(i, j)
             assert d & ~lanes.top == 0
             assert [lanes.lane(d, k) for k in range(count)] == [alg.diag_mask(i, j)] * count
+
+
+def class_shapes(alg, i):
+    """The distinct shapes of the classes along i of the points that are
+    not aliases, each class moved down to bit 0 from its least point."""
+    p = alg.indices.index(i)
+    first, blocks = {}, {}
+    for k, c in enumerate(alg._coords):
+        if first.setdefault(c, k) == k:
+            key = c[:p] + c[p + 1:]
+            blocks[key] = blocks.get(key, 0) | 1 << k
+    return {block >> (block & -block).bit_length() - 1 for block in blocks.values()}
+
+
+@pytest.mark.parametrize("count", [9, 4096])
+@pytest.mark.parametrize("name", sorted(VIEW_ALGEBRAS))
+def test_each_class_shape_folds_once(name, count, monkeypatch):
+    """A lane cylinder makes one whole-mask fold per distinct class shape,
+    whether one class has the shape or many, on every carrier and lane
+    count."""
+    alg = VIEW_ALGEBRAS[name]
+    folds = []
+
+    def fold(offsets, least, x, fold=semantics._fold):
+        folds.append(offsets)
+        return fold(offsets, least, x)
+
+    monkeypatch.setattr(semantics, "_fold", fold)
+    lanes = alg.lanes(count)
+    masks = [(m * 0x9E3779B1) & alg.top for m in range(count)]
+    x = lanes.pack(masks)
+    for i in alg.indices:
+        folds.clear()
+        got = lanes.cyl_mask(i, x)
+        assert len(folds) == len(class_shapes(alg, i))
+        for k in (0, 1, count - 1):
+            assert lanes.lane(got, k) == block_cyl(alg, i, masks[k])
+
+
+def test_checks_leave_the_algebra_holding_no_view(monkeypatch):
+    """Each check builds its lane views and drops them: once a loop of
+    checks at many sample counts is done, no view it used is alive."""
+    refs = []
+
+    def chunks(alg, instances, names, views, chunks=semantics._chunks):
+        for low, lanes, masks in chunks(alg, instances, names, views):
+            refs.append(weakref.ref(lanes))
+            yield low, lanes, masks
+
+    monkeypatch.setattr(semantics, "_chunks", chunks)
+    alg = MappedUnitAlgebra(4)
+    for samples in range(1, 41):
+        assert semantics.check_ca_axioms(alg, samples=samples).ok
+    gc.collect()
+    assert len(refs) >= 80 and not any(ref() for ref in refs)

@@ -294,6 +294,17 @@ USAGE_ERRORS = [
     (["check-axioms", "--unit", "{unit}", "--samples", "65537"], "samples must be at most 65536, got 65537"),
     (["check-eqs", "--unit", "{unit}", "--samples", "65537"], "samples must be at most 65536, got 65537"),
     (["witness", "--samples", "1000000000"], "samples must be at most 65536, got 1000000000"),
+    # A check reads one carrier, so a second source is refused, not ignored.
+    (["check-axioms", "--mapped", "3", "--unit", "{unit}"],
+     "check-axioms takes only one of --unit, --mapped, --class; got --unit, --mapped"),
+    (["check-axioms", "--unit", "{unit}", "--class", "crs"],
+     "check-axioms takes only one of --unit, --mapped, --class; got --unit, --class"),
+    (["check-axioms", "--class", "d", "--mapped", "2"],
+     "check-axioms takes only one of --unit, --mapped, --class; got --mapped, --class"),
+    (["check-axioms", "--mapped", "2", "--class", "d", "--unit", "{missing}"],
+     "check-axioms takes only one of --unit, --mapped, --class; got --unit, --mapped, --class"),
+    (["check-eqs", "--class", "crs", "--unit", "{unit}"],
+     "check-eqs takes only one of --unit, --class; got --unit, --class"),
 ]
 
 
