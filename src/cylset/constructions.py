@@ -68,7 +68,7 @@ from .semantics import (
     satisfies,
     witness_to_dict,
 )
-from .units import int_list, seq, unit, unit_from_dict
+from .units import int_list, seq, unit, unit_fields
 
 
 # --- split certificates ---------------------------------------------------
@@ -146,9 +146,24 @@ def certificate_from_dict(data: dict) -> SplitCertificate:
             raise ValueError("expected a term string")
         return parse_term(text)
 
+    # The checked fields of the first unit decoded, and that unit.
+    decoded: list[tuple[tuple, Unit]] = []
+
+    def unit_of(j: object) -> Unit:
+        """Decode unit JSON, reusing the first half's unit when the fields
+        are the same: both halves of a diagonal split share one unit.  The
+        fields are compared after their types are checked, so `true` or
+        `1.0` in place of `1` is still refused."""
+        fields = unit_fields(j)
+        if decoded and decoded[0][0] == fields:
+            return decoded[0][1]
+        u = unit(*fields)
+        decoded.append((fields, u))
+        return u
+
     def half(side: str) -> Witness:
         d = get(data, side)
-        u = get(d, "unit", unit_from_dict, f"{side}.")
+        u = get(d, "unit", unit_of, f"{side}.")
         focus = get(d, "focus", lambda f: seq(u.window, int_list(f)), f"{side}.")
         return Witness(u, focus, get(d, "evaluation", lambda e: evaluation_from_dict(u, e), f"{side}."))
 

@@ -17,8 +17,9 @@ checker and the validity search pack their covered instances side by side
 (bitslicing) into the masks of a lane view, `FiniteAlgebra.lanes(count)`,
 an algebra whose lane l holds instance l, a chunk of at most `_LANE_BITS`
 bits a mask at a time, and evaluate each law or term once per chunk over
-all of them with `evaluate_masks`.  Every check is a refuter over finite
-models, never a prover.
+all of them with `evaluate_masks`, which dispatches on the exact type of
+each term node inside the one function, so a node costs one Python call.
+Every check is a refuter over finite models, never a prover.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from __future__ import annotations
 import copy
 import random
 import re
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator, Mapping
 
 from .terms import And, Cyl, Diag, Not, One, Or, Term, Var, Zero, index_set, variables
 from .units import MAX_UNITS, ClassTag, Sequence, Unit, bit_positions, classify, enumerate_units, unit_to_dict
@@ -59,7 +60,9 @@ class FiniteAlgebra:
     algebra is the one-lane view.  Boolean operations act on every lane at
     once, `top`, `cyl_mask` and `diag_mask` lane by lane, and `mask` and
     `subset` on one lane.  Each call of `lanes` makes a new view, which the
-    algebra does not keep; plans and diagonals are built on first use.
+    algebra does not keep; plans and diagonals are built on first use, from
+    cylinder classes and one-lane diagonals that the algebra builds once and
+    shares with its views.
 
     `cyl_mask` takes one plan per index, whatever the carrier and the lane
     count.  An alias, a point whose value tuple repeats an earlier point's
@@ -77,15 +80,23 @@ class FiniteAlgebra:
         self.stride = 8 * (len(self.labels) // 8 + 1)
         self.top = (1 << len(self.labels)) - 1
         self._coords = tuple(coords)
-        self._bit = {e: k for k, e in enumerate(self.labels)}
-        self._classes: dict[int, tuple] = {}  # shared with every view
+        self._bit = dict(zip(self.labels, range(len(self.labels))))
+        n = len(self._coords)
+        # Value tuple -> its first point; the later points with that tuple,
+        # if any, are aliases of it.
+        self._first = dict(zip(reversed(self._coords), range(n - 1, -1, -1)))
+        self._aliases = [] if len(self._first) == n else [
+            (k, self._first[c]) for k, c in enumerate(self._coords) if self._first[c] != k]
+        # Shared with every view: the cylinder classes and one-lane diagonals.
+        self._classes: dict[int, tuple] = {}
+        self._lines: dict[tuple[int, int], int] = {}
         self._plans: dict[int, tuple] = {}
         self._diags: dict[tuple[int, int], int] = {}
 
     def lanes(self, count: int) -> FiniteAlgebra:
         """A new view with `count` lanes; it shares the cylinder classes and
-        caches its own plans and diagonals, and the algebra keeps no
-        reference to it."""
+        one-lane diagonals and caches its own plans and diagonals, and the
+        algebra keeps no reference to it."""
         view = copy.copy(self)
         view.count, view._plans, view._diags = count, {}, {}
         view.top = view.each((1 << len(self.labels)) - 1)
@@ -93,6 +104,8 @@ class FiniteAlgebra:
 
     def each(self, m: int) -> int:
         """The mask that holds the one-lane mask m in every lane."""
+        if self.count == 1:
+            return m
         return int.from_bytes(m.to_bytes(self.stride // 8, "little") * self.count, "little")
 
     def pack(self, masks: list[int]) -> int:
@@ -122,21 +135,18 @@ class FiniteAlgebra:
     def _cyl_plan(self, i: int) -> tuple:
         """What `cyl_mask` reads for index i, in every lane: each alias's
         mask, its first point's mask and their distance, and each class
-        shape's offsets and least points.  The shapes are found once per
-        algebra and shared with its views."""
+        shape's offsets and least points.  The one-lane plan is found once
+        per algebra and shared with its views, which spread its masks over
+        their lanes."""
         table = self._classes.get(i)
         if table is None:
             p = self._position(i)
-            first: dict[tuple, int] = {}
+            # The classes of the points that are not aliases, by their
+            # values off index i.
             by_key: dict[tuple, int] = {}
-            aliases = []
-            for k, c in enumerate(self._coords):
-                f = first.setdefault(c, k)
-                if f != k:
-                    aliases.append((k, f))
-                else:
-                    key = c[:p] + c[p + 1:]
-                    by_key[key] = by_key.get(key, 0) | 1 << k
+            for c, k in self._first.items():
+                key = c[:p] + c[p + 1:]
+                by_key[key] = by_key.get(key, 0) | 1 << k
             # Shape, a class mask moved down to bit 0 from its least point ->
             # the least points of the classes of that shape.
             shapes: dict[int, int] = {}
@@ -144,9 +154,14 @@ class FiniteAlgebra:
                 low = block & -block
                 shape = block // low
                 shapes[shape] = shapes.get(shape, 0) | low
-            table = self._classes[i] = aliases, [(bit_positions(shape)[1:], least) for shape, least in shapes.items()]
+            table = self._classes[i] = (
+                [(1 << k, 1 << f, k - f) for k, f in self._aliases],
+                [(bit_positions(shape)[1:], least) for shape, least in shapes.items()],
+            )
+        if self.count == 1:
+            return table
         aliases, folds = table
-        return (tuple((self.each(1 << k), self.each(1 << f), k - f) for k, f in aliases),
+        return ([(self.each(alias), self.each(first), d) for alias, first, d in aliases],
                 [(offsets, self.each(least)) for offsets, least in folds])
 
     def cyl_mask(self, i: int, x: int) -> int:
@@ -163,14 +178,19 @@ class FiniteAlgebra:
         return out
 
     def diag_mask(self, i: int, j: int) -> int:
-        """d_ij in every lane, cached once for d_ij and d_ji alike."""
+        """d_ij in every lane, cached once for d_ij and d_ji alike.  The
+        one-lane diagonal is built once per algebra and shared with its
+        views, so a view only spreads it over its lanes."""
         key = (i, j) if i <= j else (j, i)
         d = self._diags.get(key)
         if d is None:
-            # d_ii is the top, but only over the window.
-            p, q = self._position(i), self._position(j)
-            d = self._diags[key] = self.top if i == j else self.each(
-                sum(1 << k for k, c in enumerate(self._coords) if c[p] == c[q]))
+            line = self._lines.get(key)
+            if line is None:
+                # d_ii is the top, but only over the window.
+                p, q = self._position(i), self._position(j)
+                line = self._lines[key] = (1 << len(self.labels)) - 1 if i == j else sum(
+                    1 << k for k, c in enumerate(self._coords) if c[p] == c[q])
+            d = self._diags[key] = self.each(line)
         return d
 
     def mask(self, x: Iterable) -> int:
@@ -216,7 +236,7 @@ def UnitAlgebra(v: Unit) -> FiniteAlgebra:
     Equal units share one algebra, and with it the cylinder classes, plans
     and diagonal masks it builds on first use, from a cache of the last eight
     distinct units.  Callers must not mutate it."""
-    return FiniteAlgebra(v.sequences, v.window, (f.values for f in v))
+    return FiniteAlgebra(v.sequences, v.window, [f.values for f in v])
 
 
 # The label of the mapped algebra's extra point; no grid label is a string.
@@ -245,35 +265,34 @@ def MappedUnitAlgebra(n: int) -> FiniteAlgebra:
     return alg
 
 
-def _var(alg: FiniteAlgebra, t: Var, masks: Mapping[int, int]) -> int:
-    try:
-        return masks[t.k]
-    except KeyError:
-        raise ValueError(f"unassigned variable x{t.k}") from None
-
-
-# Node type -> the step that evaluates a node of that type.
-_STEPS = {
-    Var: _var,
-    Zero: lambda alg, t, masks: 0,
-    One: lambda alg, t, masks: alg.top,
-    Diag: lambda alg, t, masks: alg.diag_mask(t.i, t.j),
-    Not: lambda alg, t, masks: alg.top ^ evaluate_masks(alg, t.t, masks),
-    And: lambda alg, t, masks: evaluate_masks(alg, t.t1, masks) & evaluate_masks(alg, t.t2, masks),
-    Or: lambda alg, t, masks: evaluate_masks(alg, t.t1, masks) | evaluate_masks(alg, t.t2, masks),
-    Cyl: lambda alg, t, masks: alg.cyl_mask(t.i, evaluate_masks(alg, t.t, masks)),
-}
-
-
 def evaluate_masks(alg: FiniteAlgebra, t: Term, masks: Mapping[int, int]) -> int:
     """Mask of t's interpretation when variable k denotes `masks[k]`.  Raises
     ValueError naming the first off-window index or unassigned variable the
     walk meets, and TypeError on anything that is not a term node.  On a
-    lane view each lane holds the term under that lane's masks."""
-    step = _STEPS.get(type(t))
-    if step is None:
-        raise TypeError(f"not a term: {t!r}")
-    return step(alg, t, masks)
+    lane view each lane holds the term under that lane's masks.  Each node
+    is one call: the exact node type picks the branch, the most frequent
+    types first."""
+    kind = type(t)
+    if kind is Var:
+        try:
+            return masks[t.k]
+        except KeyError:
+            raise ValueError(f"unassigned variable x{t.k}") from None
+    if kind is And:
+        return evaluate_masks(alg, t.t1, masks) & evaluate_masks(alg, t.t2, masks)
+    if kind is Not:
+        return alg.top ^ evaluate_masks(alg, t.t, masks)
+    if kind is Cyl:
+        return alg.cyl_mask(t.i, evaluate_masks(alg, t.t, masks))
+    if kind is Diag:
+        return alg.diag_mask(t.i, t.j)
+    if kind is Or:
+        return evaluate_masks(alg, t.t1, masks) | evaluate_masks(alg, t.t2, masks)
+    if kind is Zero:
+        return 0
+    if kind is One:
+        return alg.top
+    raise TypeError(f"not a term: {t!r}")
 
 
 def _value(alg: FiniteAlgebra, t: Term, iota: Mapping[int, frozenset]) -> int:
@@ -289,10 +308,11 @@ def evaluate(t: Term, v: Unit, iota: Mapping[int, frozenset]) -> frozenset[Seque
 
 def satisfies(v: Unit, f: Sequence, iota: Mapping[int, frozenset], t: Term) -> bool:
     """True iff f belongs to the interpretation of t in P(v) under iota."""
-    if f not in v:
-        raise ValueError("focus sequence does not belong to the unit")
     alg = UnitAlgebra(v)
-    return bool(_value(alg, t, iota) & alg.mask((f,)))
+    k = alg._bit.get(f) if isinstance(f, Sequence) else None
+    if k is None:
+        raise ValueError("focus sequence does not belong to the unit")
+    return bool(_value(alg, t, iota) >> k & 1)
 
 
 # --- evaluation helpers --------------------------------------------------
@@ -307,20 +327,28 @@ def _cover(n: int, arity: int, cap: int, samples: int, tag: str) -> tuple[Iterat
     return (tuple(rng.randrange(n) for _ in range(arity)) for _ in range(samples)), False
 
 
+# One spelling per variable, so no two names can assign the same one.
+_VAR_NAME = re.compile(r"x(0|[1-9][0-9]*)")
+
+
 def evaluation_from_dict(v: Unit, data: Mapping[str, list[int]]) -> Evaluation:
-    """Decode {"x0": [positions]} with positions into the sorted sequence list."""
+    """Decode {"x0": [positions]} with positions into the sorted sequence
+    list.  Each list is checked at once: the set of its item types, then
+    its least and greatest position."""
     if not isinstance(data, Mapping):
         raise ValueError("expected an object mapping x0, x1, ... to position lists")
+    seqs = v.sequences
     iota: Evaluation = {}
     for name, positions in data.items():
-        # One spelling per variable, so no two names can assign the same one.
-        if not isinstance(name, str) or not re.fullmatch(r"x(0|[1-9][0-9]*)", name):
+        if not isinstance(name, str) or not _VAR_NAME.fullmatch(name):
             raise ValueError(f"bad variable name {name!r}; expected x0, x1, ... without leading zeros")
         if not isinstance(positions, list):
             raise ValueError(f"{name} must be a list of positions")
-        if not all(type(p) is int and 0 <= p < len(v) for p in positions):
+        if positions and not (
+            set(map(type, positions)) == {int} and 0 <= min(positions) and max(positions) < len(seqs)
+        ):
             raise ValueError(f"{name} lists a position outside 0..{len(v) - 1}")
-        iota[int(name[1:])] = frozenset(v.sequences[p] for p in positions)
+        iota[int(name[1:])] = frozenset(map(seqs.__getitem__, positions))
     return iota
 
 

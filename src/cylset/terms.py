@@ -5,13 +5,17 @@ diagonal constants d<i><j>, complement, meet, join and the cylindrification
 prefixes c<i>.  Concrete syntax (binding tightest first): `-` and `c<i>`,
 then `.`, then `+`.  Meet and join parse right-associatively, so rendering
 parenthesises only where structure would otherwise be lost and
-``parse_term(render_term(t)) == t`` holds for every term.
+``parse_term(render_term(t)) == t`` holds for every term.  The parser cuts
+a text into tokens with two regular-expression scans and keeps the last
+PARSE_CACHE_SIZE texts it parsed with their terms, so a repeated text is
+parsed once.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Iterator, Sequence as Seq
 
@@ -87,44 +91,26 @@ class TermSyntaxError(ValueError):
         self.position = position
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<var>x(?P<var_k>\d+))
-  | (?P<cyl>c(?P<cyl_i>\d+))
-  | (?P<diag>d(?:(?P<di>\d+),(?P<dj>\d+)|(?P<di1>\d)(?P<dj1>\d)))
-  | (?P<zero>0)
-  | (?P<one>1)
-  | (?P<minus>-)
-  | (?P<dot>\.)
-  | (?P<plus>\+)
-  | (?P<lpar>\()
-  | (?P<rpar>\))
-    """,
-    re.VERBOSE,
-)
+# One token, after any whitespace: a variable, a cylindrification, a
+# diagonal, or one of the characters 0 1 - . + ( ).  The first character of
+# a token tells its kind.
+_TOKEN = r"x\d+|c\d+|d(?:\d+,\d+|\d\d)|[01\-.+()]"
+_TOKEN_RE = re.compile(rf"\s*({_TOKEN})")
+# Tokens and whitespace from the start of a text: where this stops, no token
+# starts, as when the text is cut into tokens left to right.
+_TOKENS_RE = re.compile(rf"(?:\s+|{_TOKEN})*")
+# The tokens that cannot start a term -> their names in error messages.
+_KINDS = {".": "dot", "+": "plus", ")": "rpar"}
 
 
-def _tokenize(text: str) -> list[tuple[str, object, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise TermSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        # The outer named group closes last, so lastgroup is never a digit group.
-        kind = m.lastgroup
-        if kind == "var":
-            value = int(m["var_k"])
-        elif kind == "cyl":
-            value = int(m["cyl_i"])
-        elif kind == "diag":
-            value = (int(m["di"] or m["di1"]), int(m["dj"] or m["dj1"]))
-        else:
-            value = None
-        if kind != "ws":
-            tokens.append((kind, value, pos))
-        pos = m.end()
+def _tokenize(text: str) -> list[str]:
+    """The tokens of text, as strings, then "" to mark the end; both scans
+    run at C level."""
+    end = _TOKENS_RE.match(text).end()
+    if end < len(text):
+        raise TermSyntaxError(f"unexpected character {text[end]!r}", end)
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")
     return tokens
 
 
@@ -137,81 +123,86 @@ MAX_DEPTH = 100
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, object, int]], text_len: int, m: int | None):
-        self.tokens = tokens
+    def __init__(self, text: str, m: int | None):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
-        self.text_len = text_len
         self.m = m
 
-    def peek(self) -> str:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else "eof"
+    def where(self, k: int) -> int:
+        """The position in the text of token k, or the text's length at the
+        end; worked out only for an error message."""
+        starts = [t.start(1) for t in _TOKEN_RE.finditer(self.text)]
+        return starts[k] if k < len(starts) else len(self.text)
 
-    def next(self) -> tuple[str, object, int]:
-        if self.pos >= len(self.tokens):
-            raise TermSyntaxError("unexpected end of term", self.text_len)
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def deeper(self, depth: int, pos: int) -> int:
+    def deeper(self, depth: int) -> int:
+        """One level below `depth`, for the token just read."""
         if depth >= MAX_DEPTH:
-            raise TermSyntaxError(f"term nests deeper than {MAX_DEPTH} levels", pos)
+            raise TermSyntaxError(f"term nests deeper than {MAX_DEPTH} levels", self.where(self.pos - 1))
         return depth + 1
 
     def parse_or(self, depth: int = 0) -> Term:
         left = self.parse_and(depth)
-        if self.peek() == "plus":
-            _, _, pos = self.next()
-            return Or(left, self.parse_or(self.deeper(depth, pos)))
+        if self.tokens[self.pos] == "+":
+            self.pos += 1
+            return Or(left, self.parse_or(self.deeper(depth)))
         return left
 
     def parse_and(self, depth: int) -> Term:
         left = self.parse_unary(depth)
-        if self.peek() == "dot":
-            _, _, pos = self.next()
-            return And(left, self.parse_and(self.deeper(depth, pos)))
+        if self.tokens[self.pos] == ".":
+            self.pos += 1
+            return And(left, self.parse_and(self.deeper(depth)))
         return left
 
     def parse_unary(self, depth: int) -> Term:
-        kind = self.peek()
-        if kind == "minus":
-            _, _, pos = self.next()
-            return Not(self.parse_unary(self.deeper(depth, pos)))
-        if kind == "cyl":
-            _, i, pos = self.next()
-            return Cyl(i, self.parse_unary(self.deeper(depth, pos)))
-        return self.parse_atom(depth)
-
-    def parse_atom(self, depth: int) -> Term:
-        kind, value, pos = self.next()
-        if kind == "var":
-            if self.m is not None and value >= self.m:
-                raise TermSyntaxError(
-                    f"variable x{value} out of range for {self.m} generators", pos
-                )
-            return Var(value)
-        if kind == "zero":
+        """A prefixed term or an atom; the first character of a token tells
+        its kind."""
+        token = self.tokens[self.pos]
+        if not token:
+            raise TermSyntaxError("unexpected end of term", len(self.text))
+        self.pos += 1
+        lead = token[0]
+        if lead == "x":
+            k = int(token[1:])
+            if self.m is not None and k >= self.m:
+                raise TermSyntaxError(f"variable x{k} out of range for {self.m} generators", self.where(self.pos - 1))
+            return Var(k)
+        if lead == "-":
+            return Not(self.parse_unary(self.deeper(depth)))
+        if lead == "c":
+            return Cyl(int(token[1:]), self.parse_unary(self.deeper(depth)))
+        if lead == "d":
+            i, comma, j = token[1:].partition(",")
+            return Diag(int(i), int(j)) if comma else Diag(int(token[1]), int(token[2]))
+        if lead == "0":
             return ZERO
-        if kind == "one":
+        if lead == "1":
             return ONE
-        if kind == "diag":
-            return Diag(*value)
-        if kind == "lpar":
-            inner = self.parse_or(self.deeper(depth, pos))
-            close, _, cpos = self.next() if self.pos < len(self.tokens) else ("eof", None, self.text_len)
-            if close != "rpar":
-                raise TermSyntaxError("expected ')'", cpos)
+        if lead == "(":
+            inner = self.parse_or(self.deeper(depth))
+            if self.tokens[self.pos] != ")":
+                raise TermSyntaxError("expected ')'", self.where(self.pos))
+            self.pos += 1
             return inner
-        raise TermSyntaxError(f"unexpected token {kind!r}", pos)
+        raise TermSyntaxError(f"unexpected token {_KINDS[lead]!r}", self.where(self.pos - 1))
 
 
+# How many distinct (text, m) arguments `parse_term` remembers.  Terms are
+# frozen, so callers can share a parsed term; a small bound keeps the memory
+# it holds small, and a failed parse is not remembered.
+PARSE_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_term(text: str, m: int | None = None) -> Term:
-    """Parse term text; variable indices must stay below `m` when given."""
-    tokens = _tokenize(text)
-    parser = _Parser(tokens, len(text), m)
+    """Parse term text; variable indices must stay below `m` when given.
+    The last PARSE_CACHE_SIZE distinct arguments and their terms are kept,
+    so a repeated text is parsed once."""
+    parser = _Parser(text, m)
     term = parser.parse_or()
-    if parser.pos < len(tokens):
-        raise TermSyntaxError("trailing input after term", tokens[parser.pos][2])
+    if parser.tokens[parser.pos]:
+        raise TermSyntaxError("trailing input after term", parser.where(parser.pos))
     return term
 
 
@@ -227,20 +218,20 @@ def _level(t: Term) -> int:
 
 
 def _render(t: Term, min_level: int) -> str:
+    """t rendered, in parentheses when its level (`_level`) is below
+    `min_level`."""
     if isinstance(t, Or):
-        raw = f"{_render(t.t1, 1)} + {_render(t.t2, 0)}"
+        raw, level = f"{_render(t.t1, 1)} + {_render(t.t2, 0)}", 0
     elif isinstance(t, And):
-        raw = f"{_render(t.t1, 2)} . {_render(t.t2, 1)}"
+        raw, level = f"{_render(t.t1, 2)} . {_render(t.t2, 1)}", 1
     elif isinstance(t, Not):
-        raw = f"-{_render(t.t, 2)}"
+        raw, level = f"-{_render(t.t, 2)}", 2
     elif isinstance(t, Cyl):
         sep = " " if _level(t.t) >= 2 else ""
-        raw = f"c{t.i}{sep}{_render(t.t, 2)}"
+        raw, level = f"c{t.i}{sep}{_render(t.t, 2)}", 2
     else:
-        raw = str(t)
-    if _level(t) < min_level:
-        return f"({raw})"
-    return raw
+        raw, level = str(t), 3
+    return f"({raw})" if level < min_level else raw
 
 
 def render_term(t: Term) -> str:

@@ -5,6 +5,13 @@ indices.  Off-window coordinates are treated as carrying one unspecified
 constant shared by every sequence of the unit, so cylindrification along an
 off-window index is the identity and terms may only mention window indices.
 Fresh coordinates are materialised explicitly with `extend_window`.
+
+`Sequence(...)` and `Unit(...)` check what they are given.  The builders
+that have already checked their parts (`unit`, `unit_from_dict`,
+`extend_window`, `closure`) make each member and the unit once through the
+trusted constructors `Sequence._trusted` and `Unit._trusted`, which skip
+those checks; `unit` and `unit_from_dict` check a whole input at once, with
+C-level passes over its rows and values.
 """
 
 from __future__ import annotations
@@ -14,13 +21,13 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, product, repeat
-from operator import attrgetter
+from itertools import chain, combinations, compress, product, repeat
+from operator import attrgetter, itemgetter, lt
 from typing import Iterable, Iterator
 
 
 def _check_window(window: tuple[int, ...]) -> None:
-    if any(window[k] >= window[k + 1] for k in range(len(window) - 1)):
+    if not all(map(lt, window, window[1:])):
         raise ValueError(f"window must be strictly increasing, got {window}")
     if window and window[0] < 0:
         raise ValueError("indices and base elements are natural numbers")
@@ -29,7 +36,7 @@ def _check_window(window: tuple[int, ...]) -> None:
 def _check_values(window: tuple[int, ...], values: tuple[int, ...]) -> None:
     if len(window) != len(values):
         raise ValueError("one value per window index required")
-    if any(v < 0 for v in values):
+    if min(values, default=0) < 0:
         raise ValueError("indices and base elements are natural numbers")
 
 
@@ -62,9 +69,7 @@ class Sequence:
     def _trusted(cls, window: tuple[int, ...], values: tuple[int, ...]) -> "Sequence":
         """Build without `__post_init__`; the caller has checked every new part."""
         f = object.__new__(cls)
-        object.__setattr__(f, "window", window)
-        object.__setattr__(f, "values", values)
-        object.__setattr__(f, "_hash", hash((window, values)))
+        f.__dict__.update(window=window, values=values, _hash=hash((window, values)))
         return f
 
     def update(self, i: int, u: int) -> "Sequence":
@@ -125,6 +130,10 @@ def eqv_gamma(f: Sequence, g: Sequence, gamma: Iterable[int]) -> bool:
     )
 
 
+_window = attrgetter("window")
+_values = attrgetter("values")
+
+
 class ClassTag(enum.Enum):
     CRS = "Crs"
     D = "D"
@@ -137,23 +146,42 @@ class Unit:
     """A finite set of sequences over one shared window.
 
     As for `Sequence`, the hash is computed once, after the members are in
-    order; equality compares (window, sequences) as usual."""
+    order.  Equality compares (window, sequences); as every member has the
+    unit's window, it compares the hashes, the windows and the members'
+    value tuples, at C level."""
 
     window: tuple[int, ...]
     sequences: tuple[Sequence, ...]
 
     def __post_init__(self):
-        for f in self.sequences:
-            if f.window != self.window:
-                raise ValueError(f"sequence {f} does not match window {self.window}")
+        if set(map(_window, self.sequences)) - {self.window}:
+            f = next(f for f in self.sequences if f.window != self.window)
+            raise ValueError(f"sequence {f} does not match window {self.window}")
         # Every member has the unit's window, so values alone give the order.
-        values = [f.values for f in self.sequences]
-        if any(values[k] >= values[k + 1] for k in range(len(values) - 1)):
-            object.__setattr__(self, "sequences", tuple(sorted(set(self.sequences))))
+        values = list(map(_values, self.sequences))
+        if not all(map(lt, values, values[1:])):
+            object.__setattr__(self, "sequences", tuple(sorted(set(self.sequences), key=_values)))
         object.__setattr__(self, "_hash", hash((self.window, self.sequences)))
+
+    @classmethod
+    def _trusted(cls, window: tuple[int, ...], sequences: tuple[Sequence, ...]) -> "Unit":
+        """Build without `__post_init__`; the caller has given members over
+        `window`, in order and without repeats."""
+        v = object.__new__(cls)
+        v.__dict__.update(window=window, sequences=sequences, _hash=hash((window, sequences)))
+        return v
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash
+            and self.window == other.window
+            and list(map(_values, self.sequences)) == list(map(_values, other.sequences))
+        )
 
     def __iter__(self) -> Iterator[Sequence]:
         return iter(self.sequences)
@@ -171,19 +199,19 @@ class Unit:
         return frozenset(self.sequences)
 
 
-_values = attrgetter("values")
-
-
 def unit(window: Iterable[int], seqs: Iterable[Iterable[int]]) -> Unit:
-    """The unit of the given value tuples over a strictly increasing window."""
+    """The unit of the given value tuples over a strictly increasing window.
+
+    The rows are checked together, their lengths and their least value; only
+    when that fails are they checked one by one, so the first bad row in
+    input order names the error."""
     w = tuple(window)
     _check_window(w)
-    members = set()
-    for v in seqs:
-        values = tuple(v)
-        _check_values(w, values)
-        members.add(Sequence._trusted(w, values))
-    return Unit(w, tuple(sorted(members, key=_values)))
+    rows = list(map(tuple, seqs))
+    if set(map(len, rows)) - {len(w)} or min(chain.from_iterable(rows), default=0) < 0:
+        for values in rows:
+            _check_values(w, values)
+    return Unit._trusted(w, tuple(Sequence._trusted(w, values) for values in sorted(set(rows))))
 
 
 def full_square(window: Iterable[int], base: Iterable[int]) -> Unit:
@@ -283,27 +311,42 @@ def closure(v: Unit, tag: ClassTag) -> Unit:
     members = set(v.sequences)
     for _, tuples in forced:
         members.update(Sequence._trusted(v.window, t) for t in tuples)
-    return Unit(v.window, tuple(sorted(members)))
+    return Unit._trusted(v.window, tuple(sorted(members, key=_values)))
 
 
 def extend_window(v: Unit, new: Iterable[tuple[int, int]]) -> Unit:
-    """Give every sequence the stated constant value at each new index."""
+    """Give every sequence the stated constant value at each new index.
+
+    The merged window, and the slot each of its indices reads from a
+    member's values followed by the constants, are worked out once; each
+    member is then one pick.  Every member gets the same constants at the
+    same indices, so the members stay in order."""
     new = list(new)
     if not new:
         return v
     fresh = [i for i, _ in new]
     if len(set(fresh)) != len(fresh) or any(i in v.window for i in fresh):
         raise ValueError(f"new indices {fresh} collide with window {v.window}")
-    window = tuple(sorted(v.window + tuple(fresh)))
-    return Unit(window, tuple(sorted(f.extended(new) for f in v)))
+    # Checked as `Sequence.extended` checks each member: a unit without
+    # members takes any index and value.
+    if v.sequences and any(i < 0 or c < 0 for i, c in new):
+        raise ValueError("indices and base elements are natural numbers")
+    slot = {i: k for k, i in enumerate(v.window + tuple(fresh))}
+    window = tuple(sorted(slot))
+    constants = tuple(c for _, c in new)
+    # One index in all is one new index over an empty window: no pick needed.
+    pick = itemgetter(*(slot[i] for i in window)) if len(window) > 1 else tuple
+    return Unit._trusted(window, tuple(Sequence._trusted(window, pick(f.values + constants)) for f in v))
 
 
 def add_sequence(v: Unit, f: Sequence) -> Unit:
     if f.window != v.window:
         raise ValueError("sequence window does not match unit window")
-    if f in v:
+    seqs = v.sequences
+    k = bisect_left(seqs, f)
+    if k < len(seqs) and seqs[k] == f:
         return v
-    return Unit(v.window, tuple(sorted(v.sequences + (f,))))
+    return Unit._trusted(v.window, seqs[:k] + (f,) + seqs[k:])
 
 
 def fresh_naturals(used: Iterable[int], n: int) -> list[int]:
@@ -354,8 +397,16 @@ def _closed_masks(closures: list[int], max_bits: int) -> set[int]:
     return seen
 
 
+# Binary digit characters -> bytes that are false for 0 and true for 1.
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def bit_positions(mask: int) -> tuple[int, ...]:
-    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+    """The positions of the set bits of a nonnegative mask, lowest first:
+    its binary digits, lowest first, select their positions in one linear
+    pass at C level."""
+    digits = bin(mask)[:1:-1].encode().translate(_DIGIT_BITS)
+    return tuple(compress(range(len(digits)), digits))
 
 
 def enumerate_units(
@@ -445,7 +496,7 @@ def unit_to_dict(v: Unit) -> dict:
 
 
 def _is_int_list(data: object) -> bool:
-    return isinstance(data, list) and all(type(x) is int for x in data)
+    return isinstance(data, list) and set(map(type, data)) <= {int}
 
 
 def int_list(data: object, length: int | None = None) -> tuple[int, ...]:
@@ -455,9 +506,12 @@ def int_list(data: object, length: int | None = None) -> tuple[int, ...]:
     return tuple(data)
 
 
-def unit_from_dict(data: dict) -> Unit:
-    """Decode unit JSON; a missing or mistyped field, or a window that is not
-    strictly increasing, raises ValueError naming the field."""
+def unit_fields(data: dict) -> tuple[list[int], list[list[int]]]:
+    """The window and sequences of unit JSON, with their types checked: a
+    missing or mistyped field, or a window that is not strictly increasing,
+    raises ValueError naming the field.  The rows are checked together, by
+    the set of their types and the set of their values' types; `bool` is
+    not `int` here."""
     try:
         window = data["window"]
         seqs = data["sequences"]
@@ -469,9 +523,19 @@ def unit_from_dict(data: dict) -> Unit:
         _check_window(tuple(window))
     except ValueError as err:
         raise ValueError(f"unit field 'window': {err}") from None
-    if not isinstance(seqs, list) or not all(map(_is_int_list, seqs)):
+    if not (
+        isinstance(seqs, list)
+        and all(issubclass(t, list) for t in set(map(type, seqs)))
+        and set(map(type, chain.from_iterable(seqs))) <= {int}
+    ):
         raise ValueError("unit field 'sequences': expected a list of integer lists")
-    return unit(window, seqs)
+    return window, seqs
+
+
+def unit_from_dict(data: dict) -> Unit:
+    """Decode unit JSON: `unit_fields`, then `unit`, which raises ValueError
+    on a row of the wrong length or with a negative value."""
+    return unit(*unit_fields(data))
 
 
 def load_unit(path: str) -> Unit:

@@ -326,3 +326,25 @@ def test_checks_leave_the_algebra_holding_no_view(monkeypatch):
         assert semantics.check_ca_axioms(alg, samples=samples).ok
     gc.collect()
     assert len(refs) >= 80 and not any(ref() for ref in refs)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, alg in VIEW_ALGEBRAS.items() if len(alg.indices) >= 2))
+def test_views_share_the_one_lane_diagonals(name):
+    """Each one-lane diagonal is built once per algebra: a view reads the
+    algebra's and only spreads it over its lanes."""
+    base = VIEW_ALGEBRAS[name]
+    alg = FiniteAlgebra(base.labels, base.indices, base._coords)
+    i, j = alg.indices[:2]
+    one = alg.diag_mask(i, j)
+    view = alg.lanes(5)
+    assert view._lines is alg._lines and list(alg._lines) == [(i, j)]
+    # A view that built a diagonal from the coordinates would fail here.
+    view._coords = None
+    assert view.diag_mask(j, i) == view.each(one)
+    assert [view.lane(view.diag_mask(i, j), k) for k in range(5)] == [one] * 5
+
+
+def test_each_on_one_lane_is_the_mask_itself():
+    alg = UnitAlgebra(CA4_UNIT)
+    assert alg.count == 1 and alg.each(0b101) == 0b101
+    assert alg.lanes(3).each(0b101) == 0b101 | 0b101 << 8 | 0b101 << 16

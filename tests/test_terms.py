@@ -199,3 +199,46 @@ class TestDerivedTerms:
 
     def test_empty_product_is_one(self):
         assert conj([]) == ONE
+
+
+# The first error a left-to-right reading of each text meets, with its
+# position: a character that starts no token, the end of the text, a token
+# that cannot start a term, a missing ')', trailing input, a variable out of
+# range and nesting past MAX_DEPTH.
+PINNED_ERRORS = [
+    ("", None, "unexpected end of term", 0),
+    ("   ", None, "unexpected end of term", 3),
+    ("x", None, "unexpected character 'x'", 0),
+    ("x0 x1", None, "trailing input after term", 3),
+    ("x0 +", None, "unexpected end of term", 4),
+    ("(x0 . x1", None, "expected ')'", 8),
+    ("x0)", None, "trailing input after term", 2),
+    (")", None, "unexpected token 'rpar'", 0),
+    ("+x0", None, "unexpected token 'plus'", 0),
+    (". x0", None, "unexpected token 'dot'", 0),
+    ("c x0", None, "unexpected character 'c'", 0),
+    ("c0", None, "unexpected end of term", 2),
+    ("d1 2", None, "unexpected character 'd'", 0),
+    ("d12,", None, "unexpected character ','", 3),
+    ("d123", None, "unexpected character '3'", 3),
+    ("c1 (x0 + )", None, "unexpected token 'rpar'", 9),
+    ("x0\n+\tq", None, "unexpected character 'q'", 5),
+    ("((x0) x1)", None, "expected ')'", 6),
+    ("x٣", 2, "variable x3 out of range for 2 generators", 0),
+    ("(" * 101 + "x0" + ")" * 101, None, "term nests deeper than 100 levels", 100),
+    ("-" * 101 + "x0", None, "term nests deeper than 100 levels", 100),
+    (" . ".join(["x0"] * 102), None, "term nests deeper than 100 levels", 503),
+]
+
+
+@pytest.mark.parametrize("text,m,message,position", PINNED_ERRORS)
+def test_syntax_errors_are_pinned(text, m, message, position):
+    with pytest.raises(TermSyntaxError) as err:
+        parse_term(text, m)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+def test_unicode_digits_read_as_numbers():
+    assert parse_term("x٣") == Var(3)
+    assert parse_term("d٣٤ . x0") == And(Diag(3, 4), Var(0))

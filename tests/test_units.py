@@ -14,6 +14,7 @@ from cylset.units import (
     Unit,
     add_sequence,
     base,
+    bit_positions,
     classify,
     closure,
     disjoint_squares_unit,
@@ -477,3 +478,38 @@ def test_unit_hash_is_stored_and_matches_the_field_hash(pairs):
     finally:
         Sequence.__hash__ = original
     assert calls == []
+
+
+def _bit_positions_by_shifts(mask: int) -> tuple[int, ...]:
+    """The reference definition of `bit_positions`: one whole-mask shift
+    per position, quadratic in the width."""
+    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+
+
+@given(st.integers(min_value=0, max_value=2048).flatmap(
+    lambda width: st.integers(min_value=0, max_value=(1 << width) - 1)))
+def test_bit_positions_match_the_shift_definition(mask):
+    assert bit_positions(mask) == _bit_positions_by_shifts(mask)
+
+
+@pytest.mark.parametrize("mask", [0, 1, 2, 1 << 2047, (1 << 2048) - 1, 0x5555 << 1000])
+def test_bit_positions_edges(mask):
+    assert bit_positions(mask) == _bit_positions_by_shifts(mask)
+
+
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=6),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=6))
+def test_unit_equality_is_window_and_member_equality(first, second):
+    """Units built apart are equal exactly when their windows and members
+    are, with no call to a member's `__eq__`."""
+    v, w = unit((0, 1), first), unit((0, 1), second)
+    calls = []
+    original = Sequence.__eq__
+    Sequence.__eq__ = lambda f, g: calls.append(f) or original(f, g)
+    try:
+        equal = v == w
+    finally:
+        Sequence.__eq__ = original
+    assert calls == []
+    assert equal == (set(first) == set(second)) == (v.as_set() == w.as_set())
+    assert unit((0, 1), []) != unit((0,), []) and v != v.sequences
