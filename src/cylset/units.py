@@ -8,10 +8,10 @@ Fresh coordinates are materialised explicitly with `extend_window`.
 
 `Sequence(...)` and `Unit(...)` check what they are given.  The builders
 that have already checked their parts (`unit`, `unit_from_dict`,
-`extend_window`, `closure`) make each member and the unit once through the
-trusted constructors `Sequence._trusted` and `Unit._trusted`, which skip
-those checks; `unit` and `unit_from_dict` check a whole input at once, with
-C-level passes over its rows and values.
+`extend_window`, `add_sequence`, `closure`) make each member and the unit
+once through the trusted constructors `Sequence._trusted` and
+`Unit._trusted`, which skip those checks; `unit` and `unit_from_dict` check
+a whole input at once, with C-level passes over its rows and values.
 """
 
 from __future__ import annotations
