@@ -39,6 +39,7 @@ from .units import (
     Unit,
     add_sequence,
     base,
+    bit_positions,
     disjoint_squares_unit,
     enumerate_units,
     eqv_gamma,
@@ -629,16 +630,20 @@ def _gs2_units(max_base: int) -> list[Unit]:
 
 
 def _cylinder_table(alg: FiniteAlgebra, i: int) -> list[int]:
-    """c_i m for every mask m of the algebra, indexed by m.  Cylindrification
-    is additive, so only the one-point masks call `cyl_mask`; any other m is
-    c_i of its lowest bit OR c_i of the rest, both already in the table."""
-    table = [0] * (alg.top + 1)
-    for m in range(1, alg.top + 1):
-        low = m & -m
-        if m == low:
-            table[m] = alg.cyl_mask(i, m)
-        else:
-            table[m] = table[low] | table[m ^ low]
+    """c_i m for every mask m of the algebra, indexed by m.  The cylinder of
+    a point is its class along i, the same for every point of the class, so
+    `cyl_mask` is called once per class and its mask written to each of its
+    points.  Cylindrification is additive, so the masks below 2^(k+1) are
+    those below 2^k, then each of them OR the cylinder of point k."""
+    points = [0] * len(alg.labels)
+    for k in range(len(points)):
+        if not points[k]:
+            c = alg.cyl_mask(i, 1 << k)
+            for p in bit_positions(c):
+                points[p] = c
+    table = [0]
+    for c in points:
+        table += [c | t for t in table]
     return table
 
 

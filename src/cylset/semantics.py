@@ -12,13 +12,17 @@ postulate and equation checkers share one law table.  One rule, `_cover`,
 picks the instances of every check: the laws' subsets and pairs of subsets,
 and the evaluations of `bounded_validity`.  A check visits all instances
 when there are at most a cap of them, else seeded samples, at most
-MAX_UNITS, and reports `exhaustive` only in the first case.  Both the law
-checker and the validity search pack their covered instances side by side
-(bitslicing) into the masks of a lane view, `FiniteAlgebra.lanes(count)`,
-an algebra whose lane l holds instance l, a chunk of at most `_LANE_BITS`
-bits a mask at a time, and evaluate each law or term once per chunk over
-all of them with `evaluate_masks`, which dispatches on the exact type of
-each term node inside the one function, so a node costs one Python call.
+MAX_UNITS, and reports `exhaustive` only in the first case.  A sampled
+slot is the first `getrandbits(n.bit_length())` value below n of a
+generator seeded with the check's tag: the rejection loop of
+`randrange(n)`, so the samples are those of one `randrange(n)` per slot,
+drawn at C level.  Both the law checker and the validity search pack their
+covered instances side by side (bitslicing) into the masks of a lane view,
+`FiniteAlgebra.lanes(count)`, an algebra whose lane l holds instance l, a
+chunk of at most `_LANE_BITS` bits a mask at a time, and evaluate each law
+or term once per chunk over all of them with `evaluate_masks`, which
+dispatches on the exact type of each term node inside the one function, so
+a node costs one Python call.
 Every check is a refuter over finite models, never a prover.
 """
 
@@ -30,7 +34,8 @@ import re
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product, repeat
+from operator import itemgetter
 
 from .terms import And, Cyl, Diag, Not, One, Or, Term, Var, Zero, index_set, variables
 from .units import MAX_UNITS, ClassTag, Sequence, Unit, bit_positions, classify, enumerate_units, unit_to_dict
@@ -108,10 +113,11 @@ class FiniteAlgebra:
             return m
         return int.from_bytes(m.to_bytes(self.stride // 8, "little") * self.count, "little")
 
-    def pack(self, masks: list[int]) -> int:
-        """The mask whose lane l holds `masks[l]`, for `count` one-lane masks."""
+    def pack(self, masks: Iterable[int]) -> int:
+        """The mask whose lane l holds the l-th of `count` one-lane masks,
+        each written as its `stride` bits by one C-level `int.to_bytes`."""
         w = self.stride // 8
-        return int.from_bytes(b"".join([m.to_bytes(w, "little") for m in masks]), "little")
+        return int.from_bytes(b"".join(map(int.to_bytes, masks, repeat(w), repeat("little"))), "little")
 
     def lane(self, x: int, k: int) -> int:
         """The one-lane mask that lane k of x holds."""
@@ -320,11 +326,20 @@ def satisfies(v: Unit, f: Sequence, iota: Mapping[int, frozenset], t: Term) -> b
 def _cover(n: int, arity: int, cap: int, samples: int, tag: str) -> tuple[Iterator[tuple[int, ...]], bool]:
     """The `arity`-tuples of range(n) a check visits, and whether they are
     all of them: every tuple when there are at most `cap`, else `samples`
-    tuples drawn from `random.Random(tag)`, one `randrange(n)` per slot."""
+    tuples drawn from `random.Random(tag)`, slot by slot.
+
+    A slot is the first of the generator's `getrandbits(n.bit_length())`
+    values that is below n, and the tuples group the slots in order.  That
+    is the rejection loop `randrange(n)` runs for n > 0, so the tuples are
+    exactly those of one `randrange(n)` per slot; the draws, the rejections
+    and the grouping run at C level (`filter`, `map`, `zip`), lazily, with
+    no Python frame per draw.  Arity 0 gives `samples` empty tuples."""
     if n ** arity <= cap:
         return product(range(n), repeat=arity), True
-    rng = random.Random(tag)
-    return (tuple(rng.randrange(n) for _ in range(arity)) for _ in range(samples)), False
+    if not arity:
+        return repeat((), samples), False
+    draws = filter(n.__gt__, map(random.Random(tag).getrandbits, repeat(n.bit_length())))
+    return islice(zip(*[draws] * arity), samples), False
 
 
 # One spelling per variable, so no two names can assign the same one.
@@ -429,7 +444,7 @@ def _chunks(
     for low in range(0, len(instances), per):
         part = instances[low:low + per]
         lanes = views.get(len(part)) or views.setdefault(len(part), alg.lanes(len(part)))
-        yield low, lanes, {v: lanes.pack([t[k] for t in part]) for k, v in enumerate(names)}
+        yield low, lanes, {v: lanes.pack(map(itemgetter(k), part)) for k, v in enumerate(names)}
 
 
 # One row per law: (postulate name, equation name, element variables, index

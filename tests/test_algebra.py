@@ -1,6 +1,7 @@
 """The bitmask carrier order and the mask operations of `FiniteAlgebra`."""
 
 import gc
+import random
 import weakref
 from itertools import product
 
@@ -348,3 +349,76 @@ def test_each_on_one_lane_is_the_mask_itself():
     alg = UnitAlgebra(CA4_UNIT)
     assert alg.count == 1 and alg.each(0b101) == 0b101
     assert alg.lanes(3).each(0b101) == 0b101 | 0b101 << 8 | 0b101 << 16
+
+
+# Carriers on both sides of the one-byte lane stride: 3 and 7 points take
+# one byte a lane, 8 points two bytes and the 257-point mapped carrier 33.
+CUBE = full_square((0, 1, 2), (0, 1))
+PACK_ALGEBRAS = {
+    "points-3": UnitAlgebra(CA4_UNIT),
+    "points-7": UnitAlgebra(Unit(CUBE.window, CUBE.sequences[1:])),
+    "points-8": UnitAlgebra(CUBE),
+    "mapped-4": MappedUnitAlgebra(4),
+}
+
+
+def per_instance_pack(alg, masks):
+    """The packing as one Python-level `to_bytes` per mask: the reference
+    for `pack`, which runs the same conversion through C-level `map`."""
+    w = alg.stride // 8
+    return int.from_bytes(b"".join([m.to_bytes(w, "little") for m in masks]), "little")
+
+
+def sample_masks(alg, count, seed):
+    rng = random.Random(seed)
+    return [rng.getrandbits(len(alg.labels)) for _ in range(count)]
+
+
+def test_pack_strides():
+    assert [PACK_ALGEBRAS[name].stride for name in sorted(PACK_ALGEBRAS)] == [264, 8, 8, 16]
+
+
+@pytest.mark.parametrize("feed", [list, iter], ids=["list", "iterator"])
+@pytest.mark.parametrize("count", [1, 2, 9])
+@pytest.mark.parametrize("name", sorted(PACK_ALGEBRAS))
+def test_pack_puts_each_mask_in_its_lane(name, count, feed):
+    alg = PACK_ALGEBRAS[name]
+    lanes = alg.lanes(count)
+    masks = sample_masks(alg, count, name)
+    # The full and the empty mask fill and clear a whole lane.
+    masks[0] = alg.top
+    if count > 1:
+        masks[-1] = 0
+    x = lanes.pack(feed(masks))
+    assert x == per_instance_pack(alg, masks) == sum(m << k * alg.stride for k, m in enumerate(masks))
+    assert [lanes.lane(x, k) for k in range(count)] == masks
+
+
+@pytest.mark.parametrize("size", [1, 4, 8, 9, 11])
+@pytest.mark.parametrize("name", sorted(PACK_ALGEBRAS))
+def test_chunks_match_the_per_instance_packing(name, size, monkeypatch):
+    """Four lanes a chunk: 8 instances fill two chunks, 9 and 11 leave a
+    partial last chunk with a view of its own.  Each slot's lane mask is
+    the per-instance packing of that slot over the chunk."""
+    alg = PACK_ALGEBRAS[name]
+    monkeypatch.setattr(semantics, "_LANE_BITS", 4 * alg.stride)
+    instances = list(zip(*[iter(sample_masks(alg, 3 * size, size))] * 3))
+    views = {}
+    chunks = list(semantics._chunks(alg, instances, range(3), views))
+    assert [low for low, _, _ in chunks] == list(range(0, size, 4))
+    for low, lanes, masks in chunks:
+        part = instances[low:low + 4]
+        assert lanes.count == len(part) and views[len(part)] is lanes
+        assert masks == {k: per_instance_pack(alg, [t[k] for t in part]) for k in range(3)}
+        assert [[lanes.lane(masks[k], lane) for k in range(3)] for lane in range(len(part))] == list(map(list, part))
+
+
+def test_chunks_at_the_lane_cap():
+    """The mapped witness's 1,000 sampled subsets on its 257-point carrier:
+    992 lanes fit in `_LANE_BITS`, so a full chunk and a partial one of 8."""
+    alg = MappedUnitAlgebra(4)
+    instances = [(m,) for m in sample_masks(alg, 1000, 4)]
+    chunks = list(semantics._chunks(alg, instances, "x", {}))
+    assert [(low, lanes.count) for low, lanes, _ in chunks] == [(0, 992), (992, 8)]
+    for low, lanes, masks in chunks:
+        assert masks == {"x": per_instance_pack(alg, [m for m, in instances[low:low + lanes.count]])}

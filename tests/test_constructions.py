@@ -26,6 +26,7 @@ from cylset.constructions import (
     zero_dim_check,
 )
 from cylset.semantics import (
+    FiniteAlgebra,
     MappedUnitAlgebra,
     SearchBounds,
     UnitAlgebra,
@@ -491,6 +492,24 @@ class TestRefuteTwins:
         alg = TWIN_ALGEBRAS[name]
         for i in (0, 1):
             assert _cylinder_table(alg, i) == [alg.cyl_mask(i, m) for m in range(alg.top + 1)]
+
+    @pytest.mark.parametrize("v", _gs2_units(3), ids=_gs2_name)
+    def test_cylinder_table_is_the_per_point_definition(self, v):
+        """Each one-point mask's cylinder from `cyl_mask`, any other mask's
+        the OR of its points' cylinders; `cyl_mask` runs once per class."""
+        # An algebra of its own, not the cached one, so that its `cyl_mask`
+        # can count calls.
+        alg = FiniteAlgebra(v.sequences, v.window, [f.values for f in v])
+        calls = []
+        alg.cyl_mask = lambda i, x: calls.append(x) or FiniteAlgebra.cyl_mask(alg, i, x)
+        for i in (0, 1):
+            per_point = [FiniteAlgebra.cyl_mask(alg, i, 1 << k) for k in range(len(v))]
+            definition = [0] * (alg.top + 1)
+            for m in range(1, alg.top + 1):
+                definition[m] = definition[m & m - 1] | per_point[(m & -m).bit_length() - 1]
+            calls.clear()
+            assert _cylinder_table(alg, i) == definition
+            assert len(calls) == len(set(per_point))
 
     @pytest.mark.parametrize("name", sorted(TWIN_ALGEBRAS))
     def test_pairs_match_brute_force(self, name, brute_twins):

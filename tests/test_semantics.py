@@ -20,6 +20,7 @@ from cylset.semantics import (
     evaluation_from_dict,
     evaluation_to_dict,
     satisfies,
+    witness_to_dict,
 )
 from cylset.terms import (
     And,
@@ -321,11 +322,49 @@ class TestCoverage:
         tuples, full = _cover(5, 0, 1, 3, "t")
         assert full and list(tuples) == [()]
 
+    @staticmethod
+    def randrange_cover(n, arity, samples, tag):
+        """The definition of the sampled tuples: one `randrange(n)` per slot
+        of `random.Random(tag)`, slot by slot and tuple by tuple."""
+        rng = random.Random(tag)
+        return [tuple(rng.randrange(n) for _ in range(arity)) for _ in range(samples)]
+
     def test_seeded_samples_past_the_cap(self):
         tuples, full = _cover(5, 2, 24, 3, "t")
-        rng = random.Random("t")
         assert not full
-        assert list(tuples) == [(rng.randrange(5), rng.randrange(5)) for _ in range(3)]
+        assert list(tuples) == self.randrange_cover(5, 2, 3, "t")
+
+    @pytest.mark.parametrize("samples", [0, 1, 500])
+    @pytest.mark.parametrize("arity", [0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "n",
+        [1, 3, 5, 6, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 1 << 257, 3 ** 50],
+        ids=["1", "3", "5", "6", "2^16-1", "2^16", "2^16+1", "2^257", "3^50"],
+    )
+    def test_samples_are_one_randrange_per_slot(self, n, arity, samples):
+        """The C-level rejection stream gives the tuples `randrange` gives,
+        for one value, non-powers of two, powers of two and either side of
+        one, and values wider than a machine word."""
+        for tag in ("t", "subsets:0", "validity:3:17"):
+            tuples, full = _cover(n, arity, n ** arity - 1, samples, tag)
+            assert not full
+            assert list(tuples) == self.randrange_cover(n, arity, samples, tag)
+
+    def test_sampled_validity_counterexample_is_pinned(self):
+        """A counterexample from sampled tuples, recorded while `_cover`
+        made one `randrange` call per slot: its evaluation is the drawn
+        tuple that separates the sides, so it pins the stream as well as
+        the counts."""
+        result = bounded_validity(
+            parse_term("c0 c1 x0 . x1"), parse_term("c1 c0 x0 . x1"), ClassTag.CRS, SearchBounds(2, 3, 9, 16),
+            m=3, seed=7,
+        )
+        assert (result.units_checked, result.evaluations_checked, result.exhaustive) == (48, 673, False)
+        assert witness_to_dict(result.counterexample) == {
+            "unit": {"window": [0, 1], "sequences": [[0, 0], [0, 1], [1, 0]]},
+            "focus": [1, 0],
+            "evaluation": {"x0": [1], "x1": [1, 2], "x2": [0, 1, 2]},
+        }
 
     def test_eq_laws_check_every_pair_on_six_sequences(self):
         # Eq3 and Eq4 range over all 64^2 pairs, for each of the 3 indices.
