@@ -160,6 +160,8 @@ def _cmd_check_eqs(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    if args.pivot is not None and args.mode != "diag":
+        raise ValueError("--pivot applies only to --mode diag")
     v = _load_unit(args.unit)
     tau = terms.parse_term(args.term)
     iota = _parse_assignments(v, args.assign)
@@ -175,7 +177,7 @@ def _cmd_split(args) -> int:
     focus = min(sat) if args.focus is None else v.sequences[args.focus]
     try:
         if args.mode == "diag":
-            cert = constructions.split_atom_diag(v, focus, iota, tau, pivot=args.pivot)
+            cert = constructions.split_atom_diag(v, focus, iota, tau, pivot=args.pivot or 0)
         else:
             cert = constructions.split_any_crs(v, focus, iota, tau)
     except (ValueError, RuntimeError) as err:
@@ -235,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def floors(p, *rows):
-        """Record, per command, count flags as (dest, flag, least value)."""
+        """Record, per command, count flags as (dest, flag, least value); a
+        flag left at None is not checked."""
         p.set_defaults(floors=p.get_default("floors") + rows)
 
     def common(p, unit=False, term=False, assign=False, sampled=False):
@@ -258,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse", help="parse a term and echo its normal rendering")
     common(p, term=True)
     p.add_argument("--vars", type=int, default=None, help="generator count bound for variables")
+    floors(p, ("vars", "--vars", 0))
     p.set_defaults(func=_cmd_parse)
 
     p = sub.add_parser("eval", help="evaluate a term in the algebra over a unit")
@@ -293,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, unit=True, term=True, assign=True)
     p.add_argument("--mode", choices=("diag", "crs"), default="diag")
     p.add_argument("--focus", type=int, default=None, help="focus sequence position (default: least satisfying)")
-    p.add_argument("--pivot", type=int, choices=(0, 1), default=0, help="the outer cylindrification pivot (diag mode)")
+    p.add_argument("--pivot", type=int, choices=(0, 1), default=None,
+                   help="the outer cylindrification pivot, 0 by default (diag mode only)")
     p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("verify", help="re-check a certificate from the JSON that split --json prints")
@@ -315,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--suite", default="all", help="suite name or 'all'")
     p.add_argument("--max-base", type=int, default=constructions.TWIN_MAX_BASE)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seed of the mapped-witness suite's sampled subsets")
     p.set_defaults(func=_cmd_replicate)
 
     return parser
@@ -326,8 +331,9 @@ def main(argv: list[str] | None = None) -> int:
     out = io.StringIO()
     try:
         for dest, flag, floor in args.floors:
-            if getattr(args, dest) < floor:
-                raise ValueError(f"{flag} must be at least {floor}, got {getattr(args, dest)}")
+            value = getattr(args, dest)
+            if value is not None and value < floor:
+                raise ValueError(f"{flag} must be at least {floor}, got {value}")
         with contextlib.redirect_stdout(out):
             code = args.func(args)
     except ValueError as err:

@@ -20,6 +20,7 @@ from .terms import (
     Var,
     all_choice_functions,
     atom_term,
+    check_choice,
     conj,
     escape_term,
     guarded_term,
@@ -238,13 +239,17 @@ def zero_dim_check(
     workers: int = 1,
 ) -> CheckReport:
     """Bounded search for a unit separating the (0,1)- and (i,j)-guarded
-    signed generator products; `workers` is accepted for existing callers
-    and unused."""
+    signed generator products; for m >= 1 the (0,1) side is `atom_term(m, q)`.
+    m = 0 with q = () compares the guards alone, and that decides the search
+    for every m and q: the guards are variable-free, and where they differ
+    the evaluation that gives x_k all of the unit when q_k = +1, and none of
+    it otherwise, separates the products.  `workers` is accepted for
+    existing callers and unused."""
     if i == j:
         raise ValueError("guard indices must differ")
-    q = tuple(q)
-    lhs = atom_term(m, q)
-    rhs = conj([signed_var(k, q[k]) for k in range(m)] + [Not(escape_term(i, j))])
+    literals = [signed_var(k, s) for k, s in enumerate(check_choice(m, q))]
+    lhs = conj(literals + [Not(escape_term(0, 1))])
+    rhs = conj(literals + [Not(escape_term(i, j))])
     result = bounded_validity(lhs, rhs, tag, bounds, m=m, seed=seed)
     report = CheckReport(
         checked=result.evaluations_checked,
@@ -728,19 +733,13 @@ def suite_separation() -> CheckReport:
     return report
 
 
-def suite_zero_dim(seed: int = 0) -> CheckReport:
+def suite_zero_dim() -> CheckReport:
     # Base 2 is degenerate for D: the closure of a non-constant sequence is
     # the whole square.  Base 3 with all 81 sequences of the window-4 square
     # reaches the D units that hold non-constant sequences.
-    bounds = SearchBounds(window_size=4, base_size=3, max_seqs=81, max_eval_subsets=4096)
-    report = CheckReport()
-    for m in (1, 2):
-        for q in all_choice_functions(m):
-            report.merge(zero_dim_check(m, q, 2, 3, bounds, ClassTag.D, seed))
-    # The same search over arbitrary units must separate the two guards.  At
-    # base 3 Crs units exceed MAX_UNITS, so this one stays at base 2.
-    crs_bounds = SearchBounds(window_size=4, base_size=2, max_seqs=4, max_eval_subsets=16)
-    crs = zero_dim_check(1, (1,), 2, 3, crs_bounds, ClassTag.CRS, seed)
+    report = zero_dim_check(0, (), 2, 3, SearchBounds(4, 3, 81), ClassTag.D)
+    # Arbitrary units must separate the guards; base 3 Crs is over MAX_UNITS.
+    crs = zero_dim_check(0, (), 2, 3, SearchBounds(4, 2, 4), ClassTag.CRS)
     report.count(crs.checked)
     if crs.ok:
         report.fail("expected-crs-counterexample-missing")
@@ -799,7 +798,7 @@ def suite_equations() -> CheckReport:
 
 REPLICATION_SUITES: dict[str, Callable[..., CheckReport]] = {
     "separation": lambda **kw: suite_separation(),
-    "zero-dim": lambda **kw: suite_zero_dim(seed=kw.get("seed", 0)),
+    "zero-dim": lambda **kw: suite_zero_dim(),
     "split-diag": lambda **kw: suite_split_diag(),
     "split-crs": lambda **kw: suite_split_crs(),
     "mapped-witness": lambda **kw: suite_mapped_witness(seed=kw.get("seed", 0)),

@@ -282,7 +282,7 @@ def all_choice_functions(m: int) -> list[ChoiceFunction]:
     return [q for q in product((1, -1), repeat=m)]
 
 
-def _check_choice(m: int, q: Seq[int]) -> ChoiceFunction:
+def check_choice(m: int, q: Seq[int]) -> ChoiceFunction:
     q = tuple(q)
     if len(q) != m or any(s not in (1, -1) for s in q):
         raise ValueError(f"choice function must map all of 0..{m - 1} to +1/-1, got {q}")
@@ -314,15 +314,16 @@ def atom_term(m: int, q: Seq[int]) -> Term:
     For infinite alpha, the paper shows that these 2^m terms give all the
     atoms of the m-generated free D_alpha and G_alpha algebras.  What cylset
     shows is narrower: `separation_suite` checks that they are nonzero and
-    pairwise separated, and `zero_dim_check` searches bounded D units for a
-    point where the guard -c0 -d01 and a guard -c_i -d_ij over two other
-    indices disagree below them.  Minimality is not checked, and over a
-    two-index window it fails: there -c0 -d01 does not force -c1 -d01, so
-    c1 -d01 splits x0 . -c0 -d01 between D units over window {0, 1}.
+    pairwise separated, and `zero_dim_check` compares the guard -c0 -d01
+    with a guard -c_i -d_ij over two other indices on every bounded D unit,
+    which decides whether any evaluation separates them below these terms.
+    Minimality is not checked, and over a two-index window it fails: there
+    -c0 -d01 does not force -c1 -d01, so c1 -d01 splits x0 . -c0 -d01
+    between D units over window {0, 1}.
     """
     if m < 1:
         raise ValueError("atom terms need at least one generator (m >= 1)")
-    q = _check_choice(m, q)
+    q = check_choice(m, q)
     literals = [signed_var(k, q[k]) for k in range(m)]
     return conj(literals + [Not(escape_term(0, 1))])
 

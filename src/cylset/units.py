@@ -454,7 +454,17 @@ def enumerate_units(
 
     seqs = full_square(w, range(base_size)).sequences
     bit = {f: k for k, f in enumerate(seqs)}
-    closures = [sum(1 << bit[g] for g in closure(Unit(w, (f,)), tag)) for f in seqs]
+    # A closure lies inside every unit that holds its sequence, so a
+    # sequence whose closure has more than `limit` members is in no unit
+    # kept and is skipped before its closure is built.  The size depends
+    # on the range alone: the closed-form count, plus the member itself
+    # when it is injective under D.
+    ranges = [frozenset(f.values) for f in seqs]
+    fits = {
+        r: _forced(tag, len(w), r, limit)[0] + (tag is ClassTag.D and len(r) == len(w)) <= limit
+        for r in set(ranges)
+    }
+    closures = [sum(1 << bit[g] for g in closure(Unit(w, (f,)), tag)) for f, r in zip(seqs, ranges) if fits[r]]
     closed = sorted((m.bit_count(), bit_positions(m)) for m in _closed_masks(closures, limit))
     for _, positions in closed:
         u = Unit(w, tuple(seqs[k] for k in positions))

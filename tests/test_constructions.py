@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from itertools import chain, product
 
 import pytest
 
@@ -37,15 +38,18 @@ from cylset.semantics import (
 )
 from cylset.terms import (
     And,
+    Not,
     Var,
     all_choice_functions,
     atom_term,
+    conj,
     escape_term,
     guarded_term,
     guarded_twin_term,
     index_set,
     parse_term,
     render_term,
+    signed_var,
     subterms,
 )
 from cylset.units import (
@@ -128,6 +132,54 @@ class TestZeroDimCheck:
     def test_equal_indices_rejected(self):
         with pytest.raises(ValueError):
             zero_dim_check(1, (1,), 2, 2, BOUNDS)
+
+    def test_guards_alone_clean_and_exhaustive_on_d_units(self):
+        report = zero_dim_check(0, (), 2, 3, SearchBounds(4, 3, 81), ClassTag.D)
+        assert report.ok and report.exhaustive
+        # One empty evaluation for each of the 19 units.
+        assert report.checked == 19
+        assert "19 searched, 11 with a non-constant sequence, 0 not G" in report.notes
+
+    def test_guards_alone_separate_on_crs_units(self):
+        report = zero_dim_check(0, (), 2, 3, SearchBounds(4, 2, 4), ClassTag.CRS)
+        assert not report.ok and report.exhaustive
+        witness = report.failures[0].witness
+        assert (witness["lhs"], witness["rhs"], witness["evaluation"]) == ("-c0 -d01", "-c2 -d23", {})
+        v = unit_from_dict(witness["unit"])
+        focus = seq(v.window, witness["focus"])
+        lhs, rhs = parse_term(witness["lhs"]), parse_term(witness["rhs"])
+        assert satisfies(v, focus, {}, lhs) != satisfies(v, focus, {}, rhs)
+
+    @pytest.mark.parametrize("m,q", [(0, (1,)), (1, ()), (2, (1,)), (1, (0,))])
+    def test_choice_function_must_fit_m(self, m, q):
+        with pytest.raises(ValueError, match="choice function"):
+            zero_dim_check(m, q, 2, 3, BOUNDS)
+
+    def test_guard_comparison_decides_every_signed_search(self):
+        """On every D unit over window 4, base 3 and every Crs unit over
+        window 4, base 2, each with at most 3 sequences, and for m in {1, 2}
+        and every q, some evaluation separates the two guarded products
+        exactly when the variable-free guards differ: 4,230 (unit, q) pairs,
+        3,264 of them with differing guards."""
+        g01, g23 = Not(escape_term(0, 1)), Not(escape_term(2, 3))
+        units = chain(enumerate_units(range(4), 3, 3, ClassTag.D), enumerate_units(range(4), 2, 3, ClassTag.CRS))
+        pairs = differing = 0
+        for v in units:
+            alg = UnitAlgebra(v)
+            guards_differ = evaluate_masks(alg, g01, {}) != evaluate_masks(alg, g23, {})
+            for m in (1, 2):
+                evals = list(product(range(1 << len(v)), repeat=m))
+                lanes = alg.lanes(len(evals))
+                masks = {k: lanes.pack(e[k] for e in evals) for k in range(m)}
+                for q in all_choice_functions(m):
+                    literals = [signed_var(k, s) for k, s in enumerate(q)]
+                    lhs, rhs = conj(literals + [g01]), conj(literals + [g23])
+                    assert lhs == atom_term(m, q)
+                    separated = evaluate_masks(lanes, lhs, masks) != evaluate_masks(lanes, rhs, masks)
+                    assert separated == guards_differ, (v, q)
+                    pairs += 1
+                    differing += guards_differ
+        assert (pairs, differing) == (4230, 3264)
 
 
 class TestSplitAtomDiag:

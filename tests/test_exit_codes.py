@@ -305,6 +305,10 @@ USAGE_ERRORS = [
      "check-axioms takes only one of --unit, --mapped, --class; got --unit, --mapped, --class"),
     (["check-eqs", "--class", "crs", "--unit", "{unit}"],
      "check-eqs takes only one of --unit, --class; got --unit, --class"),
+    # A flag that the command would ignore is refused, not ignored.
+    (["split", "--unit", "{unit}", "--term", "x0", "--assign", "x0=[0]", "--mode", "crs", "--pivot", "1"],
+     "--pivot applies only to --mode diag"),
+    (["parse", "--term", "x0", "--vars", "-1"], "--vars must be at least 0, got -1"),
 ]
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -330,6 +331,17 @@ class TestEnumeration:
         b = list(enumerate_units((0, 1), 2, 16, ClassTag.D))
         assert a == b
         assert len(a) == len(set(a))
+
+    @pytest.mark.parametrize("tag", [ClassTag.D, ClassTag.G, ClassTag.GS])
+    def test_wide_square_skips_closures_over_the_size_cap(self, tag):
+        """The window-16 square has 65,536 sequences, and the closure of
+        each non-constant one holds more than 3; those closures are counted
+        in closed form and never built, so only the constants remain."""
+        start = time.perf_counter()
+        got = list(enumerate_units(range(16), 2, 3, tag))
+        assert time.perf_counter() - start < 20.0
+        zeros, ones = (0,) * 16, (1,) * 16
+        assert got == [unit(range(16), rows) for rows in ([], [zeros], [ones], [zeros, ones])]
 
     def test_singletons_require_diagonal_closure(self):
         for v in enumerate_units((0, 1), 2, 1, ClassTag.D):
