@@ -41,6 +41,7 @@ from .units import (
     add_sequence,
     base,
     bit_positions,
+    classify,
     disjoint_squares_unit,
     enumerate_units,
     eqv_gamma,
@@ -61,7 +62,6 @@ from .semantics import (
     SearchBounds,
     UnitAlgebra,
     Witness,
-    bounded_validity,
     check_ca_axioms,
     check_eq_laws,
     evaluate,
@@ -238,34 +238,54 @@ def zero_dim_check(
     seed: int = 0,
     workers: int = 1,
 ) -> CheckReport:
-    """Bounded search for a unit separating the (0,1)- and (i,j)-guarded
-    signed generator products; for m >= 1 the (0,1) side is `atom_term(m, q)`.
-    m = 0 with q = () compares the guards alone, and that decides the search
-    for every m and q: the guards are variable-free, and where they differ
-    the evaluation that gives x_k all of the unit when q_k = +1, and none of
-    it otherwise, separates the products.  `workers` is accepted for
-    existing callers and unused."""
+    """Search the tagged units within bounds for one where the (0,1)- and
+    (i,j)-guarded signed generator products differ; for m >= 1 the (0,1)
+    side is `atom_term(m, q)`, and m = 0 with q = () compares the guards
+    alone.
+
+    The guards are variable-free, so each unit is decided by evaluating
+    them once: where they differ, the evaluation that gives x_k all of the
+    unit when q_k = +1, and none of it otherwise, separates the products at
+    the least differing point, and where they agree nothing can.  The
+    search stops at the first such unit; `checked` counts the units
+    evaluated, and every unit is decided exactly.  `seed` and `workers` are
+    accepted for existing callers and unused."""
     if i == j:
         raise ValueError("guard indices must differ")
-    literals = [signed_var(k, s) for k, s in enumerate(check_choice(m, q))]
-    lhs = conj(literals + [Not(escape_term(0, 1))])
-    rhs = conj(literals + [Not(escape_term(i, j))])
-    result = bounded_validity(lhs, rhs, tag, bounds, m=m, seed=seed)
+    q = check_choice(m, q)
+    g01, gij = Not(escape_term(0, 1)), Not(escape_term(i, j))
+    checked = nonconstant = non_g = 0
+    counterexample = None
+    if gij != g01:
+        window = range(bounds.window_size)
+        outside = {0, 1, i, j} - set(window)
+        if outside:
+            raise ValueError(f"terms mention indices {sorted(outside)} beyond the window bound")
+        for v in enumerate_units(window, bounds.base_size, bounds.max_seqs, tag):
+            checked += 1
+            nonconstant += any(len(f.range_values()) > 1 for f in v)
+            non_g += ClassTag.G not in classify(v)
+            alg = UnitAlgebra(v)
+            diff = evaluate_masks(alg, g01, {}) ^ evaluate_masks(alg, gij, {})
+            if diff:
+                every = v.as_set()
+                iota = {k: every if s == 1 else frozenset() for k, s in enumerate(q)}
+                counterexample = Witness(v, v.sequences[(diff & -diff).bit_length() - 1], iota)
+                break
     report = CheckReport(
-        checked=result.evaluations_checked,
-        exhaustive=result.exhaustive,
+        checked=checked,
         notes=f"{tag.value}-tagged units, window {bounds.window_size}, "
         f"base {bounds.base_size}, <= {bounds.max_seqs} sequences: "
-        f"{result.units_checked} searched, {result.nonconstant_units} with a non-constant sequence, "
-        f"{result.non_g_units} not G; "
+        f"{checked} searched, {nonconstant} with a non-constant sequence, {non_g} not G; "
         "exhaustion within bounds is not a validity proof",
     )
-    if result.found:
+    if counterexample is not None:
+        literals = [signed_var(k, s) for k, s in enumerate(q)]
         report.fail(
             "guard-swap-separation",
-            **witness_to_dict(result.counterexample),
-            lhs=render_term(lhs),
-            rhs=render_term(rhs),
+            **witness_to_dict(counterexample),
+            lhs=render_term(conj(literals + [g01])),
+            rhs=render_term(conj(literals + [gij])),
         )
     return report
 

@@ -9,20 +9,18 @@ and the checkers take and return masks.  Frozensets of sequences appear
 only where units and evaluations enter or leave: `evaluate`, `satisfies`,
 the evaluation JSON codec, and `FiniteAlgebra.mask`/`subset`.  The
 postulate and equation checkers share one law table.  One rule, `_cover`,
-picks the instances of every check: the laws' subsets and pairs of subsets,
-and the evaluations of `bounded_validity`.  A check visits all instances
-when there are at most a cap of them, else seeded samples, at most
-MAX_UNITS, and reports `exhaustive` only in the first case.  A sampled
-slot is the first `getrandbits(n.bit_length())` value below n of a
+picks the checker's instances, its subsets and pairs of subsets.  It visits
+all of them when there are at most a cap of them, else seeded samples, at
+most MAX_UNITS, and the report says `exhaustive` only in the first case.  A
+sampled slot is the first `getrandbits(n.bit_length())` value below n of a
 generator seeded with the check's tag: the rejection loop of
 `randrange(n)`, so the samples are those of one `randrange(n)` per slot,
-drawn at C level.  Both the law checker and the validity search pack their
-covered instances side by side (bitslicing) into the masks of a lane view,
-`FiniteAlgebra.lanes(count)`, an algebra whose lane l holds instance l, a
-chunk of at most `_LANE_BITS` bits a mask at a time, and evaluate each law
-or term once per chunk over all of them with `evaluate_masks`, which
-dispatches on the exact type of each term node inside the one function, so
-a node costs one Python call.
+drawn at C level.  The checker packs its covered instances side by side
+(bitslicing) into the masks of a lane view, `FiniteAlgebra.lanes(count)`,
+an algebra whose lane l holds instance l, a chunk of at most `_LANE_BITS`
+bits a mask at a time, and evaluates each law once per chunk over all of
+them.  `evaluate_masks` dispatches on the exact type of each term node
+inside the one function, so a node costs one Python call.
 Every check is a refuter over finite models, never a prover.
 """
 
@@ -37,14 +35,14 @@ from functools import lru_cache
 from itertools import islice, product, repeat
 from operator import itemgetter
 
-from .terms import And, Cyl, Diag, Not, One, Or, Term, Var, Zero, index_set, variables
-from .units import MAX_UNITS, ClassTag, Sequence, Unit, bit_positions, classify, enumerate_units, unit_to_dict
+from .terms import And, Cyl, Diag, Not, One, Or, Term, Var, Zero
+from .units import MAX_UNITS, Sequence, Unit, bit_positions, unit_to_dict
 
 # Variable index -> subset of the carrier.
 Evaluation = dict[int, frozenset]
 
-# The law checkers visit every instance when there are at most this many,
-# and seeded samples otherwise; SearchBounds caps evaluations here by default.
+# The law checker visits every instance when there are at most this many,
+# and seeded samples otherwise.
 COVER_CAP = 4096
 
 # The most bits one lane mask may hold, so that memory stays bounded whatever
@@ -564,93 +562,16 @@ def check_eq_laws(v: Unit, samples: int = 64, seed: int = 0) -> CheckReport:
     return _check_laws(UnitAlgebra(v), _EQ_LAWS, samples, seed, "equations")
 
 
-# --- bounded validity search ---------------------------------------------
+# --- search bounds -------------------------------------------------------
 
 @dataclass(frozen=True)
 class SearchBounds:
+    """The units `zero_dim_check` compares its guards on: those over window
+    {0..window_size-1} and base {0..base_size-1} with at most `max_seqs`
+    sequences.  `max_eval_subsets` is kept for existing callers and unused:
+    one comparison of the variable-free guards decides each unit."""
+
     window_size: int
     base_size: int
     max_seqs: int
     max_eval_subsets: int = COVER_CAP
-
-
-@dataclass
-class ValidityResult:
-    counterexample: Witness | None
-    exhaustive: bool
-    units_checked: int
-    evaluations_checked: int
-    # How many of the units checked hold a sequence that is not constant,
-    # and how many are not G.
-    nonconstant_units: int
-    non_g_units: int
-
-    @property
-    def found(self) -> bool:
-        return self.counterexample is not None
-
-
-def bounded_validity(
-    lhs: Term,
-    rhs: Term,
-    tag: ClassTag,
-    bounds: SearchBounds,
-    m: int | None = None,
-    seed: int = 0,
-) -> ValidityResult:
-    """Search tagged units within bounds for a point separating lhs from rhs.
-
-    Returns the least counterexample in enumeration order, or reports the
-    search space exhausted.  Each unit checks every m-tuple of its subsets
-    when there are at most `max_eval_subsets` of them, else that many seeded
-    tuples; `exhaustive` says whether every unit had all of its tuples
-    checked.  Exhaustion within bounds is not a validity proof.
-
-    Each side is evaluated once per chunk of a unit's tuples (`_chunks`),
-    on lane masks that hold the whole chunk; the first chunk with a
-    separating tuple stops the search, and the lane of that tuple, the
-    least, names the least separating point.  `evaluations_checked` counts
-    the tuples up to and including it.
-    Raises ValueError if `max_eval_subsets` is over MAX_UNITS.
-    """
-    if bounds.max_eval_subsets > MAX_UNITS:
-        raise ValueError(f"max_eval_subsets must be at most {MAX_UNITS}, got {bounds.max_eval_subsets}")
-    if lhs == rhs:
-        return ValidityResult(None, True, 0, 0, 0, 0)
-    window = tuple(range(bounds.window_size))
-    outside = (index_set(lhs) | index_set(rhs)) - set(window)
-    if outside:
-        raise ValueError(f"terms mention indices {sorted(outside)} beyond the window bound")
-    used = variables(lhs) | variables(rhs)
-    if m is None:
-        m = 1 + max(used, default=-1)
-    unassigned = used - set(range(m))
-    if unassigned:
-        raise ValueError(f"unassigned variables {sorted(unassigned)}")
-
-    units = list(enumerate_units(window, bounds.base_size, bounds.max_seqs, tag))
-    cap = bounds.max_eval_subsets
-    n_evals = 0
-    exhaustive = True
-    for idx, v in enumerate(units):
-        alg = UnitAlgebra(v)
-        evals, full = _cover(1 << len(v), m, cap, cap, f"validity:{seed}:{idx}")
-        evals = list(evals)
-        exhaustive = exhaustive and full
-        for low, lanes, masks in _chunks(alg, evals, range(m), {}):
-            diff = evaluate_masks(lanes, lhs, masks) ^ evaluate_masks(lanes, rhs, masks)
-            failing = lanes.failing(diff)
-            if failing:
-                first = low + failing[0]
-                diff = lanes.lane(diff, failing[0])
-                focus = v.sequences[(diff & -diff).bit_length() - 1]
-                ce = Witness(v, focus, {k: alg.subset(mask) for k, mask in enumerate(evals[first])})
-                return ValidityResult(ce, exhaustive, idx + 1, n_evals + first + 1, *_ground(units[:idx + 1]))
-        n_evals += len(evals)
-    return ValidityResult(None, exhaustive, len(units), n_evals, *_ground(units))
-
-
-def _ground(units: list[Unit]) -> tuple[int, int]:
-    """How many of `units` hold a non-constant sequence, and how many are not G."""
-    return (sum(any(len(f.range_values()) > 1 for f in v) for v in units),
-            sum(ClassTag.G not in classify(v) for v in units))

@@ -315,8 +315,9 @@ def atom_term(m: int, q: Seq[int]) -> Term:
     atoms of the m-generated free D_alpha and G_alpha algebras.  What cylset
     shows is narrower: `separation_suite` checks that they are nonzero and
     pairwise separated, and `zero_dim_check` compares the guard -c0 -d01
-    with a guard -c_i -d_ij over two other indices on every bounded D unit,
-    which decides whether any evaluation separates them below these terms.
+    with a guard -c_i -d_ij over two other indices once on each bounded D
+    unit; that one comparison decides, for every m and q, whether any
+    evaluation separates the two guarded products.
     Minimality is not checked, and over a two-index window it fails: there
     -c0 -d01 does not force -c1 -d01, so c1 -d01 splits x0 . -c0 -d01
     between D units over window {0, 1}.

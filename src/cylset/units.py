@@ -216,9 +216,8 @@ def unit(window: Iterable[int], seqs: Iterable[Iterable[int]]) -> Unit:
 
 def full_square(window: Iterable[int], base: Iterable[int]) -> Unit:
     """All functions from the window into the base."""
-    w = tuple(sorted(window))
-    b = sorted(set(base))
-    return Unit(w, tuple(sorted(Sequence(w, vals) for vals in product(b, repeat=len(w)))))
+    w = sorted(window)
+    return unit(w, product(sorted(set(base)), repeat=len(w)))
 
 
 def base(v: Unit) -> frozenset[int]:

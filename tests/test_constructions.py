@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from itertools import chain, product
 
@@ -116,6 +117,9 @@ class TestZeroDimCheck:
     def test_crs_units_separate_guards(self):
         report = zero_dim_check(1, (1,), 2, 3, BOUNDS, ClassTag.CRS)
         assert not report.ok
+        # The search stops at the third unit, the first that separates them.
+        assert report.checked == 3
+        assert "3 searched, 1 with a non-constant sequence, 1 not G" in report.notes
         witness = report.failures[0].witness
         assert witness["lhs"] == "x0 . -c0 -d01"
         # The failure alone re-checks: its point separates the two sides.
@@ -132,6 +136,34 @@ class TestZeroDimCheck:
     def test_equal_indices_rejected(self):
         with pytest.raises(ValueError):
             zero_dim_check(1, (1,), 2, 2, BOUNDS)
+
+    @pytest.mark.parametrize("i,j,window_size,outside", [(2, 5, 4, "[5]"), (2, 3, 1, "[1, 2, 3]")])
+    def test_window_bound_enforced(self, i, j, window_size, outside):
+        with pytest.raises(ValueError, match=re.escape(f"terms mention indices {outside} beyond the window bound")):
+            zero_dim_check(1, (1,), i, j, SearchBounds(window_size, 2, 4, 16), ClassTag.CRS)
+
+    @pytest.mark.parametrize("bounds,tag", [(BOUNDS, ClassTag.D), (BOUNDS, ClassTag.CRS), (SearchBounds(4, 3, 81), ClassTag.D)])
+    def test_every_signed_search_reports_as_the_guards_do(self, bounds, tag):
+        """For every m and q the report is the m = 0 report: the same units
+        searched, and the same failing unit and focus, with an all-or-none
+        evaluation that separates the products there."""
+        guards = zero_dim_check(0, (), 2, 3, bounds, tag)
+        for m in (0, 1, 2):
+            for q in all_choice_functions(m):
+                report = zero_dim_check(m, q, 2, 3, bounds, tag)
+                assert (report.checked, report.exhaustive, report.notes) == (guards.checked, True, guards.notes)
+                assert len(report.failures) == len(guards.failures)
+                if not report.failures:
+                    continue
+                witness, expected = report.failures[0].witness, guards.failures[0].witness
+                assert (witness["unit"], witness["focus"]) == (expected["unit"], expected["focus"])
+                v = unit_from_dict(witness["unit"])
+                everything = list(range(len(v)))
+                assert witness["evaluation"] == {f"x{k}": everything if s == 1 else [] for k, s in enumerate(q)}
+                focus = seq(v.window, witness["focus"])
+                iota = evaluation_from_dict(v, witness["evaluation"])
+                lhs, rhs = parse_term(witness["lhs"]), parse_term(witness["rhs"])
+                assert satisfies(v, focus, iota, lhs) != satisfies(v, focus, iota, rhs)
 
     def test_guards_alone_clean_and_exhaustive_on_d_units(self):
         report = zero_dim_check(0, (), 2, 3, SearchBounds(4, 3, 81), ClassTag.D)
@@ -593,11 +625,12 @@ class TestRefuteTwins:
 
 
 def test_unused_workers_argument_matches_benchmark_calls():
-    """The calls `perfbench/workloads.py` makes still run, and `workers` changes nothing."""
+    """The calls `perfbench/workloads.py` makes still run, and `workers` and `seed` change nothing."""
     bounds = SearchBounds(window_size=4, base_size=2, max_seqs=16, max_eval_subsets=4096)
     search = zero_dim_check(2, (1, -1), 2, 3, bounds, ClassTag.D, seed=1, workers=1)
-    assert search.ok and search.checked > 0
-    assert search == zero_dim_check(2, (1, -1), 2, 3, bounds, ClassTag.D, seed=1)
+    # One guard comparison on each of the 5 D units; the seed is unused too.
+    assert search.ok and search.exhaustive and search.checked == 5
+    assert search == zero_dim_check(2, (1, -1), 2, 3, bounds, ClassTag.D, seed=2)
     twins = refute_twins_in_gs2(max_base=3, workers=1)
     assert twins.ok and twins.checked > 0
     assert twins == refute_twins_in_gs2(3)

@@ -22,9 +22,7 @@ from cylset.constructions import (
 )
 from cylset.semantics import (
     MappedUnitAlgebra,
-    SearchBounds,
     UnitAlgebra,
-    bounded_validity,
     check_ca_axioms,
     check_eq_laws,
     evaluate,
@@ -206,20 +204,6 @@ class TestCertificateFields:
 def test_evaluation_rejects_positions_outside_the_unit(position):
     with pytest.raises(ValueError, match=r"x0 lists a position outside 0\.\.3"):
         evaluation_from_dict(SQ22, {"x0": [0, position]})
-
-
-def test_bounded_validity_rejects_too_few_variables():
-    with pytest.raises(ValueError, match="unassigned"):
-        bounded_validity(parse_term("x1"), parse_term("x0"), ClassTag.CRS, SearchBounds(2, 2, 2, 16), m=1)
-
-
-def test_bounded_validity_caps_evaluations_per_unit():
-    """A unit's evaluations are held in a list, so their count has the
-    ceiling that `--samples` has."""
-    with pytest.raises(ValueError, match=f"max_eval_subsets must be at most {MAX_UNITS}, got {MAX_UNITS + 1}"):
-        bounded_validity(parse_term("x0"), parse_term("x0 . 1"), ClassTag.CRS, SearchBounds(1, 1, 1, MAX_UNITS + 1))
-    result = bounded_validity(parse_term("x0"), parse_term("x0 . 1"), ClassTag.CRS, SearchBounds(1, 1, 1, MAX_UNITS))
-    assert not result.found and result.exhaustive
 
 
 class TestEnumerationCap:

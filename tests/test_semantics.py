@@ -3,16 +3,13 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cylset import semantics
 from cylset.semantics import (
     CheckReport,
     FiniteAlgebra,
     MappedUnitAlgebra,
     P_PRIME,
-    SearchBounds,
     UnitAlgebra,
     _cover,
-    bounded_validity,
     check_ca_axioms,
     check_eq_laws,
     evaluate,
@@ -20,7 +17,6 @@ from cylset.semantics import (
     evaluation_from_dict,
     evaluation_to_dict,
     satisfies,
-    witness_to_dict,
 )
 from cylset.terms import (
     And,
@@ -350,22 +346,6 @@ class TestCoverage:
             assert not full
             assert list(tuples) == self.randrange_cover(n, arity, samples, tag)
 
-    def test_sampled_validity_counterexample_is_pinned(self):
-        """A counterexample from sampled tuples, recorded while `_cover`
-        made one `randrange` call per slot: its evaluation is the drawn
-        tuple that separates the sides, so it pins the stream as well as
-        the counts."""
-        result = bounded_validity(
-            parse_term("c0 c1 x0 . x1"), parse_term("c1 c0 x0 . x1"), ClassTag.CRS, SearchBounds(2, 3, 9, 16),
-            m=3, seed=7,
-        )
-        assert (result.units_checked, result.evaluations_checked, result.exhaustive) == (48, 673, False)
-        assert witness_to_dict(result.counterexample) == {
-            "unit": {"window": [0, 1], "sequences": [[0, 0], [0, 1], [1, 0]]},
-            "focus": [1, 0],
-            "evaluation": {"x0": [1], "x1": [1, 2], "x2": [0, 1, 2]},
-        }
-
     def test_eq_laws_check_every_pair_on_six_sequences(self):
         # Eq3 and Eq4 range over all 64^2 pairs, for each of the 3 indices.
         report = check_eq_laws(SIX)
@@ -386,18 +366,6 @@ class TestCoverage:
         assert report.ok and not report.exhaustive
         assert report.notes == "postulates spot-checked on 5 seeded subsets"
         assert check_ca_axioms(MappedUnitAlgebra(2), samples=5).exhaustive
-
-    def test_validity_cap_counts_tuples_of_subsets(self):
-        # With m = 2 a three-sequence unit has 8^2 = 64 > 16 evaluations.
-        result = bounded_validity(
-            parse_term("x0 . x1"), parse_term("x1 . x0"), ClassTag.CRS, SearchBounds(2, 2, 3, 16), m=2
-        )
-        assert not result.found and not result.exhaustive
-        # One empty unit, 4 one-sequence units (4 each), 6 two-sequence
-        # units (16 each), 4 three-sequence units (16 samples each).
-        assert (result.units_checked, result.evaluations_checked) == (15, 177)
-
-
 
 # The law checker as one loop over instances, each checked on the algebra
 # itself: the reference for the lane pass of `_check_laws`.
@@ -540,138 +508,6 @@ class TestZeroDimensionalFixpoints:
                     val = evaluate(t, v, {0: x0})
                     for i in v.window:
                         assert evaluate(Cyl(i, t), v, {0: x0}) == val
-
-
-class TestBoundedValidity:
-    BOUNDS = SearchBounds(window_size=4, base_size=2, max_seqs=4, max_eval_subsets=16)
-
-    def test_guard_swap_exhausted_on_d_units(self):
-        lhs = parse_term("x0 . -c0 -d01")
-        rhs = parse_term("x0 . -c2 -d23")
-        result = bounded_validity(lhs, rhs, ClassTag.D, self.BOUNDS)
-        assert not result.found
-        assert result.exhaustive
-
-    def test_commutation_counterexample_on_crs(self):
-        result = bounded_validity(
-            parse_term("c0 c1 x0"),
-            parse_term("c1 c0 x0"),
-            ClassTag.CRS,
-            SearchBounds(2, 2, 4, 16),
-        )
-        assert result.found
-        ce = result.counterexample
-        assert satisfies(ce.unit, ce.focus, ce.evaluation, parse_term("c0 c1 x0")) != satisfies(
-            ce.unit, ce.focus, ce.evaluation, parse_term("c1 c0 x0")
-        )
-        # Least counterexample in the size-then-lexicographic unit order.
-        assert ce.unit == unit((0, 1), [(0, 0), (0, 1), (1, 0)])
-        # The documented commutation-breaking unit also separates the sides.
-        ca4 = evaluate(parse_term("c0 c1 x0"), CA4_UNIT, {0: frozenset({F00})})
-        ca4_other = evaluate(parse_term("c1 c0 x0"), CA4_UNIT, {0: frozenset({F00})})
-        assert ca4 != ca4_other
-
-    def test_counts_units_holding_a_nonconstant_sequence(self):
-        lhs, rhs = parse_term("x0 . -c0 -d01"), parse_term("x0 . -c2 -d23")
-        # Over base 2 a D unit is constant points plus, at most, the full square.
-        assert bounded_validity(lhs, rhs, ClassTag.D, self.BOUNDS).nonconstant_units == 0
-        square = bounded_validity(lhs, rhs, ClassTag.D, SearchBounds(4, 2, 16, 16))
-        assert (square.units_checked, square.nonconstant_units, square.non_g_units) == (5, 1, 0)
-        # A counterexample stops the count at the unit that holds it.
-        crs = bounded_validity(lhs, rhs, ClassTag.CRS, self.BOUNDS)
-        assert (crs.units_checked, crs.nonconstant_units, crs.non_g_units) == (3, 1, 1)
-
-    def test_identical_sides_exhaust_immediately(self):
-        t = parse_term("c0 x0")
-        result = bounded_validity(t, t, ClassTag.CRS, self.BOUNDS)
-        assert not result.found
-        assert result.exhaustive and result.units_checked == 0
-
-    def test_window_bound_enforced(self):
-        with pytest.raises(ValueError):
-            bounded_validity(
-                parse_term("c5 x0"), parse_term("x0"), ClassTag.CRS, SearchBounds(2, 2, 4, 16)
-            )
-
-
-def reference_validity(lhs, rhs, tag, bounds, m, seed=0):
-    """`bounded_validity`'s search written out over `evaluate_masks`:
-    (counterexample triple or None, exhaustive, units, evaluations)."""
-    units = list(enumerate_units(tuple(range(bounds.window_size)), bounds.base_size, bounds.max_seqs, tag))
-    n_evals, exhaustive = 0, True
-    for idx, v in enumerate(units):
-        alg = UnitAlgebra(v)
-        cap = bounds.max_eval_subsets
-        evals, full = _cover(1 << len(v), m, cap, cap, f"validity:{seed}:{idx}")
-        exhaustive = exhaustive and full
-        for masks in evals:
-            n_evals += 1
-            diff = evaluate_masks(alg, lhs, masks) ^ evaluate_masks(alg, rhs, masks)
-            if diff:
-                focus = v.sequences[(diff & -diff).bit_length() - 1]
-                iota = {k: alg.subset(x) for k, x in enumerate(masks)}
-                return (v, focus, iota), exhaustive, idx + 1, n_evals
-    return None, exhaustive, len(units), n_evals
-
-
-class TestSpecializedSearch:
-    """`bounded_validity` evaluates each term once per chunk of a unit's
-    evaluations, on the lane view that holds them all, and finds what the
-    reference loop, one scalar evaluation at a time, finds."""
-
-    @pytest.mark.parametrize("lhs,rhs,tag,bounds,m,seed,found,exhaustive", [
-        # Crs separates the guards, over every evaluation.
-        (atom_term(1, (1,)), parse_term("x0 . -c2 -d23"), ClassTag.CRS, SearchBounds(4, 2, 4, 16), 1, 0, True, True),
-        # A sampled search that finds a counterexample.
-        (parse_term("c0 c1 x0"), parse_term("c1 c0 x0"), ClassTag.CRS, SearchBounds(2, 2, 4, 4), 1, 3, True, False),
-        # A sampled search over the class-search units that finds none.
-        (atom_term(2, (1, -1)), parse_term("x0 . -x1 . -c2 -d23"), ClassTag.D, SearchBounds(4, 2, 16, 64), 2, 5, False, False),
-        # Both sides closed.
-        (parse_term("-c0 -d01"), parse_term("-c1 -d01 + 0"), ClassTag.CRS, SearchBounds(2, 2, 4, 16), 0, 0, True, True),
-    ])
-    def test_matches_reference_loop(self, lhs, rhs, tag, bounds, m, seed, found, exhaustive):
-        result = bounded_validity(lhs, rhs, tag, bounds, m=m, seed=seed)
-        expected = reference_validity(lhs, rhs, tag, bounds, m, seed)
-        ce = result.counterexample
-        got = (ce.unit, ce.focus, ce.evaluation) if ce else None
-        assert (got, result.exhaustive, result.units_checked, result.evaluations_checked) == expected
-        assert (result.found, result.exhaustive) == (found, exhaustive)
-
-    def test_failure_in_a_later_chunk(self, monkeypatch):
-        """At 8 lanes a chunk, the 16 evaluations of each two-sequence unit
-        take two chunks, and the first separating evaluation, the 17th of
-        the least counterexample unit, sits in its third."""
-        # Units of at most 4 sequences have a stride of 8 bits.
-        monkeypatch.setattr(semantics, "_LANE_BITS", 8 * 8)
-        lhs, rhs, bounds = parse_term("c0 c1 x0"), parse_term("c1 c0 x0"), SearchBounds(2, 2, 4, 64)
-        result = bounded_validity(lhs, rhs, ClassTag.CRS, bounds, m=2)
-        ce = result.counterexample
-        got = (ce.unit, ce.focus, ce.evaluation), result.exhaustive, result.units_checked, result.evaluations_checked
-        assert got == reference_validity(lhs, rhs, ClassTag.CRS, bounds, 2)
-        # 1 + 4 * 4 + 6 * 16 evaluations on the units before it.
-        assert result.evaluations_checked == 113 + 17
-
-    def test_class_search_folds_the_guards(self, monkeypatch):
-        """On the class-search bounds each of the 5 units evaluates each side
-        once, over all of its evaluations at once: one lane cylinder per
-        side and unit, and none on an algebra itself."""
-        views = []
-        calls = {"algebra": 0, "view": 0}
-
-        def lanes(self, count, lanes=FiniteAlgebra.lanes):
-            views.append(lanes(self, count))
-            return views[-1]
-
-        def cyl_mask(self, i, x, cyl_mask=FiniteAlgebra.cyl_mask):
-            calls["view" if any(self is v for v in views) else "algebra"] += 1
-            return cyl_mask(self, i, x)
-
-        monkeypatch.setattr(FiniteAlgebra, "lanes", lanes)
-        monkeypatch.setattr(FiniteAlgebra, "cyl_mask", cyl_mask)
-        lhs, rhs = atom_term(2, (1, -1)), parse_term("x0 . -x1 . -c2 -d23")
-        result = bounded_validity(lhs, rhs, ClassTag.D, SearchBounds(4, 2, 16, 4096), m=2, seed=1)
-        assert not result.found and result.evaluations_checked == 4121
-        assert calls == {"algebra": 0, "view": 10} and len(views) == 5
 
 
 def term_trees(leaves, max_leaves: int):

@@ -1,7 +1,7 @@
 import json
 import math
 import time
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -441,6 +441,28 @@ class TestUnitValidation:
     def test_duplicates_collapse(self):
         v = unit((0, 1), [(0, 1), (0, 1)])
         assert len(v) == 1
+
+
+@pytest.mark.parametrize("window,base_elems", [
+    ((), (0, 1)), ((0, 1), ()), ((), ()), ((2, 0, 1), (1, 0, 1)), (range(16), range(2)),
+], ids=["empty-window", "empty-base", "both-empty", "unsorted-repeats", "window-16-base-2"])
+def test_full_square_matches_checked_sequences(window, base_elems):
+    """`full_square` gives the members and order of the sorted, checked
+    `Sequence`-by-`Sequence` square."""
+    w = tuple(sorted(window))
+    members = sorted(Sequence(w, vals) for vals in product(sorted(set(base_elems)), repeat=len(w)))
+    v = full_square(window, base_elems)
+    assert v.window == w and v.sequences == tuple(members)
+
+
+@pytest.mark.parametrize("window,base_elems,message", [
+    ((1, 1), (0,), r"window must be strictly increasing, got \(1, 1\)"),
+    ((0, 1), (-1, 0), "natural numbers"),
+    ((-1, 0), (0,), "natural numbers"),
+])
+def test_full_square_refuses_bad_input(window, base_elems, message):
+    with pytest.raises(ValueError, match=message):
+        full_square(window, base_elems)
 
 
 def test_unsorted_window_is_refused_naming_the_field():
