@@ -19,7 +19,11 @@ drawn at C level.  The checker packs its covered instances side by side
 (bitslicing) into the masks of a lane view, `FiniteAlgebra.lanes(count)`,
 an algebra whose lane l holds instance l, a chunk of at most `_LANE_BITS`
 bits a mask at a time, and evaluates each law once per chunk over all of
-them.  `evaluate_masks` dispatches on the exact type of each term node
+them; the cylinders of a chunk's element masks are computed once and
+shared by the laws that read them.  A cylinder folds the classes along
+its index shape by shape, with shifts of the whole mask: in log steps when
+a shape has four or more evenly spaced points, offset by offset otherwise.
+`evaluate_masks` dispatches on the exact type of each term node
 inside the one function, so a node costs one Python call.
 Every check is a refuter over finite models, never a prover.
 """
@@ -73,7 +77,10 @@ class FiniteAlgebra:
     cylinder and copies its bit after.  The classes of the other points
     along i are grouped by shape, the offsets of their points from the
     least, and each shape folds with a few shifts of the whole mask
-    (`_fold`).
+    (`_fold`): an arithmetic shape of k >= 4 points, as every class of a
+    grid of base 4 or more and of the window-4 mapped algebra has, in
+    ceil(log2 k) doubling shifts each way, and any other shape offset by
+    offset.
     """
 
     def __init__(self, labels: Iterable, indices: Iterable[int], coords: Iterable[tuple]):
@@ -139,9 +146,9 @@ class FiniteAlgebra:
     def _cyl_plan(self, i: int) -> tuple:
         """What `cyl_mask` reads for index i, in every lane: each alias's
         mask, its first point's mask and their distance, and each class
-        shape's offsets and least points.  The one-lane plan is found once
-        per algebra and shared with its views, which spread its masks over
-        their lanes."""
+        shape's fold plan (`_fold_plan`) and least points.  The one-lane
+        plan is found once per algebra and shared with its views, which
+        spread its masks over their lanes."""
         table = self._classes.get(i)
         if table is None:
             p = self._position(i)
@@ -160,13 +167,13 @@ class FiniteAlgebra:
                 shapes[shape] = shapes.get(shape, 0) | low
             table = self._classes[i] = (
                 [(1 << k, 1 << f, k - f) for k, f in self._aliases],
-                [(bit_positions(shape)[1:], least) for shape, least in shapes.items()],
+                [(_fold_plan(bit_positions(shape)[1:]), least) for shape, least in shapes.items()],
             )
         if self.count == 1:
             return table
         aliases, folds = table
         return ([(self.each(alias), self.each(first), d) for alias, first, d in aliases],
-                [(offsets, self.each(least)) for offsets, least in folds])
+                [(plan, self.each(least)) for plan, least in folds])
 
     def cyl_mask(self, i: int, x: int) -> int:
         aliases, folds = self._plans.get(i) or self._plans.setdefault(i, self._cyl_plan(i))
@@ -174,8 +181,8 @@ class FiniteAlgebra:
             if f := x & alias:
                 x |= f >> d
         out = 0
-        for offsets, least in folds:
-            out |= _fold(offsets, least, x)
+        for plan, least in folds:
+            out |= _fold(plan, least, x)
         for _, first, d in aliases:
             if f := out & first:
                 out |= f << d
@@ -215,20 +222,51 @@ class FiniteAlgebra:
         return sorted(str(self.labels[k]) for k in bit_positions(m))
 
 
-def _fold(offsets: tuple[int, ...], least: int, x: int) -> int:
+def _fold_plan(offsets: tuple[int, ...]) -> tuple[bool, tuple[int, ...]]:
+    """How `_fold` folds a class shape whose points lie `offsets` above its
+    least point: `(True, steps)` when its k >= 4 points form an arithmetic
+    progression 0, s, ..., (k-1)s, with the doubling steps s, 2s, 4s, ...
+    whose last is cut to the remainder, so that they sum to (k-1)s in
+    ceil(log2 k) steps; else `(False, offsets)`.  A shape of at most three
+    points takes as many shifts either way."""
+    k = len(offsets) + 1
+    if k < 4 or offsets != tuple(range(offsets[0], k * offsets[0], offsets[0])):
+        return False, offsets
+    steps, covered = [], 1
+    while covered < k:
+        t = min(covered, k - covered)
+        steps.append(t * offsets[0])
+        covered += t
+    return True, tuple(steps)
+
+
+def _fold(plan: tuple[bool, tuple[int, ...]], least: int, x: int) -> int:
     """The cylinder of x over the classes whose least points are the bits of
-    `least` and whose other points lie `offsets` above them: OR each class
+    `least` and whose shape `plan` describes (`_fold_plan`): OR each class
     onto its least point with right shifts, keep those points and spread
-    them back with left shifts.  Only class points reach a least point, so
-    bits of other points are ignored.  On a lane view a right shift carries
-    bits of a lane into the lane below, but above its least points, as the
-    stride exceeds the point count, and a left shift of a least point by an
-    offset of its class stays inside its lane."""
+    them back with left shifts.  A plan of doubling steps folds in log
+    steps, `out |= out >> t` and then `out |= out << t` for each step t;
+    any other shape folds offset by offset, `x >> t` and `line << t` for
+    each offset t.  Both OR the shifts of x by every offset of the shape
+    onto a least point, so they give the same mask.  Only class points
+    reach a least point, so bits of other points are ignored.  On a lane
+    view a right shift carries bits of a lane into the lane below, but above
+    its least points, as the stride exceeds the point count, and a left
+    shift of a least point by at most the greatest offset of its class
+    stays inside its lane."""
+    doubling, shifts = plan
     out = x
-    for t in offsets:
+    if doubling:
+        for t in shifts:
+            out |= out >> t
+        out &= least
+        for t in shifts:
+            out |= out << t
+        return out
+    for t in shifts:
         out |= x >> t
     out = line = out & least
-    for t in offsets:
+    for t in shifts:
         out |= line << t
     return out
 
@@ -447,30 +485,32 @@ def _chunks(
 
 # One row per law: (postulate name, equation name, element variables, index
 # variables, violation mask).  The mask is zero iff the law holds; evaluated
-# on lane masks, its nonzero lanes name the failing instances.  Index rules:
-# "i" binds i, "i<j" and "i!=j" pairs under that constraint, "ijk" triples
-# with k distinct from i and j.  A law that is both a cylindric postulate and
-# one of the seven unit equations is coded once and carries both names.
+# on lane masks, its nonzero lanes name the failing instances.  A row takes
+# the lane view, the chunk's shared cylinders `c`, where c[i, "x"] is c_i of
+# element x, computed once per chunk for every window index and read by
+# every law that needs it, and then its index and element bindings.  Index
+# rules: "i" binds i, "i<j" and "i!=j" pairs under that constraint, "ijk"
+# triples with k distinct from i and j.  A law that is both a cylindric
+# postulate and one of the seven unit equations is coded once and carries
+# both names.
 _LAWS = (
-    ("CA0", None, "xy", "", lambda a, x, y: (
+    ("CA0", None, "xy", "", lambda a, c, x, y: (
         ((x | y) ^ (y | x)) | (x & (a.top ^ x)) | ((a.top ^ (x & y)) ^ ((a.top ^ x) | (a.top ^ y)))
     )),
-    ("CA1", "Eq1", "", "i", lambda a, i: a.cyl_mask(i, 0)),
-    ("CA2", "Eq2", "x", "i", lambda a, i, x: (x & a.cyl_mask(i, x)) ^ x),
-    ("CA3", "Eq3", "xy", "i", lambda a, i, x, y: (
-        a.cyl_mask(i, x & (cy := a.cyl_mask(i, y))) ^ (a.cyl_mask(i, x) & cy)
-    )),
-    ("CA4", None, "x", "i<j", lambda a, i, j, x: a.cyl_mask(i, a.cyl_mask(j, x)) ^ a.cyl_mask(j, a.cyl_mask(i, x))),
-    ("CA5", "Eq6", "", "i", lambda a, i: a.diag_mask(i, i) ^ a.top),
-    ("CA6", None, "", "ijk", lambda a, i, j, k: (
+    ("CA1", "Eq1", "", "i", lambda a, c, i: a.cyl_mask(i, 0)),
+    ("CA2", "Eq2", "x", "i", lambda a, c, i, x: (x & c[i, "x"]) ^ x),
+    ("CA3", "Eq3", "xy", "i", lambda a, c, i, x, y: a.cyl_mask(i, x & c[i, "y"]) ^ (c[i, "x"] & c[i, "y"])),
+    ("CA4", None, "x", "i<j", lambda a, c, i, j, x: a.cyl_mask(i, c[j, "x"]) ^ a.cyl_mask(j, c[i, "x"])),
+    ("CA5", "Eq6", "", "i", lambda a, c, i: a.diag_mask(i, i) ^ a.top),
+    ("CA6", None, "", "ijk", lambda a, c, i, j, k: (
         a.diag_mask(i, j) ^ a.cyl_mask(k, a.diag_mask(i, k) & a.diag_mask(k, j))
     )),
-    ("CA7", None, "x", "i!=j", lambda a, i, j, x: (
+    ("CA7", None, "x", "i!=j", lambda a, c, i, j, x: (
         a.cyl_mask(i, a.diag_mask(i, j) & x) & a.cyl_mask(i, a.diag_mask(i, j) & (a.top ^ x))
     )),
-    (None, "Eq4", "xy", "i", lambda a, i, x, y: a.cyl_mask(i, x | y) ^ (a.cyl_mask(i, x) | a.cyl_mask(i, y))),
-    (None, "Eq5", "x", "i", lambda a, i, x: a.cyl_mask(i, (out := a.top ^ a.cyl_mask(i, x))) ^ out),
-    (None, "Eq7", "x", "i!=j", lambda a, i, j, x: (
+    (None, "Eq4", "xy", "i", lambda a, c, i, x, y: a.cyl_mask(i, x | y) ^ (c[i, "x"] | c[i, "y"])),
+    (None, "Eq5", "x", "i", lambda a, c, i, x: a.cyl_mask(i, (out := a.top ^ c[i, "x"])) ^ out),
+    (None, "Eq7", "x", "i!=j", lambda a, c, i, j, x: (
         (a.cyl_mask(i, (xd := x & a.diag_mask(i, j))) & a.diag_mask(i, j)) ^ xd
     )),
 )
@@ -502,10 +542,13 @@ def _check_laws(alg: FiniteAlgebra, laws: list, samples: int, seed: int, what: s
 
     Each law is checked once per index binding and chunk (`_chunks`) on
     lane masks that hold the chunk's covered subsets, or pairs, at once; a
-    law without element variables has one instance, the empty tuple.  Its
-    failures are listed as an instance loop would list them, subset or pair
-    first, then index binding.  Raises ValueError first if `samples` is
-    over MAX_UNITS or a law binds more than MAX_UNITS index tuples."""
+    law without element variables has one instance, the empty tuple.  The
+    cylinders c_i of the chunk's element masks, for every window index, are
+    computed once per chunk and shared by the laws that read them.  A
+    law's failures are listed as an instance loop would list them, subset
+    or pair first, then index binding.  Raises ValueError first if
+    `samples` is over MAX_UNITS or a law binds more than MAX_UNITS index
+    tuples."""
     if samples > MAX_UNITS:
         raise ValueError(f"samples must be at most {MAX_UNITS}, got {samples}")
     w = len(alg.indices)
@@ -529,13 +572,14 @@ def _check_laws(alg: FiniteAlgebra, laws: list, samples: int, seed: int, what: s
     views: dict[int, FiniteAlgebra] = {}
     for elements, instances in families.items():
         for low, lanes, masks in _chunks(alg, instances, elements, views):
+            cyls = {(i, v): lanes.cyl_mask(i, m) for v, m in masks.items() for i in alg.indices}
             for name, law_elements, _, law in laws:
                 if law_elements != elements:
                     continue
                 failed[name] += sorted(
                     (low + lane, b)
                     for b, binding in enumerate(bindings[name])
-                    for lane in lanes.failing(law(lanes, **binding, **masks))
+                    for lane in lanes.failing(law(lanes, cyls, **binding, **masks))
                 )
     # A subset that fails many laws and bindings is rendered once; each
     # failure still gets lists of its own.

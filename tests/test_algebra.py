@@ -311,6 +311,79 @@ def test_each_class_shape_folds_once(name, count, monkeypatch):
             assert lanes.lane(got, k) == block_cyl(alg, i, masks[k])
 
 
+def offset_fold(offsets, least, x):
+    """A fold by its definition, on one lane: OR the shifts of x by every
+    offset of the shape onto the least points, keep those points and spread
+    them back by the same offsets."""
+    line = x
+    for t in offsets:
+        line |= x >> t
+    line &= least
+    out = line
+    for t in offsets:
+        out |= line << t
+    return out
+
+
+@st.composite
+def fold_shapes(draw):
+    """The offsets above its least point of a class shape: an arithmetic
+    one of 1 to 9 points with a random step, or any set of offsets."""
+    if draw(st.booleans()):
+        k, s = draw(st.integers(1, 9)), draw(st.integers(1, 12))
+        return tuple(range(s, k * s, s))
+    return tuple(sorted(draw(st.sets(st.integers(1, 40), max_size=8))))
+
+
+@settings(deadline=None, max_examples=300)
+@given(offsets=fold_shapes(), data=st.data())
+def test_fold_plans_match_the_offset_definition(offsets, data):
+    """`_fold` under the plan `_fold_plan` makes, the log-step form for an
+    arithmetic shape of four or more points and the per-offset form for any
+    other, gives in every lane the per-offset OR of the definition, and sets
+    no bit above `top`."""
+    plan = semantics._fold_plan(offsets)
+    step = offsets[0] if offsets else 1
+    arithmetic = offsets == tuple(range(step, len(offsets) * step + 1, step))
+    assert plan[0] == (arithmetic and len(offsets) >= 3) and (plan[0] or plan[1] == offsets)
+    span = (offsets[-1] if offsets else 0) + 1
+    n = data.draw(st.integers(span, span + 20))
+    # Least points whose classes fit inside the lane's n points.
+    least = sum(1 << p for p in data.draw(st.sets(st.integers(0, n - span))))
+    alg = FiniteAlgebra(range(n), (0,), [(p,) for p in range(n)])
+    lanes = alg.lanes(data.draw(st.sampled_from((1, 2, 9, 64))))
+    masks = data.draw(st.lists(st.integers(0, alg.top), min_size=lanes.count, max_size=lanes.count))
+    got = semantics._fold(plan, lanes.each(least), lanes.pack(masks))
+    assert got & ~lanes.top == 0
+    assert [lanes.lane(got, k) for k in range(lanes.count)] == [offset_fold(offsets, least, m) for m in masks]
+
+
+@pytest.mark.parametrize("step", [1, 3, 16, 64])
+@pytest.mark.parametrize("k", range(1, 10))
+def test_arithmetic_shapes_fold_in_log_steps(k, step):
+    """A k-point arithmetic shape is planned with ceil(log2 k) shifts each
+    way: doubling steps that add up to its greatest offset when k >= 4, and
+    its offsets, as many, when k <= 3."""
+    offsets = tuple(range(step, k * step, step))
+    doubling, steps = semantics._fold_plan(offsets)
+    assert len(steps) == (k - 1).bit_length()
+    if k >= 4:
+        assert doubling and sum(steps) == (k - 1) * step
+    else:
+        assert (doubling, steps) == (False, offsets)
+
+
+def test_grid_classes_fold_in_log_steps():
+    """Every class of a grid, and of the mapped algebra, is an arithmetic
+    shape, so from four points on it folds in log steps: the window-4 mapped
+    algebra with 2 shifts each way (4, not the 6 of the per-offset fold),
+    and the window-3 base-5 square with 3 each way (6, not 8)."""
+    for alg, shifts in ((MappedUnitAlgebra(4), 2), (UnitAlgebra(full_square(range(3), range(5))), 3)):
+        for i in alg.indices:
+            _, folds = alg._cyl_plan(i)
+            assert [(doubling, len(steps)) for (doubling, steps), _ in folds] == [(True, shifts)]
+
+
 def test_checks_leave_the_algebra_holding_no_view(monkeypatch):
     """Each check builds its lane views and drops them: once a loop of
     checks at many sample counts is done, no view it used is alive."""

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -471,6 +472,7 @@ class TestLanePass:
 
     @settings(max_examples=12, deadline=None)
     @given(n=st.integers(2, 4), samples=st.integers(0, 40), seed=st.integers(0, 3))
+    @example(n=4, samples=993, seed=2)  # a full 992-lane chunk and a one-lane partial chunk
     def test_mapped_algebras_match_the_reference(self, n, samples, seed):
         alg = MappedUnitAlgebra(n)
         got = check_ca_axioms(alg, samples, seed)
@@ -489,6 +491,21 @@ class TestLanePass:
         monkeypatch.setattr(FiniteAlgebra, "cyl_mask", cyl_mask)
         report = check_ca_axioms(alg)
         assert {f.law for f in report.failures} == {"CA6"}
+
+    def test_chunk_cylinders_are_shared_by_the_laws(self, monkeypatch):
+        """On the 992-lane view of the `mapped-witness` check, its chunk of
+        subsets and its chunk of pairs take 52 lane cylinders: c_i x and c_i y
+        once per index (12), shared by CA2, CA3 and CA4; CA3's c_i(x . c_i y)
+        (4); CA4's outer cylinders (12); and CA7's (24)."""
+        calls = Counter()
+
+        def cyl_mask(self, i, x, cyl_mask=FiniteAlgebra.cyl_mask):
+            calls[self.count] += 1
+            return cyl_mask(self, i, x)
+
+        monkeypatch.setattr(FiniteAlgebra, "cyl_mask", cyl_mask)
+        assert check_ca_axioms(MappedUnitAlgebra(4), 1000, seed=1).ok
+        assert calls[992] == 52
 
     def test_mapped_witness_postulates_hold_on_sampled_lanes(self):
         """The mapped algebra of window 4 satisfies every postulate on the
