@@ -3,95 +3,10 @@
 Evaluates cylindric terms in full set algebras over finite-window units,
 classifies units (Crs/D/G/Gs), and runs the witness and splitting
 constructions that locate atoms in small-generator free algebras.
-"""
 
-from .terms import (
-    And,
-    Cyl,
-    Diag,
-    Not,
-    One,
-    Or,
-    Term,
-    TermSyntaxError,
-    Var,
-    Zero,
-    all_choice_functions,
-    atom_term,
-    escape_term,
-    guarded_term,
-    guarded_twin_term,
-    index_set,
-    parse_term,
-    render_term,
-    splitter_term,
-    subterms,
-    twin_guard_term,
-    twin_term,
-    variables,
-)
-from .units import (
-    ClassTag,
-    Sequence,
-    Unit,
-    add_sequence,
-    base,
-    classify,
-    closure,
-    disjoint_squares_unit,
-    enumerate_units,
-    eqv_gamma,
-    eqv_i,
-    extend_window,
-    fresh_base,
-    fresh_indices,
-    full_square,
-    load_unit,
-    save_unit,
-    seq,
-    set_partitions,
-    unit,
-    unit_from_dict,
-    unit_to_dict,
-)
-from .semantics import (
-    CheckFailure,
-    CheckReport,
-    Evaluation,
-    FiniteAlgebra,
-    MappedUnitAlgebra,
-    P_PRIME,
-    SearchBounds,
-    UnitAlgebra,
-    Witness,
-    check_ca_axioms,
-    check_eq_laws,
-    evaluate,
-    evaluate_masks,
-    evaluation_from_dict,
-    evaluation_to_dict,
-    satisfies,
-    witness_to_dict,
-)
-from .constructions import (
-    SplitCertificate,
-    TwinReport,
-    certificate_from_dict,
-    certificate_to_dict,
-    check_split_invariance,
-    crs_split_corpus,
-    diag_split_corpus,
-    mapped_witness,
-    refute_twins_in_gs2,
-    replicate,
-    run_split_corpus,
-    separation_suite,
-    singleton_witness,
-    split_any_crs,
-    split_atom_diag,
-    twin_system_holds,
-    verify_certificate,
-    zero_dim_check,
-)
+Each name is imported from its own module (`cylset.terms`, `cylset.units`,
+`cylset.semantics`, `cylset.constructions`, `cylset.cli`); importing the
+package itself loads none of them.
+"""
 
 __version__ = "0.1.0"

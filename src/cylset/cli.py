@@ -42,7 +42,8 @@ def _print_report(report: CheckReport, as_json: bool, label: str = "") -> int:
         status = "PASS" if report.ok else "FAIL"
         mode = "exhaustive" if report.exhaustive else "sampled"
         head = f"{label}: " if label else ""
-        print(f"{head}{status} checked={report.checked} failures={len(report.failures)} ({mode})")
+        notes = f" {report.notes}" if report.notes else ""
+        print(f"{head}{status} checked={report.checked} failures={len(report.failures)} ({mode}){notes}")
         for f in report.failures:
             print(f"  FAIL {f.law} {f.witness}")
     return 0 if report.ok else 1

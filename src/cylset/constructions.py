@@ -45,7 +45,6 @@ from .units import (
     disjoint_squares_unit,
     enumerate_units,
     eqv_gamma,
-    eqv_i,
     extend_window,
     fresh_base,
     fresh_indices,
@@ -333,7 +332,7 @@ def split_atom_diag(
     target = And(tau, escape_term(0, 1))
     if not satisfies(v, f, iota, target):
         raise ValueError("focus must satisfy tau . c0 -d01 in the unit")
-    g = next((h for h in v if eqv_i(h, f, pivot) and h[0] != h[1]), None)
+    g = next((h for h in v if h[0] != h[1] and eqv_gamma(h, f, (pivot,))), None)
     if g is None:
         raise ValueError(f"no splitting certificate: focus admits no c{pivot}-escape from d01")
     i, j = fresh_naturals(index_set(tau) | {0, 1}, 2)

@@ -116,9 +116,9 @@ def _tokenize(text: str) -> list[str]:
 
 # Deepest nesting the parser accepts.  Every '(', '-', 'c<i>' and every
 # '.' or '+' that nests the rest of a chain counts one level.  Below it the
-# recursive parser, printer, index analysis and evaluator stay well inside
-# Python's recursion limit; the library's deepest term, guarded_twin_term(),
-# nests 13 levels.
+# recursive parser, printer and evaluator stay well inside Python's
+# recursion limit; the library's deepest term, guarded_twin_term(), nests 13
+# levels.
 MAX_DEPTH = 100
 
 
@@ -239,37 +239,35 @@ def render_term(t: Term) -> str:
     return _render(t, 0)
 
 
+def subterms(t: Term) -> Iterator[Term]:
+    """Yield every subterm of `t`, including `t` itself (preorder).
+
+    The walk keeps its own stack in place of recursion; `index_set` and
+    `variables` read it."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        if isinstance(t, (Not, Cyl)):
+            stack.append(t.t)
+        elif isinstance(t, (And, Or)):
+            stack += (t.t2, t.t1)
+
+
 def index_set(t: Term) -> frozenset[int]:
     """All coordinate indices occurring in cylindrifications and diagonals."""
-    if isinstance(t, Diag):
-        return frozenset((t.i, t.j))
-    if isinstance(t, Cyl):
-        return frozenset((t.i,)) | index_set(t.t)
-    if isinstance(t, Not):
-        return index_set(t.t)
-    if isinstance(t, (And, Or)):
-        return index_set(t.t1) | index_set(t.t2)
-    return frozenset()
+    out: set[int] = set()
+    for s in subterms(t):
+        if isinstance(s, Diag):
+            out.update((s.i, s.j))
+        elif isinstance(s, Cyl):
+            out.add(s.i)
+    return frozenset(out)
 
 
 def variables(t: Term) -> frozenset[int]:
-    if isinstance(t, Var):
-        return frozenset((t.k,))
-    if isinstance(t, (Not, Cyl)):
-        return variables(t.t)
-    if isinstance(t, (And, Or)):
-        return variables(t.t1) | variables(t.t2)
-    return frozenset()
-
-
-def subterms(t: Term) -> Iterator[Term]:
-    """Yield every subterm of `t`, including `t` itself (preorder)."""
-    yield t
-    if isinstance(t, (Not, Cyl)):
-        yield from subterms(t.t)
-    elif isinstance(t, (And, Or)):
-        yield from subterms(t.t1)
-        yield from subterms(t.t2)
+    """The indices k of the variables x<k> occurring in `t`."""
+    return frozenset(s.k for s in subterms(t) if isinstance(s, Var))
 
 
 # --- named constructions -----------------------------------------------

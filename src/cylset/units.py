@@ -93,11 +93,6 @@ class Sequence:
         window = tuple(sorted(pairs))
         return Sequence._trusted(window, tuple(pairs[i] for i in window))
 
-    def dropped(self, i: int) -> tuple[int, ...]:
-        """Values with coordinate i removed; the key for the eqv_i classes."""
-        pos = self.window.index(i)
-        return self.values[:pos] + self.values[pos + 1:]
-
     def range_values(self) -> frozenset[int]:
         return frozenset(self.values)
 
@@ -107,15 +102,6 @@ class Sequence:
 
 def seq(window: Iterable[int], values: Iterable[int]) -> Sequence:
     return Sequence(tuple(window), tuple(values))
-
-
-def eqv_i(f: Sequence, g: Sequence, i: int) -> bool:
-    """True iff f and g agree at every index other than i."""
-    if f.window != g.window:
-        raise ValueError("sequences live in different windows")
-    if i not in f.window:
-        raise ValueError(f"index {i} outside window {f.window}")
-    return f.dropped(i) == g.dropped(i)
 
 
 def eqv_gamma(f: Sequence, g: Sequence, gamma: Iterable[int]) -> bool:
@@ -188,12 +174,6 @@ class Unit:
 
     def __len__(self) -> int:
         return len(self.sequences)
-
-    def __contains__(self, f: object) -> bool:
-        if not isinstance(f, Sequence):
-            return False
-        k = bisect_left(self.sequences, f)
-        return k < len(self.sequences) and self.sequences[k] == f
 
     def as_set(self) -> frozenset[Sequence]:
         return frozenset(self.sequences)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +96,14 @@ class TestCheckCommands:
 
     def test_axioms_on_mapped_algebra(self):
         assert main(["check-axioms", "--mapped", "2", "--samples", "50"]) == 0
+
+    def test_sampled_status_line_ends_with_the_notes(self, capsys):
+        argv = ["check-axioms", "--unit", str(Path(__file__).parent / "data" / "unit13.json"), "--samples", "50"]
+        assert main(argv + ["--json"]) == 1
+        summary = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert main(argv) == 1
+        head = capsys.readouterr().out.splitlines()[0]
+        assert head == f"FAIL checked={summary['checked']} failures={summary['failures']} (sampled) {summary['notes']}"
 
     def test_axioms_need_target(self, capsys):
         assert main(["check-axioms"]) == 2
@@ -257,6 +266,12 @@ class TestReplicateCommand:
 
     def test_unknown_suite(self, capsys):
         assert main(["replicate", "--suite", "bogus"]) == 2
+
+    def test_status_line_ends_with_the_notes(self, capsys):
+        main(["replicate", "--suite", "zero-dim", "--json"])
+        notes = json.loads(capsys.readouterr().out)["notes"]
+        assert main(["replicate", "--suite", "zero-dim"]) == 0
+        assert capsys.readouterr().out == f"zero-dim: PASS checked=22 failures=0 (exhaustive) {notes}\n"
 
     def test_deterministic_output(self, capsys):
         main(["replicate", "--suite", "equations", "--json"])

@@ -55,10 +55,10 @@ from cylset.terms import (
 )
 from cylset.units import (
     ClassTag,
+    classify,
     closure,
     enumerate_units,
     eqv_gamma,
-    eqv_i,
     full_square,
     seq,
     unit,
@@ -294,7 +294,7 @@ class TestSplitAtomDiag:
                 iota = {0: v.as_set()}
                 for f in evaluate(target, v, iota):
                     for p in (0, 1):
-                        if not any(eqv_i(h, f, p) and h[0] != h[1] for h in v):
+                        if not any(h[0] != h[1] and all(h[k] == f[k] for k in v.window if k != p) for h in v):
                             with pytest.raises(ValueError, match=f"c{p}-escape"):
                                 split_atom_diag(v, f, iota, Var(0), pivot=p)
                             continue
@@ -312,6 +312,30 @@ class TestSplitAtomDiag:
     def test_pivot_outside_zero_one_rejected(self):
         with pytest.raises(ValueError, match="pivot must be 0 or 1, got 2"):
             split_atom_diag(SQ22, seq((0, 1), (0, 1)), {0: SQ22.as_set()}, Var(0), pivot=2)
+
+    def test_halves_leave_the_class_and_closing_them_breaks_the_certificate(self):
+        """The adjoin-a-point split of a D, G and Gs unit verifies, but its
+        halves are Crs units only.  Closing them under G or D, with the
+        evaluation left as it is, adds members on the focus's 0-line that
+        carry no variable, so neither half satisfies the target any more."""
+        window = (0, 1, 2)
+        v = unit(window, [*product(range(2), repeat=3), (2, 2, 2)])
+        assert len(v) == 9 and classify(v) == set(ClassTag)
+        x0 = frozenset(seq(window, t) for t in ((0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 1, 1)))
+        cert = split_atom_diag(v, seq(window, (0, 1, 1)), {0: x0}, parse_term("-c0 -x0"))
+        assert (cert.branch, cert.fresh) == ("pair-equal", (2, 3))
+        assert verify_certificate(cert)
+        assert classify(cert.negative.unit) == classify(cert.positive.unit) == {ClassTag.CRS}
+        assert cert.negative.focus == seq((0, 1, 2, 3), (0, 1, 1, 1))
+        added = seq((0, 1, 2, 3), (2, 1, 1, 1))
+        assert added not in cert.negative.unit
+        for tag in (ClassTag.G, ClassTag.D):
+            closed = [replace(w, unit=closure(w.unit, tag)) for w in (cert.negative, cert.positive)]
+            assert [len(w.unit) for w in closed] == [31, 31]
+            assert all(added in w.unit for w in closed)
+            assert [w.evaluation for w in closed] == [cert.negative.evaluation, cert.positive.evaluation]
+            assert not any(satisfies(*w, cert.original) for w in closed)
+            assert not verify_certificate(replace(cert, negative=closed[0], positive=closed[1]))
 
 
 class TestSplitAnyCrs:

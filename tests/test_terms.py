@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import cylset
 from cylset.terms import (
     And,
     Cyl,
@@ -127,6 +133,55 @@ class TestIndexSet:
             elif isinstance(s, Cyl):
                 expected.add(s.i)
         assert index_set(t) == expected
+
+
+# Recursive definitions of the three tree walks, kept here as the reference
+# for the one iterative walk that `subterms` makes.
+def ref_subterms(t):
+    if isinstance(t, (Not, Cyl)):
+        return [t, *ref_subterms(t.t)]
+    if isinstance(t, (And, Or)):
+        return [t, *ref_subterms(t.t1), *ref_subterms(t.t2)]
+    return [t]
+
+
+def ref_index_set(t):
+    if isinstance(t, Diag):
+        return {t.i, t.j}
+    if isinstance(t, Cyl):
+        return {t.i} | ref_index_set(t.t)
+    if isinstance(t, Not):
+        return ref_index_set(t.t)
+    if isinstance(t, (And, Or)):
+        return ref_index_set(t.t1) | ref_index_set(t.t2)
+    return set()
+
+
+def ref_variables(t):
+    if isinstance(t, Var):
+        return {t.k}
+    if isinstance(t, (Not, Cyl)):
+        return ref_variables(t.t)
+    if isinstance(t, (And, Or)):
+        return ref_variables(t.t1) | ref_variables(t.t2)
+    return set()
+
+
+@given(terms_strategy())
+def test_walks_match_recursive_definitions(t):
+    # Compared by identity, so the preorder itself is checked, not only the
+    # values in it.
+    assert list(map(id, subterms(t))) == list(map(id, ref_subterms(t)))
+    assert index_set(t) == ref_index_set(t)
+    assert variables(t) == ref_variables(t)
+
+
+@pytest.mark.parametrize("module", ["cylset.terms", "cylset.units"])
+def test_importing_one_module_loads_no_other(module):
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('cylset')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cylset.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+    assert out == f"['cylset', '{module}']\n"
 
 
 class TestAtomTerm:

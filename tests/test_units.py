@@ -21,7 +21,6 @@ from cylset.units import (
     disjoint_squares_unit,
     enumerate_units,
     eqv_gamma,
-    eqv_i,
     extend_window,
     fresh_base,
     fresh_indices,
@@ -49,21 +48,17 @@ class TestSequence:
         with pytest.raises(ValueError):
             seq((0, 1), (0, 1)).update(5, 0)
 
-    def test_eqv_i(self):
-        f, g = seq((0, 1), (0, 1)), seq((0, 1), (1, 1))
-        assert eqv_i(f, g, 0)
-        assert not eqv_i(f, seq((0, 1), (0, 0)), 0)
-        assert eqv_i(f, f, 0) and eqv_i(f, f, 1)
-
-    def test_eqv_i_window_mismatch(self):
-        with pytest.raises(ValueError):
-            eqv_i(seq((0, 1), (0, 1)), seq((0, 2), (0, 1)), 0)
-
     def test_eqv_gamma(self):
         f, g = seq((0, 1), (0, 1)), seq((0, 1), (1, 1))
         assert eqv_gamma(f, g, {0})
         assert not eqv_gamma(f, seq((0, 1), (1, 0)), {0})
         assert eqv_gamma(f, seq((0, 1), (1, 0)), {0, 1})
+        # One index, as the escape search of split_atom_diag asks.
+        assert eqv_gamma(f, g, (0,))
+        assert not eqv_gamma(f, seq((0, 1), (0, 0)), (0,))
+        assert eqv_gamma(f, f, (0,)) and eqv_gamma(f, f, (1,))
+        with pytest.raises(ValueError, match="different windows"):
+            eqv_gamma(seq((0, 1), (0, 1)), seq((0, 2), (0, 1)), (0,))
 
     def test_update_rejects_negative_value(self):
         with pytest.raises(ValueError, match="natural numbers"):
