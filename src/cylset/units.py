@@ -8,7 +8,8 @@ Fresh coordinates are materialised explicitly with `extend_window`.
 
 `Sequence(...)` and `Unit(...)` check what they are given.  The builders
 that have already checked their parts (`unit`, `unit_from_dict`,
-`extend_window`, `add_sequence`, `closure`) make each member and the unit
+`full_square`, `extend_window`, `add_sequence`, `closure`,
+`enumerate_units`, `disjoint_squares_unit`) make each member and the unit
 once through the trusted constructors `Sequence._trusted` and
 `Unit._trusted`, which skip those checks; `unit` and `unit_from_dict` check
 a whole input at once, with C-level passes over its rows and values.
@@ -356,24 +357,15 @@ MAX_UNITS = 1 << 16
 
 
 def _closed_masks(closures: list[int], max_bits: int) -> set[int]:
-    """Every union of closure masks with at most max_bits bits.
-
-    A union over more than max_bits bits is pruned: each union on the way
-    to a closed set is a subset of it, so no target is lost.
-    """
-    gens = sorted(set(closures))
-    seen = {0} if max_bits >= 0 else set()
-    work = list(seen)
-    while work:
-        s = work.pop()
-        for c in gens:
-            t = s | c
-            if t not in seen and t.bit_count() <= max_bits:
-                seen.add(t)
-                if len(seen) > MAX_UNITS:
-                    raise ValueError(f"more than {MAX_UNITS} units: over the enumeration cap")
-                work.append(t)
-    return seen
+    """Every union of closure masks with at most max_bits bits, in one pass
+    that ORs each distinct closure into every union kept so far.  A union
+    over max_bits bits is dropped: every union that holds it is over too."""
+    unions = {0}
+    for c in set(closures):
+        unions |= {t for s in unions if (t := s | c).bit_count() <= max_bits}
+        if len(unions) > MAX_UNITS:
+            raise ValueError(f"more than {MAX_UNITS} units: over the enumeration cap")
+    return unions
 
 
 # Binary digit characters -> bytes that are false for 0 and true for 1.
@@ -396,11 +388,12 @@ def enumerate_units(
 
     Units are generated per class, not filtered.  Crs units are the
     combinations themselves.  A D or G unit holds what each member's range
-    forces, so these units are exactly the unions of one `closure` mask per
-    sequence of `full_square(window, range(base_size))`.  Gs units are the
-    G units that `classify` tags Gs.  Raises ValueError when the square or
-    the units would number more than MAX_UNITS; for Crs the count is known
-    before anything is built.
+    forces, so each is the union of its members' closures, taken as masks
+    over `full_square(window, range(base_size))`: the mask of what a range
+    forces (`_forced`), one per range, OR the member's own bit.  Gs units
+    are the G units that `classify` tags Gs.  Raises ValueError when
+    the square or the units would number more than MAX_UNITS; for Crs the
+    count is known before anything is built.
     """
     if base_size < 1:
         raise ValueError("base_size must be at least 1")
@@ -425,28 +418,27 @@ def enumerate_units(
                     f"{count} units with at most {k} of the {n} sequences "
                     f"already exceed the enumeration cap of {MAX_UNITS}"
                 )
-        square = full_square(w, range(base_size))
+        seqs = full_square(w, range(base_size)).sequences
         for size in range(limit + 1):
-            for combo in combinations(square.sequences, size):
-                yield Unit(w, combo)
+            for combo in combinations(seqs, size):
+                yield Unit._trusted(w, combo)
         return
 
     seqs = full_square(w, range(base_size)).sequences
-    bit = {f: k for k, f in enumerate(seqs)}
-    # A closure lies inside every unit that holds its sequence, so a
-    # sequence whose closure has more than `limit` members is in no unit
-    # kept and is skipped before its closure is built.  The size depends
-    # on the range alone: the closed-form count, plus the member itself
-    # when it is injective under D.
+    pos = {f.values: k for k, f in enumerate(seqs)}
     ranges = [frozenset(f.values) for f in seqs]
-    fits = {
-        r: _forced(tag, len(w), r, limit)[0] + (tag is ClassTag.D and len(r) == len(w)) <= limit
-        for r in set(ranges)
-    }
-    closures = [sum(1 << bit[g] for g in closure(Unit(w, (f,)), tag)) for f, r in zip(seqs, ranges) if fits[r]]
-    closed = sorted((m.bit_count(), bit_positions(m)) for m in _closed_masks(closures, limit))
-    for _, positions in closed:
-        u = Unit(w, tuple(seqs[k] for k in positions))
+    # A closure lies inside every unit that holds its member, so a range
+    # whose members' closures outgrow `limit` (the closed-form count, plus
+    # the member itself when it is injective under D) gets no mask, and its
+    # forced tuples are never built.
+    masks: dict[frozenset[int], int] = {}
+    for r in set(ranges):
+        count, tuples = _forced(tag, len(w), r, limit)
+        if count + (tag is ClassTag.D and len(r) == len(w)) <= limit:
+            masks[r] = sum(1 << pos[t] for t in tuples)
+    closures = [masks[r] | 1 << k for k, r in enumerate(ranges) if r in masks]
+    for _, positions in sorted((m.bit_count(), bit_positions(m)) for m in _closed_masks(closures, limit)):
+        u = Unit._trusted(w, tuple(seqs[k] for k in positions))
         if tag is not ClassTag.GS or ClassTag.GS in classify(u):
             yield u
 
@@ -471,11 +463,8 @@ def disjoint_squares_unit(window: Iterable[int], blocks: Iterable[Iterable[int]]
         if seen & set(b):
             raise ValueError("blocks must be pairwise disjoint")
         seen |= set(b)
-    w = tuple(sorted(window))
-    members: set[Sequence] = set()
-    for b in blocks:
-        members |= set(full_square(w, b).sequences)
-    return Unit(w, tuple(sorted(members)))
+    w = sorted(window)
+    return unit(w, chain.from_iterable(product(b, repeat=len(w)) for b in blocks))
 
 
 # --- JSON unit files ----------------------------------------------------

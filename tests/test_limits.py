@@ -228,6 +228,11 @@ class TestEnumerationCap:
     def test_cap_admits_the_full_subset_space_of_16_sequences(self):
         assert sum(1 for _ in enumerate_units((0, 1, 2, 3), 2, 16)) == MAX_UNITS
 
+    @pytest.mark.parametrize("tag", [ClassTag.D, ClassTag.G])
+    def test_closure_generators_admit_the_full_subset_space_of_16_sequences(self, tag):
+        # Over a one-index window every one of the 2^16 subsets is closed.
+        assert sum(1 for _ in enumerate_units((0,), 16, 16, tag)) == MAX_UNITS
+
 
 class TestClassifyBuildsNoSquareOverTheUnit:
     """An injective sequence over 10 indices has a range of 10 elements, whose

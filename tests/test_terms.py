@@ -124,16 +124,6 @@ class TestIndexSet:
     def test_meet_collects_both_sides(self):
         assert index_set(And(Diag(2, 2), Cyl(5, ONE))) == {2, 5}
 
-    @given(terms_strategy())
-    def test_matches_subterm_scan(self, t):
-        expected = set()
-        for s in subterms(t):
-            if isinstance(s, Diag):
-                expected |= {s.i, s.j}
-            elif isinstance(s, Cyl):
-                expected.add(s.i)
-        assert index_set(t) == expected
-
 
 # Recursive definitions of the three tree walks, kept here as the reference
 # for the one iterative walk that `subterms` makes.

@@ -374,6 +374,20 @@ def test_generators_match_classify_filter(window, base_size, max_seqs):
         assert list(enumerate_units(window, base_size, max_seqs, tag)) == want, tag
 
 
+@pytest.mark.parametrize(
+    "window_size,base_size,counts",
+    [(2, 3, (80, 18, 15)), (3, 2, (5, 5, 5)), (3, 3, (81, 19, 15)), (4, 2, (5, 5, 5)), (4, 3, (19, 19, 15))],
+)
+def test_unit_counts_over_the_whole_square(window_size, base_size, counts):
+    """The D, G and Gs unit counts over the whole square (max_seqs =
+    base^window), past the 16 sequences the `classify` filter above can
+    search, and each unit carries its tag."""
+    for tag, want in zip((ClassTag.D, ClassTag.G, ClassTag.GS), counts):
+        got = list(enumerate_units(range(window_size), base_size, base_size ** window_size, tag))
+        assert len(got) == want, tag
+        assert all(tag in classify(v) for v in got), tag
+
+
 def _gs_by_blocks(v: Unit) -> bool:
     """Gs by definition: the unit is the union of the full squares over its
     range blocks, the classes of base elements linked by sharing a member."""
@@ -414,6 +428,9 @@ class TestPartitions:
         assert classify(v) >= {ClassTag.G, ClassTag.GS}
         with pytest.raises(ValueError):
             disjoint_squares_unit((0, 1), [[0, 1], [1, 2]])
+        # The window is checked even when there are no blocks.
+        with pytest.raises(ValueError, match="strictly increasing"):
+            disjoint_squares_unit((0, 0), [])
 
 
 class TestJson:
