@@ -87,8 +87,8 @@ def _cmd_parse(args) -> int:
 def _cmd_eval(args) -> int:
     v = _load_unit(args.unit)
     t = terms.parse_term(args.term)
-    value = semantics.evaluate(t, v, _parse_assignments(v, args.assign))
-    positions = units.bit_positions(semantics.UnitAlgebra(v).mask(value))
+    iota = _parse_assignments(v, args.assign)
+    positions = units.bit_positions(semantics.evaluate_masks(semantics.UnitAlgebra(v), t, iota))
     if args.json:
         print(json.dumps({
             "positions": positions,
@@ -171,11 +171,14 @@ def _cmd_split(args) -> int:
     # An off-window index or unassigned variable in the target is a usage
     # error, so the probe is evaluated before a failed construction can exit 1.
     probe = terms.And(tau, terms.escape_term(0, 1)) if args.mode == "diag" else tau
-    sat = semantics.evaluate(probe, v, iota)
+    sat = semantics.evaluate_masks(semantics.UnitAlgebra(v), probe, iota)
     if args.focus is None and not sat:
         print("cylset: no sequence satisfies the split target in this unit", file=sys.stderr)
         return 1
-    focus = min(sat) if args.focus is None else v.sequences[args.focus]
+    k = (sat & -sat).bit_length() - 1 if args.focus is None else args.focus
+    if not sat >> k & 1:
+        raise ValueError(f"--focus {k}: sequence {v.sequences[k]} does not satisfy the split target")
+    focus = v.sequences[k]
     try:
         if args.mode == "diag":
             cert = constructions.split_atom_diag(v, focus, iota, tau, pivot=args.pivot or 0)

@@ -195,11 +195,7 @@ def singleton_witness(m: int, q: Iterable[int]) -> Witness:
         raise ValueError("witness needs at least one generator (m >= 1)")
     q = tuple(q)
     w = seq((0, 1), (0, 0))
-    v = Unit((0, 1), (w,))
-    nu: Evaluation = {
-        k: (frozenset((w,)) if q[k] == 1 else frozenset()) for k in range(m)
-    }
-    return Witness(v, w, nu)
+    return Witness(Unit((0, 1), (w,)), w, {k: int(q[k] == 1) for k in range(m)})
 
 
 def separation_suite(m: int) -> CheckReport:
@@ -267,8 +263,7 @@ def zero_dim_check(
             alg = UnitAlgebra(v)
             diff = evaluate_masks(alg, g01, {}) ^ evaluate_masks(alg, gij, {})
             if diff:
-                every = v.as_set()
-                iota = {k: every if s == 1 else frozenset() for k, s in enumerate(q)}
+                iota = {k: alg.top if s == 1 else 0 for k, s in enumerate(q)}
                 counterexample = Witness(v, v.sequences[(diff & -diff).bit_length() - 1], iota)
                 break
     report = CheckReport(
@@ -291,21 +286,6 @@ def zero_dim_check(
 
 # --- atom splitting over diagonal-closed classes ----------------------------
 
-def _extended(
-    v: Unit, iota: Evaluation, ext: list[tuple[int, int]]
-) -> tuple[Unit, dict[Sequence, Sequence], Evaluation]:
-    """The unit with the constant columns of ext added, each member's image in
-    it, and the evaluation carried over; each member is extended once.
-
-    Every member gets the same constants at the same new indices, so the
-    order of the members is kept and the i-th member of v maps to the i-th
-    of the result.  The evaluation must be over members of v.
-    """
-    v1 = extend_window(v, ext)
-    moved = dict(zip(v.sequences, v1.sequences))
-    return v1, moved, {k: frozenset(moved[h] for h in val) for k, val in iota.items()}
-
-
 def split_atom_diag(
     v: Unit, f: Sequence, iota: Evaluation, tau: Term, pivot: int = 0
 ) -> SplitCertificate:
@@ -324,8 +304,11 @@ def split_atom_diag(
     -d_ij), and the new point lies outside it.  Restricting the evaluation
     to that region and adjoining the new point therefore leave every
     subterm of the target unchanged at those points; this is the
-    restrict-adjoin invariance that `check_split_invariance` replays.
-    Raises RuntimeError if the certificate fails verification, a bug.
+    restrict-adjoin invariance that `check_split_invariance` replays.  The
+    new columns keep the members in order, so the evaluation's masks carry
+    over; adjoining the new point moves the bits above it up by one, unless
+    it is a member already.  Raises RuntimeError if the certificate fails
+    verification, a bug.
     """
     if pivot not in (0, 1):
         raise ValueError(f"pivot must be 0 or 1, got {pivot}")
@@ -336,26 +319,27 @@ def split_atom_diag(
     if g is None:
         raise ValueError(f"no splitting certificate: focus admits no c{pivot}-escape from d01")
     i, j = fresh_naturals(index_set(tau) | {0, 1}, 2)
-    ext = [(k, g[1 - pivot]) for k in (i, j) if k not in v.window]
-    v1, moved, iota1 = _extended(v, iota, ext)
-    f1, g1 = moved[f], moved[g]
-    domain = sorted(set(iota1) | {0})
+    v1 = extend_window(v, [(k, g[1 - pivot]) for k in (i, j) if k not in v.window])
+    f1, g1 = (v1.sequences[v.sequences.index(h)] for h in (f, g))
 
     if g1[i] == g1[j]:
         branch = "pair-equal"
-        inside = frozenset(h for h in v1 if h[i] == h[j])
+        inside = sum(1 << k for k, h in enumerate(v1) if h[i] == h[j])
         # g1[0] != g1[1], so one of them escapes g1[j]; prefer the pivot side.
         side = pivot if g1[pivot] != g1[j] else 1 - pivot
         new_point = g1.update(i, g1[side])
     else:
         branch = "pair-distinct"
-        inside = frozenset(h for h in v1 if h[i] != h[j])
+        inside = sum(1 << k for k, h in enumerate(v1) if h[i] != h[j])
         new_point = g1.update(i, g1[j])
 
     v2 = add_sequence(v1, new_point)
-    empty: frozenset = frozenset()
-    eval1: Evaluation = {k: iota1.get(k, empty) & inside for k in domain}
-    eval2: Evaluation = {k: eval1[k] | {new_point} for k in domain}
+    p = v2.sequences.index(new_point)
+    # The bits from p up move up by one, unless new_point was a member already.
+    low, grown = (1 << p) - 1, len(v2) - len(v1)
+    restricted = {k: iota.get(k, 0) & inside for k in sorted(set(iota) | {0})}
+    eval1: Evaluation = {k: (m & ~low) << grown | m & low for k, m in restricted.items()}
+    eval2: Evaluation = {k: m | 1 << p for k, m in eval1.items()}
     cert = SplitCertificate(
         original=target,
         splitter=_branch_splitter((i, j), branch, pivot),
@@ -364,7 +348,7 @@ def split_atom_diag(
         pivot=pivot,
         negative=Witness(v2, f1, eval1),
         positive=Witness(v2, f1, eval2),
-        source=Witness(v1, g1, iota1),
+        source=Witness(v1, g1, iota),
     )
     if not verify_certificate(cert):
         raise RuntimeError("adjoin-a-point split failed verification; this is a bug")
@@ -379,23 +363,27 @@ def split_any_crs(v: Unit, f: Sequence, iota: Evaluation, tau: Term) -> SplitCer
     Two fresh coordinates are appended as one constant column, putting the
     focus on the new diagonal; a relabelled copy of its neighbourhood moves
     two brand-new base elements into those coordinates, leaving the diagonal
-    while satisfaction of the term is preserved.
+    while satisfaction of the term is preserved.  The new column keeps the
+    members in order, so the evaluation's masks carry over as they are; the
+    starred copies keep their neighbours' order, so each of their masks
+    gathers the neighbours' bits.
     """
     if not satisfies(v, f, iota, tau):
         raise ValueError("focus must satisfy the term in the unit")
     gamma = index_set(tau)
     i, j = fresh_indices(v, gamma, 2)
     const = min(base(v), default=0)
-    v1, moved, iota1 = _extended(v, iota, [(i, const), (j, const)])
-    f1 = moved[f]
+    v1 = extend_window(v, [(i, const), (j, const)])
+    focus = v.sequences.index(f)
+    f1 = v1.sequences[focus]
 
     a, b = fresh_base(v1, 2)
-    # Each neighbour of f1 and its starred copy.
-    star = {h: h.update(i, a).update(j, b) for h in v1 if eqv_gamma(h, f1, gamma)}
-    v_star = Unit(v1.window, tuple(star.values()))
-    f_star = star[f1]
+    # The positions of f1's neighbours; their starred copies, in that order.
+    near = [k for k, h in enumerate(v1) if eqv_gamma(h, f1, gamma)]
+    v_star = Unit(v1.window, tuple(v1.sequences[k].update(i, a).update(j, b) for k in near))
+    f_star = v_star.sequences[near.index(focus)]
     iota_star: Evaluation = {
-        k: frozenset(star[h] for h in val if h in star) for k, val in iota1.items()
+        k: sum(1 << r for r, p in enumerate(near) if m >> p & 1) for k, m in iota.items()
     }
     cert = SplitCertificate(
         original=tau,
@@ -404,7 +392,7 @@ def split_any_crs(v: Unit, f: Sequence, iota: Evaluation, tau: Term) -> SplitCer
         branch="fresh-base",
         pivot=0,
         negative=Witness(v_star, f_star, iota_star),
-        positive=Witness(v1, f1, iota1),
+        positive=Witness(v1, f1, iota),
     )
     if not verify_certificate(cert):
         raise RuntimeError("relabelled split failed verification; this is a bug")
@@ -446,8 +434,7 @@ def check_split_invariance(cert: SplitCertificate) -> CheckReport:
     def satisfaction(w: Witness) -> Callable[[Sequence, Term], bool]:
         """`satisfies(w.unit, h, w.evaluation, sigma)` for h in w.unit and sigma in sigmas."""
         alg = UnitAlgebra(w.unit)
-        masks = {k: alg.mask(val) for k, val in w.evaluation.items()}
-        values = {sigma: evaluate_masks(alg, sigma, masks) for sigma in sigmas}
+        values = {sigma: evaluate_masks(alg, sigma, w.evaluation) for sigma in sigmas}
         return lambda h, sigma: bool(values[sigma] & alg.mask((h,)))
 
     sat = satisfaction(reference)
@@ -480,13 +467,13 @@ def diag_split_corpus() -> list[tuple[Witness, Term]]:
     # Window {0,1}: fresh columns get appended, forcing the pair-equal branch.
     two_window = [u for u in enumerate_units((0, 1), 2, 4) if len(u)]
     for v in two_window:
-        iota = {0: v.as_set()}
+        iota = {0: (1 << len(v)) - 1}
         sat = evaluate(And(Var(0), guard), v, iota)
         if sat:
             instances.append((Witness(v, min(sat), iota), Var(0)))
     # Variable-free and join-shaped targets on a few of the same units.
     for v in two_window:
-        iota = {0: frozenset()}
+        iota = {0: 0}
         sat = evaluate(guard, v, iota)
         if sat:
             instances.append((Witness(v, min(sat), iota), Or(Var(0), Not(Var(0)))))
@@ -499,7 +486,7 @@ def diag_split_corpus() -> list[tuple[Witness, Term]]:
             break
         if not len(v):
             continue
-        iota = {0: v.as_set()}
+        iota = {0: (1 << len(v)) - 1}
         sat = evaluate(And(Var(0), guard), v, iota)
         if sat:
             instances.append((Witness(v, min(sat), iota), Var(0)))
@@ -517,14 +504,13 @@ def crs_split_corpus() -> list[tuple[Witness, Term]]:
     for v in enumerate_units((0, 1), 2, 4):
         if not len(v):
             continue
-        full = v.as_set()
-        first = frozenset((v.sequences[0],))
+        full = (1 << len(v)) - 1
         candidates: list[tuple[Term, Evaluation]] = [
             (Var(0), {0: full}),
-            (Not(Var(0)), {0: frozenset()}),
-            (Cyl(0, Var(0)), {0: first}),
+            (Not(Var(0)), {0: 0}),
+            (Cyl(0, Var(0)), {0: 1}),
             (And(Var(0), Diag(0, 1)), {0: full}),
-            (Or(Var(0), Not(Var(0))), {0: first}),
+            (Or(Var(0), Not(Var(0))), {0: 1}),
         ]
         for term, iota in candidates:
             sat = evaluate(term, v, iota)

@@ -5,9 +5,9 @@ unit's sequences (`UnitAlgebra`), and the mapped algebra whose carrier is the
 full square over a finite window with the identity sequence listed twice,
 once under the label p' (`MappedUnitAlgebra`).  Subsets are Python-int bitmasks
 over a fixed carrier order, and `evaluate_masks`, `cyl_mask`, `diag_mask`
-and the checkers take and return masks.  Frozensets of sequences appear
-only where units and evaluations enter or leave: `evaluate`, `satisfies`,
-the evaluation JSON codec, and `FiniteAlgebra.mask`/`subset`.  The
+and the checkers take and return masks, and so does an evaluation, from
+its JSON codec on.  Only `evaluate`'s result and `FiniteAlgebra.mask`/
+`subset`, which map labels to masks and back, are sets of labels.  The
 postulate and equation checkers share one law table.  One rule, `_cover`,
 picks the checker's instances, its subsets and pairs of subsets.  It visits
 all of them when there are at most a cap of them, else seeded samples, at
@@ -42,8 +42,9 @@ from operator import itemgetter
 from .terms import And, Cyl, Diag, Not, One, Or, Term, Var, Zero
 from .units import MAX_UNITS, Sequence, Unit, bit_positions, unit_to_dict
 
-# Variable index -> subset of the carrier.
-Evaluation = dict[int, frozenset]
+# Variable index -> mask over the unit's members: bit k stands for
+# `v.sequences[k]`.
+Evaluation = dict[int, int]
 
 # The law checker visits every instance when there are at most this many,
 # and seeded samples otherwise.
@@ -337,18 +338,22 @@ def evaluate_masks(alg: FiniteAlgebra, t: Term, masks: Mapping[int, int]) -> int
     raise TypeError(f"not a term: {t!r}")
 
 
-def _value(alg: FiniteAlgebra, t: Term, iota: Mapping[int, frozenset]) -> int:
-    """`evaluate_masks` under iota with its subsets turned into masks."""
-    return evaluate_masks(alg, t, {k: alg.mask(val) for k, val in iota.items()})
+def _value(alg: FiniteAlgebra, t: Term, iota: Evaluation) -> int:
+    """`evaluate_masks` under iota, whose masks must lie inside the carrier."""
+    for k, m in iota.items():
+        if m >> len(alg.labels):
+            raise ValueError(f"x{k} has a bit outside the unit's {len(alg.labels)} positions")
+    return evaluate_masks(alg, t, iota)
 
 
-def evaluate(t: Term, v: Unit, iota: Mapping[int, frozenset]) -> frozenset[Sequence]:
-    """Interpretation of `t` in the power-set algebra over `v` under `iota`."""
+def evaluate(t: Term, v: Unit, iota: Evaluation) -> frozenset[Sequence]:
+    """Interpretation of `t` in the power-set algebra over `v` under `iota`,
+    as the set of members it holds."""
     alg = UnitAlgebra(v)
     return alg.subset(_value(alg, t, iota))
 
 
-def satisfies(v: Unit, f: Sequence, iota: Mapping[int, frozenset], t: Term) -> bool:
+def satisfies(v: Unit, f: Sequence, iota: Evaluation, t: Term) -> bool:
     """True iff f belongs to the interpretation of t in P(v) under iota."""
     alg = UnitAlgebra(v)
     k = alg._bit.get(f) if isinstance(f, Sequence) else None
@@ -384,11 +389,10 @@ _VAR_NAME = re.compile(r"x(0|[1-9][0-9]*)")
 
 def evaluation_from_dict(v: Unit, data: Mapping[str, list[int]]) -> Evaluation:
     """Decode {"x0": [positions]} with positions into the sorted sequence
-    list.  Each list is checked at once: the set of its item types, then
-    its least and greatest position."""
+    list, each list as the mask of its positions.  Each list is checked at
+    once: the set of its item types, then its least and greatest position."""
     if not isinstance(data, Mapping):
         raise ValueError("expected an object mapping x0, x1, ... to position lists")
-    seqs = v.sequences
     iota: Evaluation = {}
     for name, positions in data.items():
         if not isinstance(name, str) or not _VAR_NAME.fullmatch(name):
@@ -396,21 +400,22 @@ def evaluation_from_dict(v: Unit, data: Mapping[str, list[int]]) -> Evaluation:
         if not isinstance(positions, list):
             raise ValueError(f"{name} must be a list of positions")
         if positions and not (
-            set(map(type, positions)) == {int} and 0 <= min(positions) and max(positions) < len(seqs)
+            set(map(type, positions)) == {int} and 0 <= min(positions) and max(positions) < len(v)
         ):
             raise ValueError(f"{name} lists a position outside 0..{len(v) - 1}")
-        iota[int(name[1:])] = frozenset(map(seqs.__getitem__, positions))
+        iota[int(name[1:])] = sum(1 << p for p in set(positions))
     return iota
 
 
-def evaluation_to_dict(v: Unit, iota: Mapping[int, frozenset]) -> dict[str, list[int]]:
-    alg = UnitAlgebra(v)
-    return {f"x{k}": list(bit_positions(alg.mask(val))) for k, val in sorted(iota.items())}
+def evaluation_to_dict(iota: Evaluation) -> dict[str, list[int]]:
+    return {f"x{k}": list(bit_positions(m)) for k, m in sorted(iota.items())}
 
 
 @dataclass
 class Witness:
-    """A pointed model: a unit, a focus sequence in it and an evaluation."""
+    """A pointed model: a unit, a focus sequence in it and an evaluation,
+    whose mask for each variable has bit k set when `unit.sequences[k]`
+    belongs to that variable's value."""
 
     unit: Unit
     focus: Sequence
@@ -425,7 +430,7 @@ def witness_to_dict(w: Witness) -> dict:
     return {
         "unit": unit_to_dict(w.unit),
         "focus": list(w.focus.values),
-        "evaluation": evaluation_to_dict(w.unit, w.evaluation),
+        "evaluation": evaluation_to_dict(w.evaluation),
     }
 
 

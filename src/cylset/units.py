@@ -23,7 +23,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, product, repeat
-from operator import attrgetter, itemgetter, lt
+from functools import reduce
+from operator import attrgetter, itemgetter, lt, or_
 from typing import Iterable, Iterator
 
 
@@ -175,9 +176,6 @@ class Unit:
 
     def __len__(self) -> int:
         return len(self.sequences)
-
-    def as_set(self) -> frozenset[Sequence]:
-        return frozenset(self.sequences)
 
 
 def unit(window: Iterable[int], seqs: Iterable[Iterable[int]]) -> Unit:
@@ -389,8 +387,9 @@ def enumerate_units(
     Units are generated per class, not filtered.  Crs units are the
     combinations themselves.  A D or G unit holds what each member's range
     forces, so each is the union of its members' closures, taken as masks
-    over `full_square(window, range(base_size))`: the mask of what a range
-    forces (`_forced`), one per range, OR the member's own bit.  Gs units
+    over the square's value tuples in `product` order: the mask of what a
+    range forces (`_forced`), one per range, OR the member's own bit.  Each
+    position that a unit uses becomes a sequence once.  Gs units
     are the G units that `classify` tags Gs.  Raises ValueError when
     the square or the units would number more than MAX_UNITS; for Crs the
     count is known before anything is built.
@@ -424,9 +423,11 @@ def enumerate_units(
                 yield Unit._trusted(w, combo)
         return
 
-    seqs = full_square(w, range(base_size)).sequences
-    pos = {f.values: k for k, f in enumerate(seqs)}
-    ranges = [frozenset(f.values) for f in seqs]
+    _check_window(w)
+    # The square's value tuples in order; a sequence is built only where a unit uses it.
+    square = list(product(range(base_size), repeat=len(w)))
+    pos = {t: k for k, t in enumerate(square)}
+    ranges = list(map(frozenset, square))
     # A closure lies inside every unit that holds its member, so a range
     # whose members' closures outgrow `limit` (the closed-form count, plus
     # the member itself when it is injective under D) gets no mask, and its
@@ -437,8 +438,10 @@ def enumerate_units(
         if count + (tag is ClassTag.D and len(r) == len(w)) <= limit:
             masks[r] = sum(1 << pos[t] for t in tuples)
     closures = [masks[r] | 1 << k for k, r in enumerate(ranges) if r in masks]
-    for _, positions in sorted((m.bit_count(), bit_positions(m)) for m in _closed_masks(closures, limit)):
-        u = Unit._trusted(w, tuple(seqs[k] for k in positions))
+    unions = _closed_masks(closures, limit)
+    seqs = {k: Sequence._trusted(w, square[k]) for k in bit_positions(reduce(or_, unions, 0))}
+    for _, positions in sorted((m.bit_count(), bit_positions(m)) for m in unions):
+        u = Unit._trusted(w, tuple(map(seqs.__getitem__, positions)))
         if tag is not ClassTag.GS or ClassTag.GS in classify(u):
             yield u
 

@@ -168,7 +168,10 @@ def reference_evaluation_from_dict(v, data):
             raise ValueError(f"{name} must be a list of positions")
         if not all(type(p) is int and 0 <= p < len(v) for p in positions):
             raise ValueError(f"{name} lists a position outside 0..{len(v) - 1}")
-        iota[int(name[1:])] = frozenset(v.sequences[p] for p in positions)
+        mask = 0
+        for p in positions:
+            mask |= 1 << p
+        iota[int(name[1:])] = mask
     return iota
 
 
@@ -189,7 +192,7 @@ def test_evaluation_from_dict_matches_item_by_item_decoder(data):
 
 def test_evaluation_of_an_empty_unit():
     empty = unit((0, 1), [])
-    assert evaluation_from_dict(empty, {"x0": []}) == {0: frozenset()}
+    assert evaluation_from_dict(empty, {"x0": []}) == {0: 0}
     with pytest.raises(ValueError, match=re.escape("x0 lists a position outside 0..-1")):
         evaluation_from_dict(empty, {"x0": [0]})
 

@@ -309,6 +309,11 @@ USAGE_ERRORS = [
     (["split", "--unit", "{unit}", "--term", "x0", "--assign", "x0=[0]", "--mode", "crs", "--pivot", "1"],
      "--pivot applies only to --mode diag"),
     (["parse", "--term", "x0", "--vars", "-1"], "--vars must be at least 0, got -1"),
+    # A focus that the target does not hold at is a usage error, in both modes.
+    (["split", "--unit", "{unit}", "--term", "x0", "--assign", "x0=[0]", "--focus", "1", "--mode", "diag"],
+     "--focus 1: sequence (0,1) does not satisfy the split target"),
+    (["split", "--unit", "{unit}", "--term", "x0", "--assign", "x0=[0]", "--focus", "1", "--mode", "crs"],
+     "--focus 1: sequence (0,1) does not satisfy the split target"),
 ]
 
 

@@ -26,7 +26,10 @@ import pytest
 
 from cylset import semantics
 from cylset.cli import main
-from cylset.constructions import certificate_to_dict, diag_split_corpus, split_atom_diag
+from cylset.constructions import certificate_to_dict, check_split_invariance, diag_split_corpus, split_atom_diag
+from cylset.semantics import evaluation_from_dict
+from cylset.terms import parse_term
+from cylset.units import seq, unit
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "replicate_all.jsonl"
@@ -47,6 +50,28 @@ def test_split_diag_corpus_certificates_match_golden():
         for w, term in diag_split_corpus()
     ]
     assert "".join(lines) == (DATA / "split_diag_corpus.jsonl").read_text()
+
+
+def test_diag_split_onto_a_member_matches_golden():
+    """A diagonal split whose new point, (0,1,0,1), is a member of the
+    extended unit already, so adding it moves no evaluation bit.  The JSON
+    was written by the builder that carried evaluations as sets of
+    sequences; no corpus instance takes this path."""
+    v = unit((0, 1, 2), [(0, 1, 0), (0, 1, 1), (1, 0, 0)])
+    iota = evaluation_from_dict(v, {"x0": [1], "x1": [1, 2]})
+    cert = split_atom_diag(v, seq((0, 1, 2), (0, 1, 1)), iota, parse_term("x0"))
+    assert cert.negative.unit == cert.source.unit
+    assert json.dumps(certificate_to_dict(cert), sort_keys=True) == (
+        '{"branch": "pair-equal", "fresh": [2, 3], '
+        '"negative": {"evaluation": {"x0": [1], "x1": [1]}, "focus": [0, 1, 1, 1], '
+        '"unit": {"sequences": [[0, 1, 0, 1], [0, 1, 1, 1], [1, 0, 0, 1]], "window": [0, 1, 2, 3]}}, '
+        '"original": "x0 . c0 -d01", "pivot": 0, '
+        '"positive": {"evaluation": {"x0": [0, 1], "x1": [0, 1]}, "focus": [0, 1, 1, 1], '
+        '"unit": {"sequences": [[0, 1, 0, 1], [0, 1, 1, 1], [1, 0, 0, 1]], "window": [0, 1, 2, 3]}}, '
+        '"splitter": "c0(-d01 . c2(x0 . -d23))"}'
+    )
+    replay = check_split_invariance(cert)
+    assert replay.ok and replay.checked == 5
 
 
 # Postulate failures, in the order the checker lists them, are pinned byte

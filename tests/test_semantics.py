@@ -55,8 +55,8 @@ class TestDiagonal:
         assert SQ.subset(SQ.diag_mask(0, 1)) == {F00, F11}
 
     def test_equal_indices_give_unit(self):
-        assert SQ.subset(SQ.diag_mask(0, 0)) == SQ22.as_set()
-        assert SQ.subset(SQ.diag_mask(1, 1)) == SQ22.as_set()
+        assert SQ.subset(SQ.diag_mask(0, 0)) == set(SQ22)
+        assert SQ.subset(SQ.diag_mask(1, 1)) == set(SQ22)
         assert MappedUnitAlgebra(2).diag_mask(1, 1) == MappedUnitAlgebra(2).top
 
     def test_empty_diagonal(self):
@@ -92,7 +92,7 @@ class TestCylindrify:
         assert SQ.cyl_mask(0, 0) == 0
 
     def test_whole_unit_fixed(self):
-        assert SQ.subset(SQ.cyl_mask(1, SQ.mask(SQ22.as_set()))) == SQ22.as_set()
+        assert SQ.subset(SQ.cyl_mask(1, SQ.mask(SQ22))) == set(SQ22)
 
     def test_off_window_index_rejected(self):
         with pytest.raises(ValueError):
@@ -106,23 +106,23 @@ class TestCylindrify:
 
 class TestEvaluate:
     def test_cylinder_of_variable(self):
-        iota = {0: frozenset({F00})}
+        iota = {0: SQ.mask({F00})}
         assert evaluate(parse_term("c0 x0"), SQ22, iota) == {F00, F10}
 
     def test_escape_region_is_everything_on_square(self):
-        assert evaluate(parse_term("c0 -d01"), SQ22, {}) == SQ22.as_set()
+        assert evaluate(parse_term("c0 -d01"), SQ22, {}) == set(SQ22)
 
     def test_contradiction_is_empty(self):
-        iota = {0: frozenset({F00})}
+        iota = {0: SQ.mask({F00})}
         assert evaluate(parse_term("x0 . -x0"), SQ22, iota) == frozenset()
 
     def test_off_window_rejected(self):
         with pytest.raises(ValueError, match="off-window"):
-            evaluate(parse_term("c5 x0"), SQ22, {0: frozenset()})
+            evaluate(parse_term("c5 x0"), SQ22, {0: 0})
 
     def test_unassigned_variable_rejected(self):
         with pytest.raises(ValueError, match="unassigned"):
-            evaluate(parse_term("x1"), SQ22, {0: frozenset()})
+            evaluate(parse_term("x1"), SQ22, {0: 0})
 
     def test_off_window_equal_diagonal_rejected(self):
         # d77 denotes the top over any window, so only the walk can catch it.
@@ -147,24 +147,29 @@ class TestEvaluate:
     )
     def test_error_names_first_offender(self, text, message):
         with pytest.raises(ValueError, match=message):
-            evaluate(parse_term(text), SQ22, {0: frozenset()})
+            evaluate(parse_term(text), SQ22, {0: 0})
 
     def test_foreign_sequences_rejected(self):
-        with pytest.raises(ValueError, match="subset"):
-            evaluate(parse_term("x0"), unit((0, 1), [(0, 0)]), {0: frozenset({F11})})
+        # A mask with a bit outside the one-member unit names no member of it.
+        v = unit((0, 1), [(0, 0)])
+        for mask in (0b10, 0b11, 1 << 70, -1):
+            with pytest.raises(ValueError, match="x0 has a bit outside the unit's 1 positions"):
+                evaluate(parse_term("x0"), v, {0: mask})
+            with pytest.raises(ValueError, match="x0 has a bit outside"):
+                satisfies(v, F00, {0: mask}, parse_term("1"))
 
     @given(x=subsets_of(SQ22), y=subsets_of(SQ22))
     def test_boolean_structure(self, x, y):
-        iota = {0: x, 1: y}
-        assert evaluate(parse_term("-x0"), SQ22, iota) == SQ22.as_set() - x
+        iota = {0: SQ.mask(x), 1: SQ.mask(y)}
+        assert evaluate(parse_term("-x0"), SQ22, iota) == set(SQ22) - x
         assert evaluate(parse_term("x0 . x1"), SQ22, iota) == x & y
         assert evaluate(parse_term("x0 + x1"), SQ22, iota) == x | y
 
     @given(x=subsets_of(SQ22), y=subsets_of(SQ22))
     def test_monotone_in_evaluation(self, x, y):
         t = parse_term("c0(x0 . d01) + c1 x0")
-        small = evaluate(t, SQ22, {0: x & y})
-        large = evaluate(t, SQ22, {0: x | y})
+        small = evaluate(t, SQ22, {0: SQ.mask(x & y)})
+        large = evaluate(t, SQ22, {0: SQ.mask(x | y)})
         assert small <= large
 
     def test_self_xor_is_empty_in_every_unit(self):
@@ -173,18 +178,17 @@ class TestEvaluate:
         t = xor_term(Var(0), Var(0))
         for v in enumerate_units((0, 1), 2, 4):
             for k in range(1 << len(v)):
-                x = frozenset(s for b, s in enumerate(v.sequences) if k >> b & 1)
-                assert evaluate(t, v, {0: x}) == frozenset()
+                assert evaluate(t, v, {0: k}) == frozenset()
 
 
 class TestSatisfies:
     def test_diagonal_point(self):
-        assert satisfies(SQ22, F00, {0: frozenset({F00})}, parse_term("d01"))
+        assert satisfies(SQ22, F00, {0: SQ.mask({F00})}, parse_term("d01"))
 
     def test_singleton_atom_witness(self):
         v = unit((0, 1), [(0, 0)])
         w = F00
-        assert satisfies(v, w, {0: frozenset({w})}, atom_term(1, (1,)))
+        assert satisfies(v, w, {0: 1}, atom_term(1, (1,)))
 
     def test_zero_never_holds(self):
         assert not satisfies(SQ22, F00, {}, parse_term("0"))
@@ -266,7 +270,7 @@ class TestAxiomChecker:
         # The documented witness sets for X = {(0,0)}.
         x = alg.mask({f00})
         assert alg.subset(alg.cyl_mask(0, alg.cyl_mask(1, x))) == {f00, seq((0, 1), (1, 0))}
-        assert alg.subset(alg.cyl_mask(1, alg.cyl_mask(0, x))) == CA4_UNIT.as_set()
+        assert alg.subset(alg.cyl_mask(1, alg.cyl_mask(0, x))) == set(CA4_UNIT)
 
     def test_mapped_algebra_satisfies_all(self):
         alg = MappedUnitAlgebra(2)
@@ -517,14 +521,12 @@ class TestLanePass:
 class TestZeroDimensionalFixpoints:
     def test_atom_terms_fixed_under_every_cylinder_on_d_units(self):
         for v in enumerate_units((0, 1, 2), 2, 8, ClassTag.D):
-            seqs = v.sequences
             for mask0 in range(1 << len(v)):
-                x0 = frozenset(s for k, s in enumerate(seqs) if mask0 >> k & 1)
                 for q in ((1,), (-1,)):
                     t = atom_term(1, q)
-                    val = evaluate(t, v, {0: x0})
+                    val = evaluate(t, v, {0: mask0})
                     for i in v.window:
-                        assert evaluate(Cyl(i, t), v, {0: x0}) == val
+                        assert evaluate(Cyl(i, t), v, {0: mask0}) == val
 
 
 def term_trees(leaves, max_leaves: int):
@@ -576,8 +578,10 @@ class TestEvaluationJson:
     def test_round_trip(self):
         data = {"x0": [0], "x1": []}
         iota = evaluation_from_dict(SQ22, data)
-        assert iota == {0: frozenset({F00}), 1: frozenset()}
-        assert evaluation_to_dict(SQ22, iota) == data
+        assert iota == {0: SQ.mask({F00}), 1: 0}
+        assert evaluation_to_dict(iota) == data
+        # A repeated position is one member, so one bit.
+        assert evaluation_from_dict(SQ22, {"x0": [3, 1, 3]}) == {0: 0b1010}
 
     def test_bad_position(self):
         with pytest.raises(ValueError):
@@ -624,6 +628,6 @@ def test_atom_term_splits_over_a_two_index_window():
     halves = []
     for v in (unit((0, 1), [(0, 0), (0, 1), (1, 1)]), unit((0, 1), [(0, 0)])):
         assert ClassTag.D in classify(v)
-        iota = {0: frozenset({F00})}
+        iota = {0: UnitAlgebra(v).mask({F00})}
         halves.append((evaluate(inside, v, iota), evaluate(outside, v, iota)))
     assert halves == [({F00}, set()), (set(), {F00})]
